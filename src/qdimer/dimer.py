@@ -89,6 +89,12 @@ class TridiagonalHamiltonian:
         return self.energy_scale * np.asarray(eigenvalues, dtype=float) + self.energy_shift
 
 
+def _check_finite(**values):
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
 def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:
     """Nonlinear dimer H = eps (J+ + J-) + (gamma/2) J0^2 on the spin-j ladder.
 
@@ -96,6 +102,7 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     The physical chain with hopping eps and per-site nonlinearity gamma/2
     has spectrum -lambda - (gamma/2) j^2, recorded in the energy metadata.
     """
+    _check_finite(gamma=gamma, epsilon=epsilon)
     sector = SpinSector(two_j)
     if two_j == 0:
         warnings.warn("two_j = 0 gives a degenerate 1x1 sector", stacklevel=2)
@@ -128,22 +135,27 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     from C_1^-1 = q^-j and from {n} = q^(1-n) [n] relating the two kinds of
     hops, and are recorded in the energy metadata.
     """
+    _check_finite(gamma=gamma)
     sector = SpinSector(two_j)
     if two_j == 0:
         warnings.warn("two_j = 0 gives a degenerate 1x1 sector", stacklevel=2)
     dp = q_from_gamma(gamma)
-    diag = np.zeros(sector.dim)
-    off = np.array(
-        [
-            math.sqrt(sym_qnum(two_j - k, dp.q) * sym_qnum(k + 1, dp.q))
-            for k in range(sector.dim - 1)
-        ]
-    )
+    off = np.empty(two_j)
+    for k in range(two_j):
+        try:
+            off[k] = math.sqrt(sym_qnum(two_j - k, dp.q) * sym_qnum(k + 1, dp.q))
+        except OverflowError:
+            off[k] = math.inf
+        if not math.isfinite(off[k]):
+            raise ValueError(
+                f"al coupling off[{k}] = sqrt([{two_j - k}] [{k + 1}]) at q={dp.q:.17g} "
+                f"overflows double precision (two_j={two_j}, gamma={gamma})"
+            )
     j = sector.j
     return TridiagonalHamiltonian(
         sector=sector,
         model="al",
-        diag=diag,
+        diag=np.zeros(sector.dim),
         off=off,
         params={"gamma": float(gamma), "q": dp.q},
         energy_scale=-(dp.q ** (0.5 - j)),

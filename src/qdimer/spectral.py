@@ -1,24 +1,24 @@
 """Three-term-recurrence spectral solver for the dimer tridiagonal matrices.
 
-The characteristic polynomials p_k of the leading k x k minors satisfy
+The solver runs one kernel, the LDL^T pivot form of the recurrence,
 
-    p_{k+1}(x) = (x - d_k) p_k(x) - o_{k-1}^2 p_{k-1}(x),  p_-1 = 0, p_0 = 1,
+    q_0 = d_0 - x,  q_k = (d_k - x) - o_{k-1}^2 / q_{k-1},
 
-and form a Sturm sequence: the number of sign agreements between consecutive
-terms (an exact zero counts as sign-opposite to its predecessor) equals the
-number of eigenvalues below x.  Bisection on that count inside Gershgorin
-brackets yields every eigenvalue; the same recurrence evaluated at a root
-gives the eigenvector components c_k = p_k / eps_k, where eps_k is the
-running product of off-diagonal entries.  Recurrence values grow
-combinatorially, so all evaluations carry a power-of-two rescaling or work
-in the log domain.
+batched over many shifts x at once.  The number of negative pivots is the
+number of eigenvalues below x (a Sturm count), and pivots stay bounded, so no
+rescaling is needed once H is scaled by a power of two.  Both dimer matrices
+are persymmetric (reflecting m to -m leaves them unchanged), so H splits
+exactly into an even and an odd block, and the self-trapped level pairs that
+collapse in double precision are even/odd partners; inside one block the
+spectrum is well separated.  Blocks are also cut at zero couplings.  All
+blocks are bisected together on the pivot count, and the same kernel run
+forward and backward over a block at its roots gives twisted-factorization
+eigenvectors, mirrored into exactly even or odd columns.
 
-Where the spectrum clusters (the strong-nonlinearity regime packs level
-pairs exponentially tightly) eigenvector directions from the forward
-recurrence degrade, so the solver repairs such columns by shifted inverse
-iteration and a final orthogonalization pass; the method used per column is
-recorded.  The verification routines can escalate to arbitrary-precision
-bisection when double precision cannot resolve the level spacing.
+The characteristic-polynomial form p_{k+1}(x) = (x - d_k) p_k(x) -
+o_{k-1}^2 p_{k-1}(x) stays behind sturm_eval and the orthonormality checks,
+which can escalate to arbitrary-precision bisection when double precision
+cannot resolve the level spacing.
 """
 
 from __future__ import annotations
@@ -39,6 +39,13 @@ _SCALE_HI = 2.0**_SCALE_BITS
 _SCALE_LO = 2.0**-_SCALE_BITS
 
 _EPS = float(np.finfo(float).eps)
+# Smallest pivot magnitude of the recurrence kernel; with entries scaled
+# below 1, o^2 / _PIVMIN stays finite.
+_PIVMIN = float(np.finfo(float).tiny)
+# Diagonal of the padding rows that fill short blocks up to the stack
+# height: above every shift of the scaled problem, so their pivots stay
+# positive and are never counted.
+_PAD_DIAG = 8.0
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,10 @@ class Spectrum:
 
     Eigenvalues ascend; vectors[:, a] is the unit eigenvector for
     eigenvalues[a] with its first significant component positive.
-    norm_constants[a] is 1 / sqrt(sum_k p_k(lam_a)^2 / eps_k^2), the
-    normalization of the recurrence eigenvector expansion.
-    vector_method[a] records how the column was obtained.
+    norm_constants[a] is |vectors[0, a]|, which equals
+    1 / sqrt(sum_k p_k(lam_a)^2 / eps_k^2), the normalization of the
+    recurrence eigenvector expansion.  vector_method[a] records how the
+    column was obtained.
     """
 
     hamiltonian: TridiagonalHamiltonian
@@ -144,67 +152,153 @@ def characteristic_coefficients(H: TridiagonalHamiltonian) -> list:
     return polys
 
 
-def _count_below_batch(d, off2, lams):
-    """Vectorized Sturm count over an array of evaluation points."""
-    lams = np.asarray(lams, dtype=float)
-    p_prev = np.zeros_like(lams)
-    p = np.ones_like(lams)
-    s_prev = np.ones(lams.shape, dtype=np.int8)
-    count = np.zeros(lams.shape, dtype=np.int64)
-    n = d.shape[0]
-    for k in range(n):
-        o2 = off2[k - 1] if k > 0 else 0.0
-        p_new = (lams - d[k]) * p - o2 * p_prev
-        s = np.sign(p_new).astype(np.int8)
-        if (s == 0).any():
-            s = np.where(s == 0, -s_prev, s).astype(np.int8)
-        count += s == s_prev
-        p_prev = p
-        p = p_new
-        s_prev = s
-        # Blocked renormalization: between visits the values can grow by a
-        # bounded number of bits, so scaling the pair into [0.5, 1) every
-        # few steps keeps the sweep inside double range.
-        if (k & 7) == 7:
-            e = np.maximum(np.frexp(p)[1], np.frexp(p_prev)[1])
-            p = np.ldexp(p, -e)
-            p_prev = np.ldexp(p_prev, -e)
-    return count
+def _pivots(d, seg, o2, lam):
+    """LDL^T pivots of T - lam, one column per shift: the solver's one kernel.
+
+    Column j runs down segment seg[j] of the stack (diagonal d[:, seg[j]],
+    o2[k, j] the squared coupling of rows k and k + 1) at lam[j]:
+    q_0 = d_0 - lam and q_k = (d_k - lam) - o2_{k-1} / q_{k-1}.  The pivots
+    <= 0 count the eigenvalues below lam, and pivots stay bounded, so nothing
+    is rescaled.  A zero pivot first runs through IEEE infinities; if any
+    appear, the sweep is redone with pivots below _PIVMIN set to -_PIVMIN
+    (LAPACK's dstebz rule).
+    """
+    q = np.take(d, seg, axis=1)
+    q -= lam
+    t = np.empty_like(lam)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(1, q.shape[0]):
+            np.divide(o2[k - 1], q[k - 1], out=t)
+            np.subtract(q[k], t, out=q[k])
+    if np.isfinite(q).all():
+        return q
+    q = np.take(d, seg, axis=1) - lam
+    for k in range(q.shape[0]):
+        if k:
+            q[k] -= o2[k - 1] / q[k - 1]
+        q[k][np.abs(q[k]) < _PIVMIN] = -_PIVMIN
+    return q
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """H scaled by 2**-exp, folded into parity blocks and cut at zero couplings.
+
+    Reduced row i lifts to full row rows[i] with weight weights[i] and, where
+    mirror[i] is +-1, to full row dim - 1 - rows[i] with that sign.  off[i]
+    couples rows i and i + 1 and is zero at every segment end; diag and off
+    end with a padding row.  Segment s has sizes[s] rows from starts[s].
+    """
+
+    diag: np.ndarray
+    off: np.ndarray
+    exp: int
+    rows: np.ndarray
+    weights: np.ndarray
+    mirror: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+
+
+def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
+    """Exact reduction of H: its largest entry scaled into [0.5, 1) by a power
+    of two, the even and odd blocks when H equals its mirror image, and cuts
+    at couplings that are zero or whose square underflows."""
+    n = H.dim
+    top = max(float(np.max(np.abs(H.diag))), float(np.max(np.abs(H.off), initial=0.0)))
+    if not math.isfinite(top):
+        raise ValueError("Hamiltonian entries must be finite")
+    exp = math.frexp(top)[1]
+    d, o = np.ldexp(H.diag, -exp), np.ldexp(H.off, -exp)
+    m = n // 2
+    rows, weights, mirror = np.arange(n), np.ones(n), np.zeros(n)
+    if n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(o, o[::-1]):
+        # even block (u_k = u_{n-1-k}) on the half-ladder with the central
+        # coupling folded in, then the odd block (u_k = -u_{n-1-k})
+        rows = np.concatenate((np.arange(n - m), np.arange(m)))
+        weights = np.where(rows == n - 1 - rows, 1.0, math.sqrt(0.5))
+        mirror = np.repeat([1.0, -1.0], (n - m, m))
+        inner = o[: m - 1]
+        if n % 2 == 0:
+            d = np.concatenate((d[:m], d[:m]))
+            d[[m - 1, n - 1]] += [o[m - 1], -o[m - 1]]
+            o = np.concatenate((inner, [0.0], inner))
+        else:
+            d = np.concatenate((d[: m + 1], d[:m]))
+            o = np.concatenate((inner, [math.sqrt(2.0) * o[m - 1], 0.0], inner))
+    o = np.append(o, [0.0, 0.0])
+    o[o * o == 0.0] = 0.0
+    starts = np.append(0, np.flatnonzero(o[: n - 1] == 0.0) + 1)
+    sizes = np.diff(np.append(starts, n))
+    return _Reduction(np.append(d, _PAD_DIAG), o, exp, rows, weights, mirror, starts, sizes)
+
+
+def _stack(red: _Reduction):
+    """The segments of two or more rows side by side, bottom-aligned.
+
+    Returns, for each root in such a segment (root i of segment s is number
+    i - starts[s] in it): i, the segment's column in the tables, and that
+    number; then the stacked diagonal and couplings, one column per segment,
+    where off[k] couples stack rows k and k + 1 and the rows above a short
+    segment are padding.
+    """
+    multi = np.flatnonzero(red.sizes > 1)
+    sizes = red.sizes[multi]
+    height = int(sizes.max(initial=1))
+    rows = np.arange(height)[:, None] + (red.starts[multi] + sizes - height)
+    rows[rows < red.starts[multi]] = red.rows.size
+    cols = np.flatnonzero(np.repeat(red.sizes > 1, red.sizes))
+    seg = np.repeat(np.arange(multi.size), sizes)
+    return cols, seg, cols - red.starts[multi][seg], red.diag[rows], red.off[rows]
+
+
+def _roots(H: TridiagonalHamiltonian, red: _Reduction, tol: float) -> np.ndarray:
+    """Roots of every segment in scaled units, ascending within a segment.
+
+    All segments are bisected together from the Gershgorin interval of H:
+    one kernel sweep per step counts the negative pivots at every bracket
+    midpoint.  A bracket is done at width max(tol * min(1, 2**-exp),
+    4 eps |lambda|), which is tol in the units of H unless H is small.
+    """
+    n = H.dim
+    lam = red.diag[:n].copy()  # a one-row segment is its own root
+    cols, seg, idx, d, off = _stack(red)
+    if not cols.size:
+        return lam
+    glo, ghi = (math.ldexp(x, -red.exp) for x in gershgorin_bounds(H))
+    pad = 1e-3 * max(-glo, ghi)
+    lo, hi = np.full(cols.size, glo - pad), np.full(cols.size, ghi + pad)
+    o2 = np.take(off * off, seg, axis=1)
+    act = np.arange(cols.size)
+    tol = math.ldexp(tol, -max(red.exp, 0))
+    for _ in range(4096):
+        mid = 0.5 * (lo[act] + hi[act])
+        below = np.count_nonzero(_pivots(d, seg, o2, mid) <= 0.0, axis=0) <= idx
+        lo[act] = np.where(below, mid, lo[act])
+        hi[act] = np.where(below, hi[act], mid)
+        edge = np.maximum(np.abs(lo[act]), np.abs(hi[act]))
+        keep = hi[act] - lo[act] > np.maximum(tol, 4.0 * _EPS * edge)
+        if not keep.any():
+            break
+        if not keep.all():
+            act, seg, idx = act[keep], seg[keep], idx[keep]
+            o2 = o2[:, keep]
+    lam[cols] = 0.5 * (lo + hi)
+    return lam
 
 
 def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.ndarray:
-    """All eigenvalues by bisection on the Sturm count, ascending.
+    """All eigenvalues by bisection on the pivot Sturm count, ascending.
 
-    Each eigenvalue is bracketed to width <= tol * max(1, spectral radius)
-    starting from the Gershgorin interval.
+    H is scaled by a power of two, split into its even and odd blocks when
+    it is persymmetric and cut at zero couplings; all blocks are bisected
+    together, each eigenvalue to a bracket of width max(tol, 4 eps |lambda|),
+    with tol relative to the largest entry of H when that entry is below 1.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    d, off = H.diag, H.off
-    dim = H.dim
-    if dim == 1:
-        return d.copy()
-    off2 = off * off
-    glo, ghi = gershgorin_bounds(H)
-    radius = max(abs(glo), abs(ghi), 1.0)
-    pad = 1e-3 * radius
-    lo = np.full(dim, glo - pad)
-    hi = np.full(dim, ghi + pad)
-    idx = np.arange(dim)
-    for _ in range(4096):
-        mid = 0.5 * (lo + hi)
-        below = _count_below_batch(d, off2, mid) <= idx
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        # per-eigenvalue target: small-magnitude roots of a wide spectrum
-        # are bisected further than the global tol * radius width
-        target = np.maximum(
-            tol * np.maximum(1.0, np.abs(mid)),
-            4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)),
-        )
-        if np.all(hi - lo <= target):
-            break
-    return np.sort(0.5 * (lo + hi))
+    red = _reduce(H)
+    return np.sort(np.ldexp(_roots(H, red, tol), red.exp))
 
 
 def epsilon_factors(two_j: int, model: str, gamma: float = 0.0, log: bool = False) -> np.ndarray:
@@ -328,89 +422,100 @@ def eigenvector_from_recurrence(H: TridiagonalHamiltonian, lam: float):
     return c, norm_constant
 
 
-def _inverse_iteration(H, lam, prior, col):
-    """Shifted inverse iteration, orthogonalized against prior columns."""
-    d, off = H.diag, H.off
-    dim = H.dim
-    radius = _radius(H)
-    shift = lam + 10.0 * _EPS * max(1.0, radius)
-    ab = np.zeros((3, dim))
-    ab[1] = d - shift
-    if off.size:
-        ab[0, 1:] = off
-        ab[2, :-1] = off
-    rng = np.random.default_rng([991, dim, col])
-    x = rng.standard_normal(dim)
-    for v in prior:
-        x -= (v @ x) * v
-    x /= np.linalg.norm(x)
-    for _ in range(3):
-        try:
-            y = scipy.linalg.solve_banded((1, 1), ab, x)
-        except np.linalg.LinAlgError:
-            ab[1] += 100.0 * _EPS * max(1.0, radius)
-            y = scipy.linalg.solve_banded((1, 1), ab, x)
-        for v in prior:
-            y -= (v @ y) * v
-        nrm = np.linalg.norm(y)
-        if nrm == 0.0:
-            y = rng.standard_normal(dim)
-            nrm = np.linalg.norm(y)
-        x = y / nrm
-    return _fix_sign(x)
+def _twisted_vectors(red: _Reduction, lam):
+    """The stack's columns and their unit eigenvectors, bottom-aligned as in
+    _stack and zero on the padding rows.
+
+    The kernel run down and up the stack gives the twisted factorizations of
+    T - lam (Dhillon & Parlett), gamma_k = q+_k - o_k^2 / q-_{k+1}.  At
+    r = argmin |gamma_k| the vector with z_r = 1 that it yields is the
+    eigenvector: z_k = -o_k z_{k+1} / q+_k above r, -o_{k-1} z_{k-1} / q-_k
+    below.
+    """
+    cols, seg, _, d, off = _stack(red)
+    lam = lam[cols]
+    o2 = np.take(off * off, seg, axis=1)
+    up = _pivots(d, seg, o2, lam)
+    down = _pivots(d[::-1], seg, o2[-2::-1], lam)[::-1]
+    gamma = np.divide(o2[:-1], down[1:], out=o2[:-1])
+    gamma = np.subtract(up, o2, out=o2)
+    gamma[np.take(d, seg, axis=1) == _PAD_DIAG] = np.inf
+    r = np.argmin(np.abs(gamma, out=gamma), axis=0)
+    del gamma, o2
+    k = np.arange(d.shape[0])[:, None]
+    o = np.take(-off[:-1], seg, axis=1)
+    np.divide(o, up[:-1], out=up[:-1])
+    up[k >= r] = 1.0
+    np.divide(o, down[1:], out=down[1:])
+    down[k <= r] = 1.0
+    del o
+    z = np.cumprod(up[::-1], axis=0, out=up[::-1])[::-1]
+    z *= np.cumprod(down, axis=0, out=down)
+    z /= np.linalg.norm(z, axis=0)
+    return cols, z
+
+
+def _ritz(red: _Reduction, first: int, size: int, resolved) -> np.ndarray:
+    """Ascending Rayleigh-Ritz vectors of a segment on the complement of its
+    resolved eigenvectors."""
+    q = np.linalg.qr(resolved, mode="complete")[0][:, resolved.shape[1] :]
+    o = red.off[first : first + size - 1, None]
+    tq = red.diag[first : first + size, None] * q
+    tq[:-1] += o * q[1:]
+    tq[1:] += o * q[:-1]
+    return q @ np.linalg.eigh(q.T @ tq)[1]
 
 
 def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
-    """Full eigensystem via Sturm bisection plus recurrence eigenvectors.
+    """Full eigensystem: the eigenvalues of eigenvalues_bisection and
+    twisted-factorization eigenvectors from the same pivot kernel.
 
-    Columns whose eigenvalue sits closer to a neighbour than the forward
-    recurrence can resolve are recomputed by inverse iteration, and a final
-    orthogonalization sweep makes the vector set orthonormal even where
-    level pairs collapse to machine precision.
+    Each parity block's vectors come from the kernel run down and up the
+    block at all of its roots, and are mirrored into exactly even or odd
+    columns, so level pairs that collapse in double precision are orthogonal
+    by construction.  Inside one block of a hand-built H that is not
+    persymmetric, roots closer than 1e-6 * radius give coinciding twisted
+    vectors; those columns come from a Rayleigh-Ritz step on the complement
+    of the block's other vectors and are marked "ritz" in vector_method, all
+    others "recurrence".
     """
-    evs = eigenvalues_bisection(H, tol)
-    dim = H.dim
-    radius = max(1.0, _radius(H))
-    vectors = np.empty((dim, dim))
-    norm_constants = np.empty(dim)
-    methods = ["recurrence"] * dim
-    repair_gap = 1e-6 * radius
-    res_tol = max(0.5e-10, 100.0 * _EPS * radius)
-    for a in range(dim):
-        c, nc = _recurrence_vector(H, evs[a])
-        vectors[:, a] = c
-        norm_constants[a] = nc
-    # repair clusters: walk runs of eigenvalues tighter than repair_gap
-    a = 0
-    while a < dim:
-        b = a
-        while b + 1 < dim and evs[b + 1] - evs[b] <= repair_gap:
-            b += 1
-        cluster = list(range(a, b + 1))
-        needs_repair = len(cluster) > 1 or _residual(H, evs[a], vectors[:, a]) > res_tol
-        if needs_repair:
-            prior = []
-            for col in cluster:
-                v = _inverse_iteration(H, evs[col], prior, col)
-                vectors[:, col] = v
-                prior.append(v)
-                methods[col] = "inverse_iteration"
-        a = b + 1
-    # final orthogonalization: overlaps between resolved columns are tiny,
-    # so this perturbs residuals by at most the eigenvalue error
-    for a in range(dim):
-        v = vectors[:, a]
-        for b in range(a):
-            v -= (vectors[:, b] @ v) * vectors[:, b]
-        vectors[:, a] = _fix_sign(v / np.linalg.norm(v))
-    eps = _off_products(H)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    red = _reduce(H)
+    n = H.dim
+    lam = _roots(H, red, tol)
+    cols, z = _twisted_vectors(red, lam)
+    order = np.argsort(lam, kind="stable")
+    column = np.argsort(order)
+    gap = math.ldexp(1e-6 * _radius(H), -red.exp)
+    methods = np.full(n, "recurrence", dtype=object)
+    vectors = np.zeros((n, n))
+    for first, size in zip(red.starts, red.sizes):
+        seg = slice(first, first + size)
+        block = np.ones((1, 1))
+        if size > 1:
+            c = np.searchsorted(cols, first)
+            block = z[-size:, c : c + size]
+            run = np.diff(lam[seg]) <= gap
+            if run.any():
+                run = np.append(run, False) | np.insert(run, 0, False)
+                block[:, run] = _ritz(red, first, size, block[:, ~run])
+                methods[seg][run] = "ritz"
+        block = block * red.weights[seg, None]
+        mag = np.abs(block)
+        lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+        block *= np.where(block[lead, np.arange(size)] < 0.0, -1.0, 1.0)
+        row = red.rows[first]
+        vectors[row : row + size, column[seg]] = block
+        if red.mirror[first]:
+            vectors[n - row - size : n - row, column[seg]] = red.mirror[first] * block[::-1]
     return Spectrum(
         hamiltonian=H,
-        eigenvalues=evs,
+        eigenvalues=np.ldexp(lam[order], red.exp),
         vectors=vectors,
-        norm_constants=norm_constants,
-        epsilon_factors=eps,
-        vector_method=methods,
+        norm_constants=np.abs(vectors[0, :]),
+        epsilon_factors=_off_products(H),
+        vector_method=list(methods[order]),
     )
 
 

@@ -150,3 +150,21 @@ def test_spectrum_scale_grows_with_gamma():
         top = np.max(np.abs(dense_oracle(build_qal_dimer(8, gamma)).eigenvalues))
         assert top > prev
         prev = top
+
+
+@pytest.mark.parametrize("model, gamma, epsilon", [
+    ("dnls", math.nan, 1.0),
+    ("dnls", math.inf, 1.0),
+    ("dnls", 2.0, math.nan),
+    ("dnls", 2.0, -math.inf),
+    ("al", math.nan, 1.0),
+    ("al", math.inf, 1.0),
+])
+def test_non_finite_parameters_rejected(model, gamma, epsilon):
+    with pytest.raises(ValueError, match="must be finite"):
+        build_dimer(model, 4, gamma, epsilon)
+
+
+def test_al_coupling_overflow_rejected():
+    with pytest.raises(ValueError, match=r"al coupling off\[0\]"):
+        build_dimer("al", 2000, 8.0)

@@ -1,12 +1,16 @@
-"""Sturm counting, bisection eigenvalues, recurrence eigenvectors, and the
+"""Sturm counting, bisection eigenvalues, parity-block eigenvectors, and the
 structure checks built on them."""
 
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdimer import (
+    TridiagonalHamiltonian,
     build_dimer,
     build_qal_dimer,
     build_qdnls_dimer,
@@ -200,14 +204,72 @@ def test_solve_spectrum_reconstruction():
         assert np.max(np.abs(rebuilt - H.to_dense())) < tol
 
 
+def _is_mirror_exact(v):
+    return np.array_equal(v[::-1], v) or np.array_equal(v[::-1], -v)
+
+
 def test_cluster_repair_bookkeeping():
-    # strongly collapsed pairs force the inverse-iteration fallback and the
-    # repaired basis must still be complete
+    # strongly collapsed level pairs are even/odd partners: every column is
+    # exactly (anti)symmetric, so the clusters need no repair and the basis
+    # is complete
     H = build_qdnls_dimer(20, 8.0)
     s = solve_spectrum(H)
-    assert "inverse_iteration" in set(s.vector_method)
-    assert len(s.vector_method) == s.dim
+    assert all(_is_mirror_exact(v) for v in s.vectors.T)
+    assert s.vector_method == ["recurrence"] * s.dim
     assert completeness_check(s) < 1e-9 * s.dim
+
+
+@pytest.mark.parametrize("two_j, gamma", [(240, 9.0), (400, 8.0)])
+def test_al_huge_couplings_match_lapack(two_j, gamma):
+    # couplings reach 1e40-1e70 here; squaring them inside a plain Sturm
+    # recurrence overflowed and returned wrong eigenvalues
+    H = build_qal_dimer(two_j, gamma)
+    s = solve_spectrum(H)
+    ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(s.eigenvalues - ref)) <= 1e-10 * scale
+    assert np.max(np.abs(eigenvalues_bisection(H) - ref)) <= 1e-10 * scale
+    assert completeness_check(s) <= 1e-9 * s.dim
+
+
+@pytest.mark.parametrize("gamma", [1.0, 0.0])
+def test_zero_couplings_give_diagonal_spectrum(gamma):
+    H = build_dimer("dnls", 4, gamma, epsilon=0.0)
+    s = solve_spectrum(H)
+    assert np.array_equal(s.eigenvalues, np.sort(H.diag))
+    assert np.array_equal(eigenvalues_bisection(H), np.sort(H.diag))
+    assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(s.dim))) < 1e-15
+    assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) == 0.0
+
+
+def test_non_persymmetric_input_stays_orthonormal():
+    # one nudged diagonal entry breaks the mirror symmetry, so the collapsed
+    # pairs share a block and take the Rayleigh-Ritz guard
+    H = build_qdnls_dimer(30, 8.0)
+    diag = H.diag.copy()
+    diag[0] += 1e-9
+    H = TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
+    s = solve_spectrum(H)
+    assert "ritz" in s.vector_method
+    scale = max(1.0, float(np.max(np.abs(s.eigenvalues))))
+    assert completeness_check(s) < 1e-9 * s.dim
+    assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(["dnls", "al"]),
+    two_j=st.integers(1, 300),
+    gamma=st.floats(0.0, 10.0),
+    epsilon=st.floats(0.0, 2.0),
+)
+def test_solve_spectrum_property(model, two_j, gamma, epsilon):
+    H = build_dimer(model, two_j, gamma, epsilon if model == "dnls" else 1.0)
+    s = solve_spectrum(H)
+    ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
+    assert np.max(np.abs(s.eigenvalues - ref)) <= 1e-10 * max(1.0, float(np.max(np.abs(ref))))
+    assert completeness_check(s) <= 1e-9 * s.dim
+    assert all(_is_mirror_exact(v) for v in s.vectors.T)
 
 
 def test_df_orthonormality_small():
