@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -123,8 +122,7 @@ def cmd_sweep(parser, args) -> int:
         H = build_dimer(args.model, args.two_j, float(g), args.epsilon)
         return H, eigenvalues_bisection(H, args.tol)
 
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        results = list(pool.map(one, grid))
+    results = [one(g) for g in grid]
 
     dim = args.two_j + 1
     lines = [
@@ -168,20 +166,20 @@ def cmd_gaps(parser, args) -> int:
         evs = eigenvalues_bisection(H, args.tol)
         return np.sort(H.to_physical(evs))
 
-    with ThreadPoolExecutor(max_workers=min(8, len(grid))) as pool:
-        spectra = list(pool.map(one, grid))
+    spectra = [one(g) for g in grid]
 
     npairs = args.pairs
     gaps = np.empty((len(grid), npairs))
     for r, phys in enumerate(spectra):
         for k in range(npairs):
             gaps[r, k] = phys[2 * k + 1] - phys[2 * k]
-    with np.errstate(divide="ignore"):
+    # a pair that collapses exactly has ln_gap = -inf and nan slopes
+    with np.errstate(divide="ignore", invalid="ignore"):
         ln_g = np.log(grid)
         ln_gap = np.log(gaps)
-    slope = np.full_like(gaps, np.nan)
-    for k in range(npairs):
-        slope[1:-1, k] = (ln_gap[2:, k] - ln_gap[:-2, k]) / (ln_g[2:] - ln_g[:-2])
+        slope = np.full_like(gaps, np.nan)
+        for k in range(npairs):
+            slope[1:-1, k] = (ln_gap[2:, k] - ln_gap[:-2, k]) / (ln_g[2:] - ln_g[:-2])
 
     header = ["gamma", "ln_gamma"]
     for k in range(1, npairs + 1):
@@ -218,10 +216,11 @@ def cmd_gaps(parser, args) -> int:
 def _steepest_change_line(pair, x, y, grid):
     """Interior point of largest curvature of y(x), as a trailing comment."""
     d2 = np.full(x.size, np.nan)
-    for i in range(1, x.size - 1):
-        left = (y[i] - y[i - 1]) / (x[i] - x[i - 1])
-        right = (y[i + 1] - y[i]) / (x[i + 1] - x[i])
-        d2[i] = 2.0 * (right - left) / (x[i + 1] - x[i - 1])
+    with np.errstate(invalid="ignore"):
+        for i in range(1, x.size - 1):
+            left = (y[i] - y[i - 1]) / (x[i] - x[i - 1])
+            right = (y[i + 1] - y[i]) / (x[i + 1] - x[i])
+            d2[i] = 2.0 * (right - left) / (x[i + 1] - x[i - 1])
     mag = np.abs(d2)
     if np.all(~np.isfinite(mag)):
         return f"# steepest_change pair={pair} gamma=nan"

@@ -15,10 +15,12 @@ blocks are bisected together on the pivot count, and the same kernel run
 forward and backward over a block at its roots gives twisted-factorization
 eigenvectors, mirrored into exactly even or odd columns.
 
-The characteristic-polynomial form p_{k+1}(x) = (x - d_k) p_k(x) -
-o_{k-1}^2 p_{k-1}(x) stays behind sturm_eval and the orthonormality checks,
-which can escalate to arbitrary-precision bisection when double precision
-cannot resolve the level spacing.
+The orthonormality check builds the recurrence columns c_k = p_k(x)/eps_k of
+the minor polynomials p_{k+1}(x) = (x - d_k) p_k(x) - o_{k-1}^2 p_{k-1}(x)
+from the same pivots, since p_{k+1}/p_k = -q_k.  Where double precision
+cannot resolve the level spacing it escalates to one scalar mpmath loop over
+the minor polynomials, which serves as both the Sturm count of an
+arbitrary-precision bisection and the Gram columns: an independent referee.
 """
 
 from __future__ import annotations
@@ -30,13 +32,7 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 
-from .dimer import TridiagonalHamiltonian
-from .qnumbers import Q_ONE_THRESHOLD, q_from_gamma
-
-# Rescaling window for recurrence values, as powers of two.
-_SCALE_BITS = 512
-_SCALE_HI = 2.0**_SCALE_BITS
-_SCALE_LO = 2.0**-_SCALE_BITS
+from .dimer import SpinSector, TridiagonalHamiltonian
 
 _EPS = float(np.finfo(float).eps)
 # Smallest pivot magnitude of the recurrence kernel; with entries scaled
@@ -46,17 +42,6 @@ _PIVMIN = float(np.finfo(float).tiny)
 # height: above every shift of the scaled problem, so their pivots stay
 # positive and are never counted.
 _PAD_DIAG = 8.0
-
-
-@dataclass(frozen=True)
-class SturmEvaluation:
-    """One recurrence sweep at lam: final value (times 2^log_scale) and the
-    count of eigenvalues below lam."""
-
-    lam: float
-    value: float
-    log_scale: int
-    sign_changes: int
 
 
 @dataclass
@@ -75,7 +60,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     vectors: np.ndarray
     norm_constants: np.ndarray
-    epsilon_factors: np.ndarray
     vector_method: list = field(default_factory=list)
 
     @property
@@ -96,60 +80,6 @@ def gershgorin_bounds(H: TridiagonalHamiltonian) -> tuple[float, float]:
 def _radius(H) -> float:
     lo, hi = gershgorin_bounds(H)
     return max(abs(lo), abs(hi))
-
-
-def sturm_eval(H: TridiagonalHamiltonian, lam: float) -> SturmEvaluation:
-    """Run the minor recurrence at lam with power-of-two rescaling.
-
-    The true p_dim(lam) equals value * 2^log_scale; sign_changes counts
-    eigenvalues strictly below lam.
-    """
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam}")
-    d, off = H.diag, H.off
-    p_prev, p = 0.0, 1.0
-    s_prev = 1
-    count = 0
-    log_scale = 0
-    for k in range(H.dim):
-        o2 = off[k - 1] * off[k - 1] if k > 0 else 0.0
-        p_new = (lam - d[k]) * p - o2 * p_prev
-        mag = abs(p_new)
-        if mag > _SCALE_HI or (0.0 < mag < _SCALE_LO):
-            _, e = math.frexp(p_new)
-            p_new = math.ldexp(p_new, -e)
-            p = math.ldexp(p, -e)
-            log_scale += e
-        s = 0 if p_new == 0.0 else (1 if p_new > 0.0 else -1)
-        if s == 0:
-            s = -s_prev
-        if s == s_prev:
-            count += 1
-        p_prev, p, s_prev = p, p_new, s
-    return SturmEvaluation(lam=float(lam), value=p, log_scale=log_scale, sign_changes=count)
-
-
-def characteristic_coefficients(H: TridiagonalHamiltonian) -> list:
-    """Coefficient arrays of the minor polynomials p_0 .. p_dim.
-
-    Entry k holds the coefficients of p_k in ascending powers, built by the
-    same three-term recurrence acting on coefficient vectors (multiply by x
-    is a shift).  Coefficients grow combinatorially, so this is a
-    desk-scale cross-check of degrees and parity, not a solver path.
-    """
-    d, off = H.diag, H.off
-    polys = [np.array([1.0])]
-    prev = np.zeros(1)
-    for k in range(H.dim):
-        p = polys[-1]
-        shifted = np.concatenate(([0.0], p))
-        cur = shifted.copy()
-        cur[: p.size] -= d[k] * p
-        if k > 0:
-            cur[: prev.size] -= off[k - 1] * off[k - 1] * prev
-        prev = p
-        polys.append(cur)
-    return polys
 
 
 def _pivots(d, seg, o2, lam):
@@ -200,16 +130,22 @@ class _Reduction:
     sizes: np.ndarray
 
 
-def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
-    """Exact reduction of H: its largest entry scaled into [0.5, 1) by a power
-    of two, the even and odd blocks when H equals its mirror image, and cuts
-    at couplings that are zero or whose square underflows."""
-    n = H.dim
+def _scaled(H: TridiagonalHamiltonian):
+    """Diagonal and couplings of H times 2**-exp, which puts its largest entry
+    into [0.5, 1), and exp."""
     top = max(float(np.max(np.abs(H.diag))), float(np.max(np.abs(H.off), initial=0.0)))
     if not math.isfinite(top):
         raise ValueError("Hamiltonian entries must be finite")
     exp = math.frexp(top)[1]
-    d, o = np.ldexp(H.diag, -exp), np.ldexp(H.off, -exp)
+    return np.ldexp(H.diag, -exp), np.ldexp(H.off, -exp), exp
+
+
+def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
+    """Exact reduction of H: scaled by _scaled, the even and odd blocks when H
+    equals its mirror image, and cuts at couplings that are zero or whose
+    square underflows."""
+    n = H.dim
+    d, o, exp = _scaled(H)
     m = n // 2
     rows, weights, mirror = np.arange(n), np.ones(n), np.zeros(n)
     if n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(o, o[::-1]):
@@ -301,127 +237,6 @@ def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.n
     return np.sort(np.ldexp(_roots(H, red, tol), red.exp))
 
 
-def epsilon_factors(two_j: int, model: str, gamma: float = 0.0, log: bool = False) -> np.ndarray:
-    """Normalization weights eps_k of the recurrence eigenvector expansion.
-
-    eps_k is the product of the first k off-diagonal couplings at unit
-    hopping: sqrt(k! prod_{i<k}(2j - i)) for the nonlinear dimer and the
-    same with symmetric q-numbers for the deformed one; eps_0 = 1.  The
-    products overflow doubles for large sectors, so log=True returns
-    log(eps_k) instead; the linear form raises once any factor exceeds
-    double range.
-    """
-    if two_j < 0 or int(two_j) != two_j:
-        raise ValueError(f"two_j must be a nonnegative integer, got {two_j}")
-    if model not in ("dnls", "al"):
-        raise ValueError(f"model must be 'dnls' or 'al', got {model!r}")
-    if model == "al":
-        q = q_from_gamma(gamma).q
-        logs = [_log_sym_qnum(i, q) for i in range(1, two_j + 1)]
-        log_off = [0.5 * (logs[two_j - 1 - k] + logs[k]) for k in range(two_j)]
-    else:
-        log_off = [
-            0.5 * (math.log(two_j - k) + math.log(k + 1)) for k in range(two_j)
-        ]
-    out = np.zeros(two_j + 1)
-    out[1:] = np.cumsum(log_off)
-    if log:
-        return out
-    if out.size and float(np.max(out)) > 700.0:
-        raise OverflowError(
-            "epsilon factors overflow double precision; pass log=True"
-        )
-    return np.exp(out)
-
-
-def _log_sym_qnum(x: float, q: float) -> float:
-    """log [x] for x > 0, stable for large x where [x] itself overflows."""
-    if abs(q - 1.0) < Q_ONE_THRESHOLD:
-        return math.log(x)
-    s = abs(math.log(q))
-    return x * s + math.log1p(-math.exp(-2.0 * x * s)) - math.log(math.exp(s) - math.exp(-s))
-
-
-def _recurrence_log_table(d, off, lam):
-    """Signs and natural logs of p_k(lam), k = 0..dim-1, plus the log and
-    sign of the running off-diagonal products eps_k."""
-    dim = d.shape[0]
-    sgn_p = np.zeros(dim)
-    log_p = np.full(dim, -np.inf)
-    sgn_p[0], log_p[0] = 1.0, 0.0
-    p_prev, p = 0.0, 1.0
-    scale_bits = 0
-    ln2 = math.log(2.0)
-    for k in range(1, dim):
-        o2 = off[k - 2] * off[k - 2] if k > 1 else 0.0
-        p_new = (lam - d[k - 1]) * p - o2 * p_prev
-        mag = abs(p_new)
-        if mag > _SCALE_HI or (0.0 < mag < _SCALE_LO):
-            _, e = math.frexp(p_new)
-            p_new = math.ldexp(p_new, -e)
-            p = math.ldexp(p, -e)
-            scale_bits += e
-        p_prev, p = p, p_new
-        if p != 0.0:
-            sgn_p[k] = math.copysign(1.0, p)
-            log_p[k] = math.log(abs(p)) + scale_bits * ln2
-    sgn_eps = np.ones(dim)
-    log_eps = np.zeros(dim)
-    for k in range(1, dim):
-        o = off[k - 1]
-        sgn_eps[k] = sgn_eps[k - 1] * (1.0 if o >= 0.0 else -1.0)
-        log_eps[k] = log_eps[k - 1] + math.log(abs(o))
-    return sgn_p, log_p, sgn_eps, log_eps
-
-
-def _recurrence_vector(H, lam):
-    """Normalized recurrence eigenvector and its normalization constant."""
-    sgn_p, log_p, sgn_eps, log_eps = _recurrence_log_table(H.diag, H.off, lam)
-    log_c = log_p - log_eps
-    peak = float(np.max(log_c))
-    c = sgn_p * sgn_eps * np.exp(log_c - peak)
-    nrm = float(np.linalg.norm(c))
-    c /= nrm
-    # norm constant 1/sqrt(sum p^2/eps^2) in the log domain
-    log_norm2 = peak + math.log(nrm)
-    norm_constant = math.exp(-log_norm2) if log_norm2 < 700.0 else 0.0
-    return _fix_sign(c), norm_constant
-
-
-def _fix_sign(c):
-    anchor = np.abs(c) > 1e-12 * np.max(np.abs(c))
-    first = int(np.argmax(anchor))
-    if c[first] < 0.0:
-        return -c
-    return c
-
-
-def _residual(H, lam, c):
-    d, off = H.diag, H.off
-    hv = d * c
-    if off.size:
-        hv[:-1] += off * c[1:]
-        hv[1:] += off * c[:-1]
-    return float(np.max(np.abs(hv - lam * c)))
-
-
-def eigenvector_from_recurrence(H: TridiagonalHamiltonian, lam: float):
-    """Eigenvector components c_k = p_k(lam)/eps_k, unit norm, and the
-    normalization constant of the expansion.
-
-    lam must be a converged eigenvalue; if the assembled vector fails the
-    residual test the input was not an eigenvalue and a ValueError is
-    raised.
-    """
-    c, norm_constant = _recurrence_vector(H, lam)
-    res = _residual(H, lam, c)
-    if res > 1e-6 * max(1.0, _radius(H)):
-        raise ValueError(
-            f"lam={lam} is not an eigenvalue (residual {res:.3e})"
-        )
-    return c, norm_constant
-
-
 def _twisted_vectors(red: _Reduction, lam):
     """The stack's columns and their unit eigenvectors, bottom-aligned as in
     _stack and zero on the padding rows.
@@ -501,10 +316,7 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
                 run = np.append(run, False) | np.insert(run, 0, False)
                 block[:, run] = _ritz(red, first, size, block[:, ~run])
                 methods[seg][run] = "ritz"
-        block = block * red.weights[seg, None]
-        mag = np.abs(block)
-        lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
-        block *= np.where(block[lead, np.arange(size)] < 0.0, -1.0, 1.0)
+        block = _lead_positive(block * red.weights[seg, None])
         row = red.rows[first]
         vectors[row : row + size, column[seg]] = block
         if red.mirror[first]:
@@ -514,17 +326,16 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
         eigenvalues=np.ldexp(lam[order], red.exp),
         vectors=vectors,
         norm_constants=np.abs(vectors[0, :]),
-        epsilon_factors=_off_products(H),
         vector_method=list(methods[order]),
     )
 
 
-def _off_products(H):
-    out = np.ones(H.dim)
-    if H.dim > 1:
-        with np.errstate(over="ignore"):
-            out[1:] = np.cumprod(H.off)
-    return out
+def _lead_positive(v):
+    """v with each column's first significant component made positive, in place."""
+    mag = np.abs(v)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=0), axis=0)
+    v *= np.where(v[lead, np.arange(v.shape[1])] < 0.0, -1.0, 1.0)
+    return v
 
 
 def dense_oracle(H: TridiagonalHamiltonian) -> Spectrum:
@@ -536,15 +347,12 @@ def dense_oracle(H: TridiagonalHamiltonian) -> Spectrum:
         w, v = scipy.linalg.eigh_tridiagonal(H.diag, H.off)
     order = np.argsort(w)
     w = w[order]
-    v = v[:, order]
-    for a in range(H.dim):
-        v[:, a] = _fix_sign(v[:, a])
+    v = _lead_positive(v[:, order])
     return Spectrum(
         hamiltonian=H,
         eigenvalues=w,
         vectors=v,
         norm_constants=np.abs(v[0, :]),
-        epsilon_factors=_off_products(H),
         vector_method=["dense"] * H.dim,
     )
 
@@ -554,50 +362,76 @@ def dense_oracle(H: TridiagonalHamiltonian) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def df_orthonormality_check(spectrum: Spectrum, digits: int | None = None) -> float:
+def df_orthonormality_check(spectrum: Spectrum) -> float:
     """Max residual of the discrete orthogonality of the recurrence columns.
 
     The kernel identity for the minor polynomials states that the weighted
     columns (p_k(lam_a)/eps_k), normalized per root, form an orthonormal
-    family over the roots.  Returns max |Gram - I|.
+    family over the roots.  H is cut where a coupling's square is zero (as
+    the solver cuts it), and each segment is checked on its own roots;
+    returns the largest max |Gram - I| over the segments.
 
-    With digits=None the check runs in double precision while the level
-    spacing is resolvable and escalates to arbitrary-precision root
-    refinement when it is not (clustered strong-coupling spectra); an
-    explicit digits forces that precision.
+    A segment is checked in double precision while its level spacing is
+    resolvable, and with arbitrary-precision roots when it is not
+    (clustered strong-coupling spectra).
     """
     H = spectrum.hamiltonian
-    if digits is None:
-        gaps = np.diff(spectrum.eigenvalues)
-        resolvable = gaps.size == 0 or float(np.min(gaps)) > 1e-5 * max(1.0, _radius(H))
-        if resolvable:
-            return _df_gram_float(H, spectrum.eigenvalues)
-        return _df_gram_mp(H)
-    if digits <= 0:
-        return _df_gram_float(H, spectrum.eigenvalues)
-    return _df_gram_mp(H, digits)
+    segments = _segments(H)
+    worst = 0.0
+    for seg in segments:
+        evs = spectrum.eigenvalues if len(segments) == 1 else eigenvalues_bisection(seg)
+        gaps = np.diff(evs)
+        if gaps.size == 0 or float(np.min(gaps)) > 1e-5 * max(1.0, _radius(seg)):
+            worst = max(worst, _df_gram_float(seg, evs))
+        else:
+            worst = max(worst, _df_gram_mp(seg))
+    return worst
+
+
+def _segments(H):
+    """H cut into its diagonal blocks at couplings whose square is zero once
+    H is scaled as in _reduce."""
+    o = _scaled(H)[1]
+    cuts = np.flatnonzero(o * o == 0.0) + 1
+    if not cuts.size:
+        return [H]
+    return [
+        TridiagonalHamiltonian(SpinSector(b - a - 1), H.model, H.diag[a:b], H.off[a : b - 1])
+        for a, b in zip(np.append(0, cuts), np.append(cuts, H.dim))
+    ]
 
 
 def _df_gram_float(H, evs):
-    dim = H.dim
-    cols = np.empty((dim, dim))
-    for a in range(dim):
-        c, _ = _recurrence_vector(H, evs[a])
-        cols[:, a] = c
-    gram = cols.T @ cols
-    return float(np.max(np.abs(gram - np.eye(dim))))
+    """Gram residual of the recurrence columns at the roots evs, from one
+    kernel sweep over all of them: p_{k+1}/p_k = -q_k, so the column ratios
+    c_{k+1}/c_k = -q_k/o_k, accumulated in the log domain."""
+    d, o, exp = _scaled(H)
+    lam = np.ldexp(np.asarray(evs, dtype=float), -exp)
+    q = _pivots(d[:, None], np.zeros(lam.size, dtype=int), (o * o)[:, None], lam)[:-1]
+    log_c = np.zeros((H.dim, lam.size))
+    np.cumsum(np.log(np.abs(q)) - np.log(np.abs(o))[:, None], axis=0, out=log_c[1:])
+    sign = np.ones_like(log_c)
+    np.cumprod(-np.sign(q) * np.sign(o)[:, None], axis=0, out=sign[1:])
+    c = sign * np.exp(log_c - log_c.max(axis=0))
+    c /= np.linalg.norm(c, axis=0)
+    return float(np.max(np.abs(c.T @ c - np.eye(lam.size))))
 
 
-def _mp_count_below(d, off2, lam, dim):
+def _mp_minors(d, off2, lam):
+    """Minor polynomials p_0 .. p_dim at lam in mpmath, and the count of sign
+    agreements between consecutive ones (a zero taking the sign opposite to
+    its predecessor), which is the number of eigenvalues below lam."""
     p_prev, p = mp.mpf(0), mp.mpf(1)
+    minors = [p]
     s_prev, count = 1, 0
-    for k in range(dim):
-        p_new = (lam - d[k]) * p - (off2[k - 1] if k > 0 else 0) * p_prev
-        s = 1 if p_new > 0 else (-1 if p_new < 0 else -s_prev)
+    for k in range(len(d)):
+        p_prev, p = p, (lam - d[k]) * p - (off2[k - 1] if k > 0 else 0) * p_prev
+        s = 1 if p > 0 else (-1 if p < 0 else -s_prev)
         if s == s_prev:
             count += 1
-        p_prev, p, s_prev = p, p_new, s
-    return count
+        s_prev = s
+        minors.append(p)
+    return minors, count
 
 
 def _mp_eigenvalues(H, dps):
@@ -605,8 +439,7 @@ def _mp_eigenvalues(H, dps):
     dim = H.dim
     with mp.workdps(dps):
         d = [mp.mpf(x) for x in H.diag]
-        off = [mp.mpf(x) for x in H.off]
-        off2 = [o * o for o in off]
+        off2 = [mp.mpf(x) ** 2 for x in H.off]
         glo, ghi = gershgorin_bounds(H)
         radius = max(abs(glo), abs(ghi), 1.0)
         pad = mp.mpf(radius) * mp.mpf("1e-3")
@@ -616,7 +449,7 @@ def _mp_eigenvalues(H, dps):
             lo, hi = mp.mpf(glo) - pad, mp.mpf(ghi) + pad
             while hi - lo > target:
                 mid = (lo + hi) / 2
-                if _mp_count_below(d, off2, mid, dim) <= i:
+                if _mp_minors(d, off2, mid)[1] <= i:
                     lo = mid
                 else:
                     hi = mid
@@ -627,9 +460,10 @@ def _mp_eigenvalues(H, dps):
 def _df_gram_mp(H, digits: int | None = None):
     """Gram residual with roots refined beyond double precision.
 
-    Precision deepens until adjacent roots are separated by the working
-    tolerance, so the identity is checked for the exact spectrum of the
-    stored double-precision matrix.
+    Precision deepens from 40 digits until adjacent roots are separated by
+    the working tolerance, so the identity is checked for the exact spectrum
+    of the stored double-precision matrix; an explicit digits fixes the
+    precision instead.
     """
     dim = H.dim
     dps = digits if digits else 40
@@ -644,20 +478,13 @@ def _df_gram_mp(H, digits: int | None = None):
             if resolved or digits:
                 d = [mp.mpf(x) for x in H.diag]
                 off = [mp.mpf(x) for x in H.off]
+                off2 = [o * o for o in off]
+                eps = [mp.mpf(1)]
+                for o in off:
+                    eps.append(eps[-1] * o)
                 cols = []
                 for lam in roots:
-                    p_prev, p = mp.mpf(0), mp.mpf(1)
-                    col = [p]
-                    for k in range(1, dim):
-                        o2 = off[k - 2] * off[k - 2] if k > 1 else 0
-                        p_new = (lam - d[k - 1]) * p - o2 * p_prev
-                        p_prev, p = p, p_new
-                        col.append(p)
-                    eps = mp.mpf(1)
-                    weighted = [col[0]]
-                    for k in range(1, dim):
-                        eps = eps * off[k - 1]
-                        weighted.append(col[k] / eps)
+                    weighted = [p / e for p, e in zip(_mp_minors(d, off2, lam)[0], eps)]
                     nrm = mp.sqrt(mp.fsum(w * w for w in weighted))
                     cols.append([w / nrm for w in weighted])
                 worst = mp.mpf(0)

@@ -2,6 +2,7 @@
 and exit codes."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,3 +195,13 @@ def test_quanta_scan_nan_padding(capsys):
     for r in rows:
         vals = [float(x) for x in r[2:] if x != "nan"]
         assert vals == sorted(vals)
+
+
+def test_gaps_collapsed_pair_no_warnings(capsys):
+    # an exactly collapsed pair gives ln_gap = -inf; its nan cells come out
+    # without RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        main(["gaps", "--model", "dnls", "--two-j", "40", "--steps", "8",
+              "--gamma-min", "2", "--gamma-max", "10"])
+    assert ",-inf," in capsys.readouterr().out

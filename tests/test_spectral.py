@@ -14,43 +14,66 @@ from qdimer import (
     build_dimer,
     build_qal_dimer,
     build_qdnls_dimer,
-    characteristic_coefficients,
     completeness_check,
     dense_oracle,
     df_orthonormality_check,
     eigenvalues_bisection,
-    eigenvector_from_recurrence,
-    epsilon_factors,
     gershgorin_bounds,
     parity_structure_check,
     solve_spectrum,
-    sturm_eval,
 )
-from qdimer.spectral import _mp_eigenvalues, _radius
+from qdimer.spectral import (
+    _df_gram_float,
+    _df_gram_mp,
+    _mp_eigenvalues,
+    _mp_minors,
+    _pivots,
+    _radius,
+    _scaled,
+)
+
+
+def _pivot_counts(H, xs):
+    """Eigenvalues of H below each x: the negative pivots of the float kernel."""
+    d, o, exp = _scaled(H)
+    lam = np.ldexp(np.asarray(xs, dtype=float), -exp)
+    q = _pivots(d[:, None], np.zeros(lam.size, dtype=int), (o * o)[:, None], lam)
+    assert np.isfinite(q).all()
+    return np.count_nonzero(q <= 0.0, axis=0)
+
+
+def _mp_count(H, x):
+    """Eigenvalues of H below x: the sign agreements of the mp minor loop."""
+    return _mp_minors(list(H.diag), list(H.off**2), x)[1]
 
 
 def test_sturm_eval_two_level():
     H = build_qal_dimer(1, 2.0)
-    ev = sturm_eval(H, 0.0)
+    minors, count = _mp_minors(list(H.diag), list(H.off**2), 0.0)
     # p_2(0) = -off^2 = -1 between the two eigenvalues +-1
-    assert ev.value == -1.0
-    assert ev.log_scale == 0
-    assert ev.sign_changes == 1
+    assert minors == [1.0, 0.0, -1.0]
+    assert count == 1
+    assert list(_pivot_counts(H, [0.0])) == [1]
 
 
 def test_sturm_count_outside_bounds():
     H = build_qdnls_dimer(9, 3.0)
     lo, hi = gershgorin_bounds(H)
-    assert sturm_eval(H, lo - 1.0).sign_changes == 0
-    assert sturm_eval(H, hi + 1.0).sign_changes == H.dim
+    assert list(_pivot_counts(H, [lo - 1.0, hi + 1.0])) == [0, H.dim]
+    assert _mp_count(H, lo - 1.0) == 0
+    assert _mp_count(H, hi + 1.0) == H.dim
 
 
 def test_sturm_rejects_non_finite():
     H = build_qdnls_dimer(2, 1.0)
-    with pytest.raises(ValueError):
-        sturm_eval(H, float("nan"))
-    with pytest.raises(ValueError):
-        sturm_eval(H, float("inf"))
+    for bad in (float("nan"), float("inf")):
+        diag = H.diag.copy()
+        diag[1] = bad
+        H_bad = TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
+        with pytest.raises(ValueError, match="must be finite"):
+            eigenvalues_bisection(H_bad)
+        with pytest.raises(ValueError, match="must be finite"):
+            solve_spectrum(H_bad)
 
 
 def test_sturm_count_monotone():
@@ -62,19 +85,18 @@ def test_sturm_count_monotone():
         H = build_dimer(model, two_j, gamma)
         lo, hi = gershgorin_bounds(H)
         grid = np.sort(rng.uniform(lo, hi, size=12))
-        counts = [sturm_eval(H, x).sign_changes for x in grid]
+        counts = list(_pivot_counts(H, grid))
         assert all(a <= b for a, b in zip(counts, counts[1:]))
         assert all(0 <= c <= H.dim for c in counts)
+        # the float kernel and the mp referee count alike
+        assert counts == [_mp_count(H, x) for x in grid]
 
 
 def test_sturm_no_overflow_large_sector():
     # plain products of (lam - d_k) overflow long before 2j = 120
     H = build_qdnls_dimer(120, 8.0)
     lo, hi = gershgorin_bounds(H)
-    ev = sturm_eval(H, hi + 1.0)
-    assert math.isfinite(ev.value)
-    assert ev.sign_changes == H.dim
-    assert ev.log_scale > 0
+    assert list(_pivot_counts(H, [hi + 1.0])) == [H.dim]
 
 
 def test_bisection_two_level_closed_form():
@@ -116,58 +138,23 @@ def test_bisection_single_level():
 
 
 def test_eigenvector_two_level():
-    H = build_qal_dimer(1, 2.0)
-    c, nc = eigenvector_from_recurrence(H, 1.0)
+    s = solve_spectrum(build_qal_dimer(1, 2.0))
     r = 1.0 / math.sqrt(2.0)
-    assert np.max(np.abs(c - np.array([r, r]))) < 1e-14
-    assert abs(nc - r) < 1e-14
+    assert np.max(np.abs(s.eigenvalues - [-1.0, 1.0])) < 1e-14
+    assert np.max(np.abs(s.vectors[:, 1] - np.array([r, r]))) < 1e-14
+    assert abs(s.norm_constants[1] - r) < 1e-14
 
 
 def test_eigenvector_zero_mode_node():
     # the lam = 0 vector of the integer-spin deformed dimer has an exact node
-    H = build_qal_dimer(2, 2.0)
-    c, nc = eigenvector_from_recurrence(H, 0.0)
+    s = solve_spectrum(build_qal_dimer(2, 2.0))
+    zero = int(np.argmin(np.abs(s.eigenvalues)))
+    assert abs(s.eigenvalues[zero]) < 1e-14
+    c = s.vectors[:, zero]
     r = 1.0 / math.sqrt(2.0)
     assert c[1] == 0.0
     assert np.max(np.abs(c - np.array([r, 0.0, -r]))) < 1e-14
-    assert abs(nc - r) < 1e-14
-
-
-def test_eigenvector_rejects_non_eigenvalue():
-    H = build_qdnls_dimer(4, 2.0)
-    evs = eigenvalues_bisection(H)
-    midpoint = 0.5 * (evs[0] + evs[1])
-    with pytest.raises(ValueError):
-        eigenvector_from_recurrence(H, midpoint)
-
-
-def test_epsilon_factors_values():
-    e = epsilon_factors(2, "dnls")
-    assert e[0] == 1.0
-    assert abs(e[1] - math.sqrt(2.0)) < 1e-15
-    assert abs(e[2] - 2.0) < 1e-15
-    assert np.array_equal(epsilon_factors(6, "al", 0.0), epsilon_factors(6, "dnls"))
-
-
-def test_epsilon_factors_log_mode():
-    lin = epsilon_factors(4, "al", 2.0)
-    logf = epsilon_factors(4, "al", 2.0, log=True)
-    assert np.max(np.abs(np.exp(logf) - lin)) < 1e-12 * np.max(lin)
-
-
-def test_epsilon_factors_overflow_guard():
-    with pytest.raises(OverflowError):
-        epsilon_factors(350, "al", 8.0)
-    logf = epsilon_factors(350, "al", 8.0, log=True)
-    assert np.all(np.isfinite(logf))
-    assert logf.size == 351
-
-
-def test_epsilon_factors_validation():
-    with pytest.raises(ValueError):
-        epsilon_factors(4, "heis")
-    with pytest.raises(ValueError):
-        epsilon_factors(-1, "al")
+    assert abs(s.norm_constants[zero] - r) < 1e-14
 
 
 def test_solve_spectrum_matches_oracle_vectors():
@@ -281,12 +268,20 @@ def test_df_orthonormality_small():
 
 def test_df_orthonormality_forced_precision():
     s = solve_spectrum(build_qdnls_dimer(6, 2.0))
+    H = s.hamiltonian
     auto = df_orthonormality_check(s)
-    forced_float = df_orthonormality_check(s, digits=0)
-    forced_mp = df_orthonormality_check(s, digits=40)
+    forced_float = _df_gram_float(H, s.eigenvalues)
+    forced_mp = _df_gram_mp(H, 40)
     assert auto == forced_float
     assert forced_mp < 1e-10
     assert auto < 1e-10
+
+
+def test_df_orthonormality_zero_couplings():
+    # the decoupled dimer has exactly equal level pairs across its 1 x 1
+    # blocks; each block is checked on its own
+    s = solve_spectrum(build_dimer("dnls", 4, 1.0, epsilon=0.0))
+    assert df_orthonormality_check(s) == 0.0
 
 
 def test_df_orthonormality_collapsed_cluster():
@@ -334,18 +329,13 @@ def test_parity_rejects_dnls():
 
 
 def test_characteristic_coefficients_structure():
+    # p4 = x^4 - 11.5 x^2 + 12.25 from the q-deformed couplings: roots
+    # +-1.0899, +-3.2112
     H = build_qal_dimer(3, 2.0)
-    polys = characteristic_coefficients(H)
-    assert [p.size - 1 for p in polys] == [0, 1, 2, 3, 4]
-    for p in polys:
-        assert p[-1] == 1.0
-    # zero-diagonal matrix: the minor polynomials have fixed parity
-    assert np.max(np.abs(polys[-1][1::2])) == 0.0
-    roots = np.sort(np.roots(polys[-1][::-1]).real)
-    oracle = dense_oracle(H).eigenvalues
-    assert np.max(np.abs(roots - oracle)) < 1e-10
-    # p4 = x^4 - 11.5 x^2 + 12.25 from the q-deformed couplings
-    assert np.allclose(polys[-1], [12.25, 0.0, -11.5, 0.0, 1.0], atol=1e-12)
+    roots = np.sort(np.roots([1.0, 0.0, -11.5, 0.0, 12.25]).real)
+    assert np.max(np.abs(eigenvalues_bisection(H) - roots)) < 1e-10
+    assert np.max(np.abs(dense_oracle(H).eigenvalues - roots)) < 1e-10
+    assert np.max(np.abs(roots - [-3.2112, -1.0899, 1.0899, 3.2112])) < 1e-4
 
 
 def test_dense_oracle_norm_constants_match_recurrence():
