@@ -3,7 +3,8 @@
 Subcommands: spectrum (one dimer eigensystem), sweep (eigenvalues over a
 nonlinearity grid), gaps (pair-gap log-log analysis of the physical
 spectrum), quanta-scan (lowest absolute levels versus sector size), verify
-(self-check suites with machine-readable pass/fail lines).
+(self-check suites with machine-readable pass/fail lines; the wall time of
+each suite goes to stderr as a `# suite=<name> wall_s=<t>` line).
 
 Every CSV starts with a `# key=value` parameter echo followed by a column
 header; numeric cells carry 17 significant digits and lines end with a
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 import numpy as np
 
@@ -352,13 +354,16 @@ def _verify_conservation(checks, m_max):
 
 def cmd_verify(parser, args) -> int:
     checks = _Checks()
-    suite = args.suite
-    if suite in ("algebra", "all"):
-        _verify_algebra(checks, args.m_max)
-    if suite in ("spectral", "all"):
-        _verify_spectral(checks, args.two_j_max, args.cases)
-    if suite in ("conservation", "all"):
-        _verify_conservation(checks, args.m_max)
+    suites = (
+        ("algebra", lambda: _verify_algebra(checks, args.m_max)),
+        ("spectral", lambda: _verify_spectral(checks, args.two_j_max, args.cases)),
+        ("conservation", lambda: _verify_conservation(checks, args.m_max)),
+    )
+    for name, run in suites:
+        if args.suite in (name, "all"):
+            start = time.perf_counter()
+            run()
+            sys.stderr.write(f"# suite={name} wall_s={time.perf_counter() - start:.3f}\n")
     if getattr(args, "self_test_fail", False):
         checks.add("self_test.forced_failure", 1.0, 0.0)
     _emit(checks.lines, args.out)

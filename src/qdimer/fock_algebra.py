@@ -2,23 +2,41 @@
 
 A sector is the span of all occupation states of n_sites lattice modes with
 a fixed total number of quanta M.  Hopping operators a_i' a_j preserve M, so
-every operator here is a plain dense matrix on one sector.  The nearest
-neighbour hops realize the Chevalley generators of su(n_sites), and their
-q-deformed counterparts (matrix elements built from symmetric q-numbers)
-realize su_q(n_sites).  The module also provides the deformed lattice
-oscillator on a truncated single-mode space, Casimir invariants, and the
-linear map reconstructing the mode numbers N_i from the Cartan generators.
+every operator here is a square matrix on one sector, stored as a
+`scipy.sparse.csr_array`: a hop has at most one nonzero per column and the
+number, Cartan and group-like operators are diagonal, so an operator holds
+O(dim) entries rather than dim^2 (`.toarray()` gives the dense matrix).  The
+nearest neighbour hops realize the Chevalley generators of su(n_sites), and
+their q-deformed counterparts (matrix elements built from symmetric
+q-numbers) realize su_q(n_sites).  The module also provides the deformed
+lattice oscillator on a truncated single-mode space (dense, it is small),
+Casimir invariants, and the linear map reconstructing the mode numbers N_i
+from the Cartan generators.
+
+The checks multiply sparse operators, and where one factor is diagonal they
+scale the other operand's stored entries by the diagonal instead.  Every
+product of hops and diagonals has one term per entry, so the Chevalley and
+Serre residuals are the same numbers the dense products give.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
 from .qnumbers import Q_ONE_THRESHOLD, basic_qnum, q_binomial, sym_qnum
 
+# Largest admitted sector, 1e6 states.  A hop or diagonal operator stores at
+# most one entry per column, 16 bytes each (float64 value, int64 column
+# index), plus an 8-byte row pointer per row: at most 24 bytes per state, 24 MB
+# at the guard, where one dense operator would take 8 * dim^2 bytes = 8 TB.
+# The basis costs about 120 bytes per state on three or four sites (state
+# tuple and occupation row; the index dict, built on first use, adds about
+# 85 more): about 0.12 GB at the guard.
 MAX_SECTOR_DIM = 1_000_000
 
 
@@ -26,7 +44,11 @@ class FockSectorBasis:
     """Occupation basis of the (n_sites, total_quanta) sector.
 
     States are tuples (n_1, ..., n_sites) with sum(n) = total_quanta, listed
-    in ascending lexicographic order so the layout is reproducible.
+    in ascending lexicographic order so the layout is reproducible;
+    `occupations` holds the same states as a (dim, n_sites) integer array.
+    Sectors above MAX_SECTOR_DIM = 1e6 states are refused: the basis takes
+    about 120 bytes per state (0.12 GB at the guard) and a sparse operator at
+    most 24 bytes per state (24 MB), where a dense one would take 8 TB.
     """
 
     def __init__(self, n_sites: int, total_quanta: int):
@@ -42,11 +64,37 @@ class FockSectorBasis:
         self.n_sites = n_sites
         self.total_quanta = total_quanta
         self.states = tuple(sorted(_compositions(n_sites, total_quanta)))
-        self.index = {s: k for k, s in enumerate(self.states)}
+        self.occupations = np.array(self.states, dtype=np.int64)
 
     @property
     def dim(self) -> int:
         return len(self.states)
+
+    @cached_property
+    def index(self) -> dict:
+        """Basis position of each state tuple, built on first use (the
+        operator builders use `positions` instead)."""
+        return {s: k for k, s in enumerate(self.states)}
+
+    def positions(self, occupations: np.ndarray) -> np.ndarray:
+        """Basis indices of the occupation rows, by lexicographic rank.
+
+        The states before s are those sharing a prefix s_1..s_{k-1} with a
+        smaller k-th entry; with r quanta left for the m sites from k on,
+        there are C(r + m - 1, m - 1) - C(r - s_k + m - 1, m - 1) of them.
+        """
+        n, total = self.n_sites, self.total_quanta
+        count = np.array(
+            [[math.comb(r + m - 1, m - 1) for m in range(1, n + 1)] for r in range(total + 1)],
+            dtype=np.int64,
+        )
+        pos = np.zeros(len(occupations), dtype=np.int64)
+        left = np.full(len(occupations), total, dtype=np.int64)
+        for k in range(n - 1):
+            col = n - k - 1
+            pos += count[left, col] - count[left - occupations[:, k], col]
+            left -= occupations[:, k]
+        return pos
 
     def __repr__(self):
         return (
@@ -65,23 +113,38 @@ def _compositions(n_sites, total):
 
 
 def build_sector_basis(n_sites: int, total_quanta: int) -> FockSectorBasis:
-    """Enumerate the fixed-quanta occupation basis; dim = C(M+n-1, n-1)."""
+    """Enumerate the fixed-quanta occupation basis; dim = C(M+n-1, n-1).
+
+    Refuses sectors above MAX_SECTOR_DIM = 1e6 states (about 0.12 GB of
+    basis, at most 24 MB per sparse operator).
+    """
     return FockSectorBasis(n_sites, total_quanta)
 
 
 @dataclass
 class SectorOperator:
-    """A dense real matrix acting on one fixed-quanta sector."""
+    """A real sparse (CSR) matrix acting on one fixed-quanta sector.
+
+    `matrix` is a `scipy.sparse.csr_array`; dense or sparse input is
+    converted.  Use `matrix.toarray()` for the dense matrix.
+    """
 
     basis: FockSectorBasis
-    matrix: np.ndarray
+    matrix: sparse.csr_array
 
     def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
+        self.matrix = sparse.csr_array(self.matrix, dtype=float)
         if self.matrix.shape != (self.basis.dim, self.basis.dim):
             raise ValueError(
                 f"matrix shape {self.matrix.shape} does not match sector dim {self.basis.dim}"
             )
+
+
+def _diagonal(values) -> sparse.csr_array:
+    """Sparse diagonal matrix with the given diagonal."""
+    values = np.asarray(values, dtype=float)
+    dim = len(values)
+    return sparse.csr_array((values, np.arange(dim), np.arange(dim + 1)), shape=(dim, dim))
 
 
 def _site_range_check(basis, *sites):
@@ -90,47 +153,51 @@ def _site_range_check(basis, *sites):
             raise ValueError(f"site index {s} outside 1..{basis.n_sites}")
 
 
+def _occupation(basis, i):
+    return basis.occupations[:, i - 1].astype(float)
+
+
 def number_operator(basis: FockSectorBasis, i: int) -> SectorOperator:
     """Diagonal mode-occupation operator N_i (1-based site index)."""
     _site_range_check(basis, i)
-    diag = np.array([s[i - 1] for s in basis.states], dtype=float)
-    return SectorOperator(basis, np.diag(diag))
+    return SectorOperator(basis, _diagonal(_occupation(basis, i)))
 
 
 def hop_operator(basis: FockSectorBasis, i: int, j: int) -> SectorOperator:
     """Boson hop a_i' a_j with matrix elements sqrt(n_i + 1) sqrt(n_j)."""
-    return _hop(basis, i, j, lambda ni, nj: math.sqrt((ni + 1) * nj))
+    return _hop(basis, i, j, np.arange(basis.total_quanta + 2, dtype=float))
 
 
 def q_hop_operator(basis: FockSectorBasis, i: int, j: int, q: float) -> SectorOperator:
     """q-boson hop with matrix elements sqrt([n_i + 1] [n_j])."""
-    return _hop(
-        basis, i, j, lambda ni, nj: math.sqrt(sym_qnum(ni + 1, q) * sym_qnum(nj, q))
-    )
+    return _hop(basis, i, j, _sym_qnums(basis, q))
 
 
 def al_hop_operator(basis: FockSectorBasis, i: int, j: int, gamma: float) -> SectorOperator:
     """Deformed-lattice-oscillator hop b_i' b_j with elements sqrt({n_i+1} {n_j})."""
-    return _hop(
-        basis,
-        i,
-        j,
-        lambda ni, nj: math.sqrt(basic_qnum(ni + 1, gamma) * basic_qnum(nj, gamma)),
-    )
+    qnums = [basic_qnum(n, gamma) for n in range(basis.total_quanta + 2)]
+    return _hop(basis, i, j, np.array(qnums))
 
 
-def _hop(basis, i, j, amplitude):
+def _sym_qnums(basis, q):
+    """[n] for n = 0..M+1, one scalar call per occupation number."""
+    return np.array([sym_qnum(n, q) for n in range(basis.total_quanta + 2)])
+
+
+def _hop(basis, i, j, qnums):
+    """Hop from site j to site i with elements sqrt(qnums[n_i + 1] qnums[n_j])."""
     _site_range_check(basis, i, j)
     if i == j:
         raise ValueError("hop requires distinct sites; use number_operator for i == j")
-    mat = np.zeros((basis.dim, basis.dim))
-    for col, s in enumerate(basis.states):
-        if s[j - 1] == 0:
-            continue
-        t = list(s)
-        t[i - 1] += 1
-        t[j - 1] -= 1
-        mat[basis.index[tuple(t)], col] = amplitude(s[i - 1], s[j - 1])
+    cols = np.flatnonzero(basis.occupations[:, j - 1])
+    src = basis.occupations[cols]
+    ni, nj = src[:, i - 1], src[:, j - 1]
+    amp = np.sqrt(qnums[ni + 1] * qnums[nj])
+    dst = src.copy()
+    dst[:, i - 1] += 1
+    dst[:, j - 1] -= 1
+    rows = basis.positions(dst)
+    mat = sparse.csr_array((amp, (rows, cols)), shape=(basis.dim, basis.dim))
     return SectorOperator(basis, mat)
 
 
@@ -149,7 +216,8 @@ class ChevalleyGenerators:
     """Chevalley generators e_i, f_i, h_i on a sector, i = 1..n-1 (list slot i-1).
 
     For q != 1 the group-like k_i = q^h_i and the local sector weights
-    C_i = q^((N_i + N_{i+1})/2) are also populated; both are diagonal.
+    C_i = q^((N_i + N_{i+1})/2) are also populated.  h, k and c_loc are
+    diagonal; every operator is a sparse SectorOperator.
     """
 
     n: int
@@ -166,6 +234,10 @@ class ChevalleyGenerators:
         return self.n - 1
 
 
+def _adjoint(op: SectorOperator) -> SectorOperator:
+    return SectorOperator(op.basis, op.matrix.T.tocsr())
+
+
 def su_n_generators(basis: FockSectorBasis) -> ChevalleyGenerators:
     """Boson realization e_i = a_i' a_{i+1}, f_i = e_i', h_i = (N_i - N_{i+1})/2."""
     if basis.n_sites < 2:
@@ -174,9 +246,9 @@ def su_n_generators(basis: FockSectorBasis) -> ChevalleyGenerators:
     for i in range(1, basis.n_sites):
         ei = hop_operator(basis, i, i + 1)
         e.append(ei)
-        f.append(SectorOperator(basis, ei.matrix.T.copy()))
-        hi = 0.5 * (number_operator(basis, i).matrix - number_operator(basis, i + 1).matrix)
-        h.append(SectorOperator(basis, hi))
+        f.append(_adjoint(ei))
+        hdiag = 0.5 * (_occupation(basis, i) - _occupation(basis, i + 1))
+        h.append(SectorOperator(basis, _diagonal(hdiag)))
     return ChevalleyGenerators(
         n=basis.n_sites, q=1.0, basis=basis, e=tuple(e), f=tuple(f), h=tuple(h)
     )
@@ -188,17 +260,18 @@ def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
         raise ValueError("need at least two sites")
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
+    qnums = _sym_qnums(basis, q)
     e, f, h, k, c_loc = [], [], [], [], []
     for i in range(1, basis.n_sites):
-        ei = q_hop_operator(basis, i, i + 1, q)
+        ei = _hop(basis, i, i + 1, qnums)
         e.append(ei)
-        f.append(SectorOperator(basis, ei.matrix.T.copy()))
-        ni = np.diag(number_operator(basis, i).matrix)
-        nip = np.diag(number_operator(basis, i + 1).matrix)
+        f.append(_adjoint(ei))
+        ni = _occupation(basis, i)
+        nip = _occupation(basis, i + 1)
         hdiag = 0.5 * (ni - nip)
-        h.append(SectorOperator(basis, np.diag(hdiag)))
-        k.append(SectorOperator(basis, np.diag(q**hdiag)))
-        c_loc.append(SectorOperator(basis, np.diag(q ** (0.5 * (ni + nip)))))
+        h.append(SectorOperator(basis, _diagonal(hdiag)))
+        k.append(SectorOperator(basis, _diagonal(q**hdiag)))
+        c_loc.append(SectorOperator(basis, _diagonal(q ** (0.5 * (ni + nip)))))
     return ChevalleyGenerators(
         n=basis.n_sites,
         q=float(q),
@@ -231,11 +304,24 @@ class ResidualReport:
 
 
 def _maxabs(m):
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    """Largest |entry|; a sparse matrix is read on its stored entries."""
+    data = m.data if sparse.issparse(m) else m
+    return float(np.max(np.abs(data))) if data.size else 0.0
 
 
 def _comm(a, b):
     return a @ b - b @ a
+
+
+def _rows(m):
+    """Row index of every stored entry of a CSR matrix."""
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+
+
+def _qnum_map(x, q):
+    """sym_qnum over the array x, one scalar call per distinct value."""
+    values, where = np.unique(x, return_inverse=True)
+    return np.array([sym_qnum(v, q) for v in values])[where]
 
 
 def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
@@ -245,44 +331,47 @@ def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
             [e_i,f_j] = 2 h_i delta_ij.
     q != 1: k_i k_j = k_j k_i, k_i e_j k_i^-1 = q^(a_ij/2) e_j (and inverse
             power for f_j), [e_i,f_j] = delta_ij [2 h_i].
+
+    Relations with a diagonal factor (h_i, k_i) are evaluated on the stored
+    entries of e_j and f_j: entry (r, c) of d x - x d is d_r x_rc - x_rc d_c.
     """
     rep = ResidualReport(dim=gens.basis.dim)
     a = cartan_matrix(gens.n)
     r = gens.rank
     deformed = abs(gens.q - 1.0) >= Q_ONE_THRESHOLD
+    hd = [g.matrix.diagonal() for g in gens.h]
+    if deformed:
+        kd = [g.matrix.diagonal() for g in gens.k]
+        targets = [_diagonal(_qnum_map(2.0 * d, gens.q)) for d in hd]
+    else:
+        targets = [2.0 * g.matrix for g in gens.h]
+    stored = [(_rows(x.matrix), x.matrix.indices, x.matrix.data) for x in gens.e + gens.f]
     for i in range(r):
         for j in range(r):
-            ei, fj = gens.e[i].matrix, gens.f[j].matrix
-            ej = gens.e[j].matrix
-            hi = gens.h[i].matrix
+            er, ec, ex = stored[j]
+            fr, fc, fx = stored[r + j]
             if not deformed:
-                hj = gens.h[j].matrix
-                rep.add(f"[h{i+1},h{j+1}]", _maxabs(_comm(hi, hj)))
-                rep.add(f"[h{i+1},e{j+1}]", _maxabs(_comm(hi, ej) - 0.5 * a[i, j] * ej))
-                rep.add(f"[h{i+1},f{j+1}]", _maxabs(_comm(hi, fj) + 0.5 * a[i, j] * fj))
-                target = 2.0 * hi if i == j else np.zeros_like(hi)
-                rep.add(f"[e{i+1},f{j+1}]", _maxabs(_comm(ei, fj) - target))
+                hi = hd[i]
+                rep.add(f"[h{i+1},h{j+1}]", _maxabs(hi * hd[j] - hd[j] * hi))
+                rep.add(f"[h{i+1},e{j+1}]", _maxabs(hi[er] * ex - ex * hi[ec] - 0.5 * a[i, j] * ex))
+                rep.add(f"[h{i+1},f{j+1}]", _maxabs(hi[fr] * fx - fx * hi[fc] + 0.5 * a[i, j] * fx))
             else:
-                ki = np.diag(gens.k[i].matrix)
-                kj = gens.k[j].matrix
-                rep.add(f"k{i+1}k{j+1}", _maxabs(_comm(np.diag(ki), kj)))
-                conj_e = (ki[:, None] * ej) / ki[None, :]
+                ki = kd[i]
+                rep.add(f"k{i+1}k{j+1}", _maxabs(ki * kd[j] - kd[j] * ki))
+                conj_e = (ki[er] * ex) / ki[ec]
                 rep.add(
                     f"k{i+1}e{j+1}k{i+1}^-1",
-                    _maxabs(conj_e - gens.q ** (0.5 * a[i, j]) * ej),
+                    _maxabs(conj_e - gens.q ** (0.5 * a[i, j]) * ex),
                 )
-                conj_f = (ki[:, None] * fj) / ki[None, :]
+                conj_f = (ki[fr] * fx) / ki[fc]
                 rep.add(
                     f"k{i+1}f{j+1}k{i+1}^-1",
-                    _maxabs(conj_f - gens.q ** (-0.5 * a[i, j]) * fj),
+                    _maxabs(conj_f - gens.q ** (-0.5 * a[i, j]) * fx),
                 )
-                if i == j:
-                    target = np.diag(
-                        [sym_qnum(2.0 * x, gens.q) for x in np.diag(gens.h[i].matrix)]
-                    )
-                else:
-                    target = np.zeros_like(ei)
-                rep.add(f"[e{i+1},f{j+1}]", _maxabs(_comm(ei, fj) - target))
+            comm = _comm(gens.e[i].matrix, gens.f[j].matrix)
+            if i == j:
+                comm = comm - targets[i]
+            rep.add(f"[e{i+1},f{j+1}]", _maxabs(comm))
     return rep
 
 
@@ -291,6 +380,7 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
 
     sum_{r+s=1-a_ij} (-1)^r C_q(1-a_ij, r) x_i^r x_j x_i^s = 0 for x = e and
     x = f, with q-binomials (ordinary binomials at q = 1).  Vacuous for rank 1.
+    Each term is formed as ((coeff x_i^r) x_j) x_i^s.
     """
     rep = ResidualReport(dim=gens.basis.dim)
     r = gens.rank
@@ -298,6 +388,7 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
         rep.vacuous = True
         return rep
     a = cartan_matrix(gens.n)
+    identity = _diagonal(np.ones(gens.basis.dim))
     for i in range(r):
         for j in range(r):
             if i == j:
@@ -305,11 +396,13 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
             order = 1 - a[i, j]
             for name, ops in (("e", gens.e), ("f", gens.f)):
                 xi, xj = ops[i].matrix, ops[j].matrix
-                acc = np.zeros_like(xi)
-                for rr in range(order + 1):
-                    ss = order - rr
-                    coeff = (-1.0) ** rr * q_binomial(order, rr, gens.q)
-                    acc += coeff * np.linalg.matrix_power(xi, rr) @ xj @ np.linalg.matrix_power(xi, ss)
+                powers = [identity, xi]
+                while len(powers) <= order:
+                    powers.append(powers[-1] @ xi)
+                acc = sum(
+                    (-1.0) ** rr * q_binomial(order, rr, gens.q) * powers[rr] @ xj @ powers[order - rr]
+                    for rr in range(order + 1)
+                )
                 rep.add(f"serre_{name}{i+1}{name}{j+1}", _maxabs(acc))
     return rep
 
@@ -354,6 +447,8 @@ def verify_al_relations(b, bd, n_op, gamma: float, n_max: int) -> ResidualReport
     return rep
 
 
+
+
 # ---------------------------------------------------------------------------
 # Casimir invariants
 # ---------------------------------------------------------------------------
@@ -379,11 +474,10 @@ def _raising_matrix(gens, chain="low"):
 
 
 def _cartan_diagonal(gens):
-    """Traceless weights eps_a with eps_a - eps_{a+1} = 2 h_a, sum eps_a = 0."""
+    """Diagonals of the traceless weights eps_a: eps_a - eps_{a+1} = 2 h_a, sum eps_a = 0."""
     n = gens.n
-    dim = gens.basis.dim
-    g = [2.0 * gens.h[i].matrix for i in range(n - 1)]
-    tail = np.zeros((dim, dim))
+    g = [2.0 * gens.h[i].matrix.diagonal() for i in range(n - 1)]
+    tail = np.zeros(gens.basis.dim)
     eps = [None] * n
     mean = sum((k + 1) * g[k] for k in range(n - 1)) / n
     for a in range(n - 1, -1, -1):
@@ -400,6 +494,7 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int, chain: str = "low") -> Sec
     above the diagonal, their adjoints below, and the traceless Cartan
     weights eps_a on the diagonal.  The diagonal entries are required for
     centrality; without them the contraction fails to commute with e_i.
+    Only the diagonal blocks of the last product M^(p-1) M are formed.
     Supported for the undeformed algebra only (gens.q = 1).
     """
     if p < 1 or int(p) != p:
@@ -411,38 +506,37 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int, chain: str = "low") -> Sec
     eps = _cartan_diagonal(gens)
     G = [[None] * n for _ in range(n)]
     for a in range(n):
-        G[a][a] = eps[a]
+        G[a][a] = _diagonal(eps[a])
         for b in range(a + 1, n):
             G[a][b] = E[a][b]
-            G[b][a] = E[a][b].T.copy()
-    M = _opmat_square(G)
-    P = M
-    for _ in range(int(p) - 1):
-        P = _opmat_mul(P, M)
-    dim = gens.basis.dim
-    c = np.zeros((dim, dim))
-    for a in range(n):
-        c += P[a][a]
+            G[b][a] = E[a][b].T.tocsr()
+    if p == 1:
+        left = right = G
+    else:
+        right = _opmat_mul(G, G)
+        left = right
+        for _ in range(int(p) - 2):
+            left = _opmat_mul(left, right)
+    c = sum(_block_product(left, right, a, a) for a in range(n))
     return SectorOperator(gens.basis, c)
+
+
+def _block_product(A, B, a, b):
+    """Block (a, b) of the operator-matrix product A B."""
+    return sum(A[a][c] @ B[c][b] for c in range(len(A)))
 
 
 def _opmat_mul(A, B):
     n = len(A)
-    return [
-        [sum(A[a][c] @ B[c][b] for c in range(n)) for b in range(n)] for a in range(n)
-    ]
-
-
-def _opmat_square(G):
-    return _opmat_mul(G, G)
+    return [[_block_product(A, B, a, b) for b in range(n)] for a in range(n)]
 
 
 def su2_casimir(gens: ChevalleyGenerators) -> SectorOperator:
     """Quadratic su(2) invariant J0 (J0 - 1) + J+ J-, eigenvalue j(j+1)."""
     if gens.rank != 1:
         raise ValueError("su2_casimir needs rank-1 generators (two sites)")
-    j0 = gens.h[0].matrix
-    c = j0 @ (j0 - np.eye(gens.basis.dim)) + gens.e[0].matrix @ gens.f[0].matrix
+    j0 = gens.h[0].matrix.diagonal()
+    c = _diagonal(j0 * (j0 - 1.0)) + gens.e[0].matrix @ gens.f[0].matrix
     return SectorOperator(gens.basis, c)
 
 
@@ -450,9 +544,8 @@ def suq2_casimir(gens: ChevalleyGenerators, q: float) -> SectorOperator:
     """Quadratic su_q(2) invariant [J0][J0 - 1] + J+ J-, eigenvalue [j][j+1]."""
     if gens.rank != 1:
         raise ValueError("suq2_casimir needs rank-1 generators (two sites)")
-    m = np.diag(gens.h[0].matrix)
-    diag = np.array([sym_qnum(x, q) * sym_qnum(x - 1.0, q) for x in m])
-    c = np.diag(diag) + gens.e[0].matrix @ gens.f[0].matrix
+    m = gens.h[0].matrix.diagonal()
+    c = _diagonal(_qnum_map(m, q) * _qnum_map(m - 1.0, q)) + gens.e[0].matrix @ gens.f[0].matrix
     return SectorOperator(gens.basis, c)
 
 
@@ -482,16 +575,17 @@ def verify_number_reconstruction(basis: FockSectorBasis) -> ResidualReport:
 
     h_j = (N_j - N_{j+1})/2 feeds the difference rows of Omega through the
     factor 2, and h = sum N_i is the sector total.  Exact by linear algebra,
-    asserted entrywise on the sector.
+    asserted entrywise on the sector; every operator involved is diagonal,
+    so the identity is checked on the diagonals.
     """
     n = basis.n_sites
     gens = su_n_generators(basis)
     om_inv = np.linalg.inv(omega_matrix(n))
-    total = float(basis.total_quanta) * np.eye(basis.dim)
+    total = np.full(basis.dim, float(basis.total_quanta))
     rep = ResidualReport(dim=basis.dim)
     for i in range(n):
         recon = om_inv[i, n - 1] * total
         for jx in range(n - 1):
-            recon = recon + om_inv[i, jx] * (2.0 * gens.h[jx].matrix)
-        rep.add(f"N{i+1}", _maxabs(number_operator(basis, i + 1).matrix - recon))
+            recon = recon + om_inv[i, jx] * (2.0 * gens.h[jx].matrix.diagonal())
+        rep.add(f"N{i+1}", _maxabs(number_operator(basis, i + 1).matrix.diagonal() - recon))
     return rep

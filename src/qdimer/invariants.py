@@ -1,9 +1,10 @@
 """Chain Hamiltonians on number-conserving sectors and their invariants.
 
-Both lattice models live on a fixed-total-quanta sector of an open chain:
-the nonlinear-hopping chain couples neighbouring sites with bare hops and
-an attractive on-site n^2 well, the deformed chain replaces the hop
-amplitudes with basic-q-number ones.  On two sites each block of fixed
+Both lattice models live on a fixed-total-quanta sector of an open chain,
+as sparse matrices like the sector operators: the nonlinear-hopping chain
+couples neighbouring sites with bare hops and an attractive on-site n^2
+well, the deformed chain replaces the hop amplitudes with basic-q-number
+ones.  On two sites each block of fixed
 total quanta reduces to the corresponding dimer tridiagonal matrix after an
 overall sign and constant shift, which the dimer builders record as
 energy_scale and energy_shift.
@@ -19,9 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .fock_algebra import (
     FockSectorBasis,
+    _diagonal,
+    _maxabs,
     al_hop_operator,
     build_sector_basis,
     casimir_matrix,
@@ -36,36 +40,40 @@ from .fock_algebra import (
 from .qnumbers import q_from_gamma
 
 
-def build_qdnls_chain(basis: FockSectorBasis, gamma: float, epsilon: float = 1.0) -> np.ndarray:
-    """Sector matrix of the nonlinear chain: -eps * sum of neighbour hops
-    minus (gamma/2) * sum n_i^2."""
+def build_qdnls_chain(basis: FockSectorBasis, gamma: float, epsilon: float = 1.0) -> sparse.csr_array:
+    """Sparse sector matrix of the nonlinear chain: -eps * sum of neighbour
+    hops minus (gamma/2) * sum n_i^2 (`.toarray()` for the dense matrix)."""
     n = basis.n_sites
-    H = np.zeros((basis.dim, basis.dim))
-    for i in range(1, n):
-        H -= epsilon * (hop_operator(basis, i, i + 1).matrix + hop_operator(basis, i + 1, i).matrix)
+    well = np.zeros(basis.dim)
     for i in range(1, n + 1):
-        num = number_operator(basis, i).matrix
-        H -= 0.5 * gamma * (num @ num)
-    return H
-
-
-def build_qal_chain(basis: FockSectorBasis, gamma: float) -> np.ndarray:
-    """Sector matrix of the deformed chain: minus the basic-q-number hops
-    plus twice the total quanta (a constant on the sector)."""
-    n = basis.n_sites
-    H = np.zeros((basis.dim, basis.dim))
+        num = number_operator(basis, i).matrix.diagonal()
+        well -= 0.5 * gamma * (num * num)
+    H = _diagonal(well)
     for i in range(1, n):
-        H -= al_hop_operator(basis, i, i + 1, gamma).matrix
-        H -= al_hop_operator(basis, i + 1, i, gamma).matrix
-    H += 2.0 * basis.total_quanta * np.eye(basis.dim)
+        H = H - epsilon * (hop_operator(basis, i, i + 1).matrix + hop_operator(basis, i + 1, i).matrix)
     return H
 
 
-def check_commutes(H: np.ndarray, O: np.ndarray, tol: float) -> tuple[float, bool]:
-    """Max-entry norm of [H, O] and whether it is below tol."""
+def build_qal_chain(basis: FockSectorBasis, gamma: float) -> sparse.csr_array:
+    """Sparse sector matrix of the deformed chain: minus the basic-q-number
+    hops plus twice the total quanta (a constant on the sector)."""
+    n = basis.n_sites
+    H = _diagonal(np.full(basis.dim, 2.0 * basis.total_quanta))
+    for i in range(1, n):
+        H = H - al_hop_operator(basis, i, i + 1, gamma).matrix
+        H = H - al_hop_operator(basis, i + 1, i, gamma).matrix
+    return H
+
+
+def check_commutes(H, O, tol: float) -> tuple[float, bool]:
+    """Max-entry norm of [H, O] and whether it is below tol.
+
+    H and O may be dense or sparse; the commutator is formed on sparse arrays.
+    """
     if H.shape != O.shape:
         raise ValueError(f"shape mismatch {H.shape} vs {O.shape}")
-    norm = float(np.max(np.abs(H @ O - O @ H)))
+    H, O = sparse.csr_array(H), sparse.csr_array(O)
+    norm = _maxabs(H @ O - O @ H)
     return norm, norm <= tol
 
 
@@ -101,9 +109,9 @@ def conservation_suite(n_sites: int, total_quanta: int, gamma: float, epsilon: f
         context=f"n{n_sites}.M{total_quanta}.g{gamma:g}", pairs=[]
     )
 
-    total_number = np.zeros((dim, dim))
-    for i in range(1, n_sites + 1):
-        total_number += number_operator(basis, i).matrix
+    total_number = number_operator(basis, 1).matrix
+    for i in range(2, n_sites + 1):
+        total_number = total_number + number_operator(basis, i).matrix
 
     H = build_qdnls_chain(basis, gamma, epsilon)
     gens = su_n_generators(basis)

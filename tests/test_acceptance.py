@@ -197,7 +197,7 @@ def test_criterion_8_chain_vs_dimer_spectra():
                 else:
                     Hc = build_qal_chain(basis, gamma)
                     Hd = build_qal_dimer(M, gamma)
-                chain_evs = np.linalg.eigvalsh(Hc)
+                chain_evs = np.linalg.eigvalsh(Hc.toarray())
                 phys = np.sort(Hd.to_physical(solve_spectrum(Hd, tol=1e-14).eigenvalues))
                 worst = max(worst, float(np.max(np.abs(chain_evs - phys))))
     ok = worst <= 1e-12

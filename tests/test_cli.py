@@ -144,6 +144,23 @@ def test_verify_algebra_suite(capsys):
     assert all(ln.startswith("PASS") for ln in out.splitlines())
 
 
+def test_verify_suite_wall_times_on_stderr(capsys, tmp_path):
+    argv = ["verify", "--suite", "all", "--m-max", "2", "--cases", "5"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    suites = []
+    for ln in captured.err.splitlines():
+        suite, wall = ln.removeprefix("# ").split()
+        suites.append(suite.removeprefix("suite="))
+        assert float(wall.removeprefix("wall_s=")) >= 0.0
+    assert suites == ["algebra", "spectral", "conservation"]
+    assert not any(ln.startswith("#") for ln in captured.out.splitlines())
+    path = tmp_path / "verify.txt"
+    assert main(argv + ["--out", str(path)]) == 0
+    assert path.read_text() == captured.out
+    assert capsys.readouterr().err.count("# suite=") == 3
+
+
 def test_sweep_table_shape(capsys):
     rc, out = run(capsys, ["sweep", "--model", "al", "--two-j", "3",
                            "--gamma-min", "1", "--gamma-max", "4", "--steps", "3"])

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qdimer import (
     MAX_SECTOR_DIM,
@@ -18,6 +19,7 @@ from qdimer import (
     hop_operator,
     number_operator,
     omega_matrix,
+    q_binomial,
     q_from_gamma,
     q_hop_operator,
     su2_casimir,
@@ -66,18 +68,71 @@ def test_sector_operator_shape_check():
         SectorOperator(basis, np.zeros((2, 2)))
 
 
+def test_sector_operator_stores_csr():
+    basis = build_sector_basis(2, 2)
+    dense = np.arange(9.0).reshape(3, 3)
+    for given in (dense, sparse.csr_array(dense), sparse.coo_array(dense)):
+        op = SectorOperator(basis, given)
+        assert isinstance(op.matrix, sparse.csr_array)
+        assert np.array_equal(op.matrix.toarray(), dense)
+    with pytest.raises(ValueError):
+        SectorOperator(basis, sparse.csr_array((2, 2)))
+
+
+def _dict_hop(basis, i, j, amplitude):
+    """Reference hop: per-state loop over the index dict."""
+    mat = np.zeros((basis.dim, basis.dim))
+    for col, s in enumerate(basis.states):
+        if s[j - 1] == 0:
+            continue
+        t = list(s)
+        t[i - 1] += 1
+        t[j - 1] -= 1
+        mat[basis.index[tuple(t)], col] = amplitude(s[i - 1], s[j - 1])
+    return mat
+
+
+def test_hops_match_index_loop():
+    q, gamma = 0.7, 2.0
+    for n_sites, total in ((2, 5), (3, 4), (4, 3), (5, 2)):
+        basis = build_sector_basis(n_sites, total)
+        assert np.array_equal(basis.positions(basis.occupations), np.arange(basis.dim))
+        for i in range(1, n_sites + 1):
+            for j in range(1, n_sites + 1):
+                if i == j:
+                    continue
+                ref = _dict_hop(basis, i, j, lambda ni, nj: math.sqrt((ni + 1) * nj))
+                assert np.array_equal(hop_operator(basis, i, j).matrix.toarray(), ref)
+                ref = _dict_hop(basis, i, j, lambda ni, nj: math.sqrt(
+                    sym_qnum(ni + 1, q) * sym_qnum(nj, q)))
+                assert np.array_equal(q_hop_operator(basis, i, j, q).matrix.toarray(), ref)
+                ref = _dict_hop(basis, i, j, lambda ni, nj: math.sqrt(
+                    basic_qnum(ni + 1, gamma) * basic_qnum(nj, gamma)))
+                assert np.array_equal(al_hop_operator(basis, i, j, gamma).matrix.toarray(), ref)
+
+
+def test_large_sector_chevalley():
+    # dim 45451: one dense operator would take 16.5 GB, a sparse one O(dim)
+    basis = build_sector_basis(3, 300)
+    assert basis.dim == 45451
+    gens = su_n_generators(basis)
+    for g in gens.e + gens.f + gens.h:
+        assert g.matrix.nnz <= basis.dim
+    assert verify_chevalley(gens).max_residual <= 1e-12 * basis.dim
+
+
 def test_number_and_hop_elements():
     basis = build_sector_basis(2, 1)
     # states (0,1), (1,0)
-    n1 = number_operator(basis, 1).matrix
+    n1 = number_operator(basis, 1).matrix.toarray()
     assert np.array_equal(n1, np.diag([0.0, 1.0]))
-    t = hop_operator(basis, 1, 2).matrix
+    t = hop_operator(basis, 1, 2).matrix.toarray()
     expect = np.zeros((2, 2))
     expect[basis.index[(1, 0)], basis.index[(0, 1)]] = 1.0
     assert np.array_equal(t, expect)
     # amplitude sqrt((n_i + 1) n_j) on a bigger sector
     basis = build_sector_basis(2, 4)
-    t = hop_operator(basis, 1, 2).matrix
+    t = hop_operator(basis, 1, 2).matrix.toarray()
     src = basis.index[(1, 3)]
     dst = basis.index[(2, 2)]
     assert abs(t[dst, src] - math.sqrt(2 * 3)) < 1e-15
@@ -91,11 +146,11 @@ def test_hops_are_exact_adjoints():
     basis = build_sector_basis(3, 3)
     q = 0.7
     for i, j in ((1, 2), (2, 3), (1, 3)):
-        a = hop_operator(basis, i, j).matrix
-        b = hop_operator(basis, j, i).matrix
+        a = hop_operator(basis, i, j).matrix.toarray()
+        b = hop_operator(basis, j, i).matrix.toarray()
         assert np.array_equal(a.T, b)
-        aq = q_hop_operator(basis, i, j, q).matrix
-        bq = q_hop_operator(basis, j, i, q).matrix
+        aq = q_hop_operator(basis, i, j, q).matrix.toarray()
+        bq = q_hop_operator(basis, j, i, q).matrix.toarray()
         assert np.array_equal(aq.T, bq)
 
 
@@ -263,3 +318,63 @@ def test_q_hop_matches_al_hop_up_to_sector_scale():
     b = q_hop_operator(basis, 1, 2, q).matrix
     scale = q ** (0.5 * (1.0 - basis.total_quanta))
     assert np.max(np.abs(a - scale * b)) < 1e-12
+
+
+def _dense_chevalley(gens):
+    """verify_chevalley's relations on dense matrices with numpy products."""
+    a = cartan_matrix(gens.n)
+    dense = lambda ops: [g.matrix.toarray() for g in ops]
+    e, f, h = dense(gens.e), dense(gens.f), dense(gens.h)
+    comm = lambda x, y: x @ y - y @ x
+    out = []
+    for i in range(gens.rank):
+        for j in range(gens.rank):
+            if gens.q == 1.0:
+                out.append(comm(h[i], h[j]))
+                out.append(comm(h[i], e[j]) - 0.5 * a[i, j] * e[j])
+                out.append(comm(h[i], f[j]) + 0.5 * a[i, j] * f[j])
+                target = 2.0 * h[i] if i == j else 0.0
+            else:
+                k = np.diag(gens.k[i].matrix.toarray())
+                out.append(comm(np.diag(k), gens.k[j].matrix.toarray()))
+                out.append((k[:, None] * e[j]) / k[None, :] - gens.q ** (0.5 * a[i, j]) * e[j])
+                out.append((k[:, None] * f[j]) / k[None, :] - gens.q ** (-0.5 * a[i, j]) * f[j])
+                target = (np.diag([sym_qnum(2.0 * x, gens.q) for x in np.diag(h[i])])
+                          if i == j else 0.0)
+            out.append(comm(e[i], f[j]) - target)
+    return [float(np.max(np.abs(m))) for m in out]
+
+
+def _dense_serre(gens):
+    """verify_serre's sums on dense matrices, each term (c x_i^r) @ x_j @ x_i^s."""
+    a = cartan_matrix(gens.n)
+    out = []
+    for i in range(gens.rank):
+        for j in range(gens.rank):
+            if i == j:
+                continue
+            order = 1 - a[i, j]
+            for ops in (gens.e, gens.f):
+                xi, xj = ops[i].matrix.toarray(), ops[j].matrix.toarray()
+                acc = np.zeros_like(xi)
+                for r in range(order + 1):
+                    coeff = (-1.0) ** r * q_binomial(order, r, gens.q)
+                    acc += (coeff * np.linalg.matrix_power(xi, r) @ xj
+                            @ np.linalg.matrix_power(xi, order - r))
+                out.append(float(np.max(np.abs(acc))))
+    return out
+
+
+def test_residuals_match_dense_products():
+    # every product of hops and diagonals has one term per entry, so the
+    # sparse residuals are the dense ones bit for bit
+    nonzero = 0
+    for n_sites, total, gamma in ((3, 6, 8.0), (3, 12, 2.0), (2, 12, 8.0)):
+        basis = build_sector_basis(n_sites, total)
+        for gens in (su_n_generators(basis), suq_n_generators(basis, q_from_gamma(gamma).q)):
+            chev = [v for _, v in verify_chevalley(gens).entries]
+            assert chev == _dense_chevalley(gens)
+            serre = [v for _, v in verify_serre(gens).entries]
+            assert serre == _dense_serre(gens)
+            nonzero += sum(v > 0.0 for v in chev + serre)
+    assert nonzero > 0

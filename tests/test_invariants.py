@@ -19,9 +19,9 @@ from qdimer import (
 
 def test_one_quantum_two_sites():
     basis = build_sector_basis(2, 1)
-    H = build_qdnls_chain(basis, 0.0)
+    H = build_qdnls_chain(basis, 0.0).toarray()
     assert np.array_equal(H, np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    Hq = build_qal_chain(basis, 0.0)
+    Hq = build_qal_chain(basis, 0.0).toarray()
     # zero hop amplitude is the same, constant shift 2M = 2
     assert np.array_equal(Hq, np.array([[2.0, -1.0], [-1.0, 2.0]]))
 
@@ -29,9 +29,9 @@ def test_one_quantum_two_sites():
 def test_chain_matrices_symmetric():
     for M in (3, 6):
         basis = build_sector_basis(3, M)
-        H = build_qdnls_chain(basis, 2.0, 0.7)
+        H = build_qdnls_chain(basis, 2.0, 0.7).toarray()
         assert np.array_equal(H, H.T)
-        Hq = build_qal_chain(basis, 2.0)
+        Hq = build_qal_chain(basis, 2.0).toarray()
         assert np.max(np.abs(Hq - Hq.T)) < 1e-13
 
 
@@ -44,7 +44,7 @@ def test_dnls_chain_reduces_to_dimer():
             Hc = build_qdnls_chain(basis, gamma / 2.0, 1.0)
             Hd = build_qdnls_dimer(M, gamma)
             lhs = Hd.energy_scale * Hd.to_dense() + Hd.energy_shift * np.eye(M + 1)
-            assert np.max(np.abs(Hc - lhs)) < 1e-12, (M, gamma)
+            assert np.max(np.abs(Hc.toarray() - lhs)) < 1e-12, (M, gamma)
 
 
 def test_al_chain_reduces_to_dimer():
@@ -54,7 +54,7 @@ def test_al_chain_reduces_to_dimer():
             Hc = build_qal_chain(basis, gamma)
             Hd = build_qal_dimer(M, gamma)
             lhs = Hd.energy_scale * Hd.to_dense() + Hd.energy_shift * np.eye(M + 1)
-            assert np.max(np.abs(Hc - lhs)) < 1e-12, (M, gamma)
+            assert np.max(np.abs(Hc.toarray() - lhs)) < 1e-12, (M, gamma)
 
 
 def test_al_chain_reduces_to_dimer_strong_coupling():
@@ -65,7 +65,7 @@ def test_al_chain_reduces_to_dimer_strong_coupling():
         Hd = build_qal_dimer(M, 8.0)
         lhs = Hd.energy_scale * Hd.to_dense() + Hd.energy_shift * np.eye(M + 1)
         scale = np.max(np.abs(Hc))
-        assert np.max(np.abs(Hc - lhs)) < 1e-13 * scale
+        assert np.max(np.abs(Hc.toarray() - lhs)) < 1e-13 * scale
 
 
 def test_sector_blocks_of_independent_full_space():
@@ -88,7 +88,7 @@ def test_sector_blocks_of_independent_full_space():
         idx = [s[0] * d1 + s[1] for s in basis.states]
         block = Hfull[np.ix_(idx, idx)]
         Hc = build_qdnls_chain(basis, gamma, eps)
-        assert np.max(np.abs(block - Hc)) < 1e-14
+        assert np.max(np.abs(block - Hc.toarray())) < 1e-14
         others = [i for i in range(d1 * d1)
                   if i not in idx and (i // d1 + i % d1) <= n_max]
         assert np.max(np.abs(Hfull[np.ix_(idx, others)])) == 0.0
