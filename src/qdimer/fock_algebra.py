@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -35,8 +34,7 @@ from .qnumbers import Q_ONE_THRESHOLD, basic_qnum, q_binomial, sym_qnum
 # index), plus an 8-byte row pointer per row: at most 24 bytes per state, 24 MB
 # at the guard, where one dense operator would take 8 * dim^2 bytes = 8 TB.
 # The basis costs about 120 bytes per state on three or four sites (state
-# tuple and occupation row; the index dict, built on first use, adds about
-# 85 more): about 0.12 GB at the guard.
+# tuple and occupation row): about 0.12 GB at the guard.
 MAX_SECTOR_DIM = 1_000_000
 
 
@@ -69,12 +67,6 @@ class FockSectorBasis:
     @property
     def dim(self) -> int:
         return len(self.states)
-
-    @cached_property
-    def index(self) -> dict:
-        """Basis position of each state tuple, built on first use (the
-        operator builders use `positions` instead)."""
-        return {s: k for k, s in enumerate(self.states)}
 
     def positions(self, occupations: np.ndarray) -> np.ndarray:
         """Basis indices of the occupation rows, by lexicographic rank.
@@ -166,11 +158,6 @@ def number_operator(basis: FockSectorBasis, i: int) -> SectorOperator:
 def hop_operator(basis: FockSectorBasis, i: int, j: int) -> SectorOperator:
     """Boson hop a_i' a_j with matrix elements sqrt(n_i + 1) sqrt(n_j)."""
     return _hop(basis, i, j, np.arange(basis.total_quanta + 2, dtype=float))
-
-
-def q_hop_operator(basis: FockSectorBasis, i: int, j: int, q: float) -> SectorOperator:
-    """q-boson hop with matrix elements sqrt([n_i + 1] [n_j])."""
-    return _hop(basis, i, j, _sym_qnums(basis, q))
 
 
 def al_hop_operator(basis: FockSectorBasis, i: int, j: int, gamma: float) -> SectorOperator:
@@ -501,6 +488,20 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int, chain: str = "low") -> Sec
         raise ValueError(f"p must be a positive integer, got {p}")
     if abs(gens.q - 1.0) >= Q_ONE_THRESHOLD:
         raise ValueError("casimir_matrix supports only the undeformed algebra (q = 1)")
+    G = _generator_matrix(gens, chain)
+    if p == 1:
+        left = right = G
+    else:
+        right = _opmat_mul(G, G)
+        left = right
+        for _ in range(int(p) - 2):
+            left = _opmat_mul(left, right)
+    return SectorOperator(gens.basis, _diagonal_block_sum(left, right))
+
+
+def _generator_matrix(gens, chain="low"):
+    """The n x n operator matrix G of casimir_matrix: E_ab above the
+    diagonal, E_ab' below it, diag(eps_a) on it."""
     n = gens.n
     E = _raising_matrix(gens, chain)
     eps = _cartan_diagonal(gens)
@@ -510,15 +511,12 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int, chain: str = "low") -> Sec
         for b in range(a + 1, n):
             G[a][b] = E[a][b]
             G[b][a] = E[a][b].T.tocsr()
-    if p == 1:
-        left = right = G
-    else:
-        right = _opmat_mul(G, G)
-        left = right
-        for _ in range(int(p) - 2):
-            left = _opmat_mul(left, right)
-    c = sum(_block_product(left, right, a, a) for a in range(n))
-    return SectorOperator(gens.basis, c)
+    return G
+
+
+def _diagonal_block_sum(A, B):
+    """sum_a (A B)_aa over the operator-matrix product A B."""
+    return sum(_block_product(A, B, a, a) for a in range(len(A)))
 
 
 def _block_product(A, B, a, b):

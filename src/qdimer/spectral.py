@@ -15,12 +15,14 @@ blocks are bisected together on the pivot count, and the same kernel run
 forward and backward over a block at its roots gives twisted-factorization
 eigenvectors, mirrored into exactly even or odd columns.
 
-The orthonormality check builds the recurrence columns c_k = p_k(x)/eps_k of
-the minor polynomials p_{k+1}(x) = (x - d_k) p_k(x) - o_{k-1}^2 p_{k-1}(x)
-from the same pivots, since p_{k+1}/p_k = -q_k.  Where double precision
-cannot resolve the level spacing it escalates to one scalar mpmath loop over
-the minor polynomials, which serves as both the Sturm count of an
-arbitrary-precision bisection and the Gram columns: an independent referee.
+The orthonormality check runs per parity block of the same reduction, on the
+block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
+minor polynomials p_{k+1}(x) = (x - d_k) p_k(x) - o_{k-1}^2 p_{k-1}(x) from
+the same pivots, since p_{k+1}/p_k = -q_k, in double precision first.  A
+block that fails there gets one mpmath pass, at 30 digits plus the decades
+its columns span: one scalar loop over the minor polynomials serves as both
+the Sturm count of an arbitrary-precision bisection and the Gram columns, an
+independent referee.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 
-from .dimer import SpinSector, TridiagonalHamiltonian
+from .dimer import TridiagonalHamiltonian
 
 _EPS = float(np.finfo(float).eps)
 # Smallest pivot magnitude of the recurrence kernel; with entries scaled
@@ -366,55 +368,49 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
     """Max residual of the discrete orthogonality of the recurrence columns.
 
     The kernel identity for the minor polynomials states that the weighted
-    columns (p_k(lam_a)/eps_k), normalized per root, form an orthonormal
-    family over the roots.  H is cut where a coupling's square is zero (as
-    the solver cuts it), and each segment is checked on its own roots;
-    returns the largest max |Gram - I| over the segments.
+    columns (p_k(lam)/eps_k), normalized per root, form an orthonormal
+    family over the roots.  The check runs on the solver's own reduction:
+    each parity block of _reduce, cut at zero couplings, on its roots from
+    _roots, which are bitwise the eigenvalues solve_spectrum returns at its
+    default tol.  Mirror-even and mirror-odd columns are exactly orthogonal,
+    so the lift to H is orthogonal and the block Grams are the Gram of H in
+    exact arithmetic.  Returns the largest max |Gram - I| over the blocks.
 
-    A segment is checked in double precision while its level spacing is
-    resolvable, and with arbitrary-precision roots when it is not
-    (clustered strong-coupling spectra).
+    Each block is checked in double precision.  A block whose residual
+    exceeds 1e-12 * dim is checked once more in mpmath, at 30 digits plus
+    the decades its recurrence columns span; that pass bisects the block
+    exactly as _reduce stores it, whose folded corner entry is one rounding
+    away from H.
     """
     H = spectrum.hamiltonian
-    segments = _segments(H)
+    red = _reduce(H)
+    lam = _roots(H, red, 1e-12)
     worst = 0.0
-    for seg in segments:
-        evs = spectrum.eigenvalues if len(segments) == 1 else eigenvalues_bisection(seg)
-        gaps = np.diff(evs)
-        if gaps.size == 0 or float(np.min(gaps)) > 1e-5 * max(1.0, _radius(seg)):
-            worst = max(worst, _df_gram_float(seg, evs))
-        else:
-            worst = max(worst, _df_gram_mp(seg))
+    for first, size in zip(red.starts, red.sizes):
+        d = red.diag[first : first + size]
+        o = red.off[first : first + size - 1]
+        residual, decades = _df_gram_float(d, o, lam[first : first + size])
+        if residual > 1e-12 * H.dim:
+            residual = _df_gram_mp(d, o, 30 + math.ceil(decades))
+        worst = max(worst, residual)
     return worst
 
 
-def _segments(H):
-    """H cut into its diagonal blocks at couplings whose square is zero once
-    H is scaled as in _reduce."""
-    o = _scaled(H)[1]
-    cuts = np.flatnonzero(o * o == 0.0) + 1
-    if not cuts.size:
-        return [H]
-    return [
-        TridiagonalHamiltonian(SpinSector(b - a - 1), H.model, H.diag[a:b], H.off[a : b - 1])
-        for a, b in zip(np.append(0, cuts), np.append(cuts, H.dim))
-    ]
-
-
-def _df_gram_float(H, evs):
-    """Gram residual of the recurrence columns at the roots evs, from one
-    kernel sweep over all of them: p_{k+1}/p_k = -q_k, so the column ratios
+def _df_gram_float(d, o, lam):
+    """Gram residual of the recurrence columns of the tridiagonal (d, o) at
+    its roots lam, and the decades the columns span, from one kernel sweep
+    over all roots: p_{k+1}/p_k = -q_k, so the column ratios
     c_{k+1}/c_k = -q_k/o_k, accumulated in the log domain."""
-    d, o, exp = _scaled(H)
-    lam = np.ldexp(np.asarray(evs, dtype=float), -exp)
     q = _pivots(d[:, None], np.zeros(lam.size, dtype=int), (o * o)[:, None], lam)[:-1]
-    log_c = np.zeros((H.dim, lam.size))
+    log_c = np.zeros((d.size, lam.size))
     np.cumsum(np.log(np.abs(q)) - np.log(np.abs(o))[:, None], axis=0, out=log_c[1:])
     sign = np.ones_like(log_c)
     np.cumprod(-np.sign(q) * np.sign(o)[:, None], axis=0, out=sign[1:])
-    c = sign * np.exp(log_c - log_c.max(axis=0))
+    top = log_c.max(axis=0)
+    c = sign * np.exp(log_c - top)
     c /= np.linalg.norm(c, axis=0)
-    return float(np.max(np.abs(c.T @ c - np.eye(lam.size))))
+    decades = float(np.max(top - log_c.min(axis=0))) / math.log(10.0)
+    return float(np.max(np.abs(c.T @ c - np.eye(lam.size)))), decades
 
 
 def _mp_minors(d, off2, lam):
@@ -434,19 +430,21 @@ def _mp_minors(d, off2, lam):
     return minors, count
 
 
-def _mp_eigenvalues(H, dps):
-    """All roots by Sturm bisection in mpmath working precision dps."""
-    dim = H.dim
+def _mp_eigenvalues(d, off, dps):
+    """All roots of the scaled tridiagonal (d, off) by Sturm bisection in
+    mpmath working precision dps, each to a bracket of 10**(6 - dps).
+
+    Scaled entries lie below 1 in magnitude, a folded corner below 2 and a
+    folded coupling below sqrt(2), so by Gershgorin every root of H scaled
+    as in _scaled, and of each block of _reduce, lies in (-4, 4).
+    """
     with mp.workdps(dps):
-        d = [mp.mpf(x) for x in H.diag]
-        off2 = [mp.mpf(x) ** 2 for x in H.off]
-        glo, ghi = gershgorin_bounds(H)
-        radius = max(abs(glo), abs(ghi), 1.0)
-        pad = mp.mpf(radius) * mp.mpf("1e-3")
-        target = mp.mpf(radius) * mp.mpf(10) ** (-(dps - 6))
+        d = [mp.mpf(x) for x in d]
+        off2 = [mp.mpf(x) ** 2 for x in off]
+        target = mp.mpf(10) ** (6 - dps)
         roots = []
-        for i in range(dim):
-            lo, hi = mp.mpf(glo) - pad, mp.mpf(ghi) + pad
+        for i in range(len(d)):
+            lo, hi = mp.mpf(-4), mp.mpf(4)
             while hi - lo > target:
                 mid = (lo + hi) / 2
                 if _mp_minors(d, off2, mid)[1] <= i:
@@ -457,47 +455,31 @@ def _mp_eigenvalues(H, dps):
     return roots
 
 
-def _df_gram_mp(H, digits: int | None = None):
-    """Gram residual with roots refined beyond double precision.
-
-    Precision deepens from 40 digits until adjacent roots are separated by
-    the working tolerance, so the identity is checked for the exact spectrum
-    of the stored double-precision matrix; an explicit digits fixes the
-    precision instead.
-    """
-    dim = H.dim
-    dps = digits if digits else 40
-    for _ in range(6):
-        roots = _mp_eigenvalues(H, dps)
-        with mp.workdps(dps):
-            sep = min(
-                (roots[i + 1] - roots[i] for i in range(dim - 1)),
-                default=mp.mpf(1),
-            )
-            resolved = sep > max(1.0, _radius(H)) * mp.mpf(10) ** (-(dps - 14))
-            if resolved or digits:
-                d = [mp.mpf(x) for x in H.diag]
-                off = [mp.mpf(x) for x in H.off]
-                off2 = [o * o for o in off]
-                eps = [mp.mpf(1)]
-                for o in off:
-                    eps.append(eps[-1] * o)
-                cols = []
-                for lam in roots:
-                    weighted = [p / e for p, e in zip(_mp_minors(d, off2, lam)[0], eps)]
-                    nrm = mp.sqrt(mp.fsum(w * w for w in weighted))
-                    cols.append([w / nrm for w in weighted])
-                worst = mp.mpf(0)
-                for i in range(dim):
-                    for jx in range(i, dim):
-                        g = mp.fsum(cols[i][k] * cols[jx][k] for k in range(dim))
-                        tgt = 1 if i == jx else 0
-                        worst = max(worst, abs(g - tgt))
-                return float(worst)
-        dps *= 2
-        if dps > 320:
-            raise RuntimeError("level spacing unresolved at 320 digits")
-    raise RuntimeError("precision escalation failed")
+def _df_gram_mp(d, off, digits: int):
+    """Gram residual of the recurrence columns of the scaled tridiagonal
+    (d, off) in mpmath at the given digits, on roots bisected at the same
+    precision: the minor loop gives both the Sturm counts and the columns."""
+    roots = _mp_eigenvalues(d, off, digits)
+    dim = len(roots)
+    with mp.workdps(digits):
+        d = [mp.mpf(x) for x in d]
+        off = [mp.mpf(x) for x in off]
+        off2 = [o * o for o in off]
+        eps = [mp.mpf(1)]
+        for o in off:
+            eps.append(eps[-1] * o)
+        cols = []
+        for lam in roots:
+            weighted = [p / e for p, e in zip(_mp_minors(d, off2, lam)[0], eps)]
+            nrm = mp.sqrt(mp.fsum(w * w for w in weighted))
+            cols.append([w / nrm for w in weighted])
+        worst = mp.mpf(0)
+        for i in range(dim):
+            for jx in range(i, dim):
+                g = mp.fsum(cols[i][k] * cols[jx][k] for k in range(dim))
+                tgt = 1 if i == jx else 0
+                worst = max(worst, abs(g - tgt))
+    return float(worst)
 
 
 def completeness_check(spectrum: Spectrum) -> float:

@@ -21,7 +21,6 @@ from qdimer import (
     omega_matrix,
     q_binomial,
     q_from_gamma,
-    q_hop_operator,
     su2_casimir,
     su_n_generators,
     suq2_casimir,
@@ -32,6 +31,12 @@ from qdimer import (
     verify_number_reconstruction,
     verify_serre,
 )
+from qdimer.fock_algebra import _hop, _sym_qnums
+
+
+def _q_hop(basis, i, j, q):
+    """q-boson hop with matrix elements sqrt([n_i + 1] [n_j])."""
+    return _hop(basis, i, j, _sym_qnums(basis, q))
 
 
 def test_basis_enumeration():
@@ -47,7 +52,7 @@ def test_basis_enumeration():
             assert b.dim == math.comb(total + n_sites - 1, n_sites - 1)
             assert list(b.states) == sorted(b.states)
             assert all(sum(s) == total for s in b.states)
-            assert all(b.index[s] == k for k, s in enumerate(b.states))
+            assert np.array_equal(b.positions(b.occupations), np.arange(b.dim))
 
 
 def test_basis_validation():
@@ -80,7 +85,8 @@ def test_sector_operator_stores_csr():
 
 
 def _dict_hop(basis, i, j, amplitude):
-    """Reference hop: per-state loop over the index dict."""
+    """Reference hop: per-state loop over a dict of basis positions."""
+    index = {s: k for k, s in enumerate(basis.states)}
     mat = np.zeros((basis.dim, basis.dim))
     for col, s in enumerate(basis.states):
         if s[j - 1] == 0:
@@ -88,7 +94,7 @@ def _dict_hop(basis, i, j, amplitude):
         t = list(s)
         t[i - 1] += 1
         t[j - 1] -= 1
-        mat[basis.index[tuple(t)], col] = amplitude(s[i - 1], s[j - 1])
+        mat[index[tuple(t)], col] = amplitude(s[i - 1], s[j - 1])
     return mat
 
 
@@ -105,7 +111,7 @@ def test_hops_match_index_loop():
                 assert np.array_equal(hop_operator(basis, i, j).matrix.toarray(), ref)
                 ref = _dict_hop(basis, i, j, lambda ni, nj: math.sqrt(
                     sym_qnum(ni + 1, q) * sym_qnum(nj, q)))
-                assert np.array_equal(q_hop_operator(basis, i, j, q).matrix.toarray(), ref)
+                assert np.array_equal(_q_hop(basis, i, j, q).matrix.toarray(), ref)
                 ref = _dict_hop(basis, i, j, lambda ni, nj: math.sqrt(
                     basic_qnum(ni + 1, gamma) * basic_qnum(nj, gamma)))
                 assert np.array_equal(al_hop_operator(basis, i, j, gamma).matrix.toarray(), ref)
@@ -128,13 +134,13 @@ def test_number_and_hop_elements():
     assert np.array_equal(n1, np.diag([0.0, 1.0]))
     t = hop_operator(basis, 1, 2).matrix.toarray()
     expect = np.zeros((2, 2))
-    expect[basis.index[(1, 0)], basis.index[(0, 1)]] = 1.0
+    expect[basis.states.index((1, 0)), basis.states.index((0, 1))] = 1.0
     assert np.array_equal(t, expect)
     # amplitude sqrt((n_i + 1) n_j) on a bigger sector
     basis = build_sector_basis(2, 4)
     t = hop_operator(basis, 1, 2).matrix.toarray()
-    src = basis.index[(1, 3)]
-    dst = basis.index[(2, 2)]
+    src = basis.states.index((1, 3))
+    dst = basis.states.index((2, 2))
     assert abs(t[dst, src] - math.sqrt(2 * 3)) < 1e-15
     with pytest.raises(ValueError):
         hop_operator(basis, 1, 1)
@@ -149,8 +155,8 @@ def test_hops_are_exact_adjoints():
         a = hop_operator(basis, i, j).matrix.toarray()
         b = hop_operator(basis, j, i).matrix.toarray()
         assert np.array_equal(a.T, b)
-        aq = q_hop_operator(basis, i, j, q).matrix.toarray()
-        bq = q_hop_operator(basis, j, i, q).matrix.toarray()
+        aq = _q_hop(basis, i, j, q).matrix.toarray()
+        bq = _q_hop(basis, j, i, q).matrix.toarray()
         assert np.array_equal(aq.T, bq)
 
 
@@ -158,8 +164,8 @@ def test_al_hop_amplitude():
     basis = build_sector_basis(2, 3)
     gamma = 2.0
     t = al_hop_operator(basis, 1, 2, gamma).matrix
-    src = basis.index[(1, 2)]
-    dst = basis.index[(2, 1)]
+    src = basis.states.index((1, 2))
+    dst = basis.states.index((2, 1))
     expect = math.sqrt(basic_qnum(2, gamma) * basic_qnum(2, gamma))
     assert abs(t[dst, src] - expect) < 1e-14 * expect
 
@@ -315,7 +321,7 @@ def test_q_hop_matches_al_hop_up_to_sector_scale():
     gamma = 2.0
     q = q_from_gamma(gamma).q
     a = al_hop_operator(basis, 1, 2, gamma).matrix
-    b = q_hop_operator(basis, 1, 2, q).matrix
+    b = _q_hop(basis, 1, 2, q).matrix
     scale = q ** (0.5 * (1.0 - basis.total_quanta))
     assert np.max(np.abs(a - scale * b)) < 1e-12
 

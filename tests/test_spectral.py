@@ -29,6 +29,8 @@ from qdimer.spectral import (
     _mp_minors,
     _pivots,
     _radius,
+    _reduce,
+    _roots,
     _scaled,
 )
 
@@ -238,6 +240,7 @@ def test_non_persymmetric_input_stays_orthonormal():
     H = TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
     s = solve_spectrum(H)
     assert "ritz" in s.vector_method
+    assert df_orthonormality_check(s) <= 1e-9 * s.dim
     scale = max(1.0, float(np.max(np.abs(s.eigenvalues))))
     assert completeness_check(s) < 1e-9 * s.dim
     assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-10 * scale
@@ -264,16 +267,30 @@ def test_df_orthonormality_small():
     assert df_orthonormality_check(s) < 1e-12
     s = solve_spectrum(build_qdnls_dimer(6, 2.0))
     assert df_orthonormality_check(s) < 1e-10
+    # on the linear dimer a forward recurrence over all of H runs past the
+    # decay region of the eigenvectors (5.8e-6/dim at two_j 80); the parity
+    # blocks stop at the mirror
+    for two_j in (60, 80, 120):
+        s = solve_spectrum(build_qdnls_dimer(two_j, 0.0))
+        assert df_orthonormality_check(s) <= 1e-9 * s.dim, two_j
 
 
 def test_df_orthonormality_forced_precision():
+    # the mp Gram of the whole scaled H at fixed digits is an oracle for the
+    # block path, which stays in double precision here
     s = solve_spectrum(build_qdnls_dimer(6, 2.0))
     H = s.hamiltonian
+    d, o, _ = _scaled(H)
+    assert _df_gram_mp(d, o, 40) < 1e-10
+    red = _reduce(H)
+    lam = _roots(H, red, 1e-12)
+    blocks = [
+        _df_gram_float(red.diag[a : a + n], red.off[a : a + n - 1], lam[a : a + n])[0]
+        for a, n in zip(red.starts, red.sizes)
+    ]
     auto = df_orthonormality_check(s)
-    forced_float = _df_gram_float(H, s.eigenvalues)
-    forced_mp = _df_gram_mp(H, 40)
-    assert auto == forced_float
-    assert forced_mp < 1e-10
+    assert max(blocks) <= 1e-12 * s.dim
+    assert auto == max(blocks)
     assert auto < 1e-10
 
 
@@ -285,20 +302,29 @@ def test_df_orthonormality_zero_couplings():
 
 
 def test_df_orthonormality_collapsed_cluster():
-    # float64 gap collapses to ~5e-13 here; the check must escalate rather
-    # than divide by a garbage Gram matrix
-    s = solve_spectrum(build_qdnls_dimer(12, 8.0))
+    # float64 gap collapses to ~5e-13 here; the collapsed pairs are even/odd
+    # partners, so each parity block checks well separated roots
+    H = build_qdnls_dimer(12, 8.0)
+    s = solve_spectrum(H)
     assert df_orthonormality_check(s) < 1e-9 * s.dim
+    # the block roots the check uses are the solver's eigenvalues
+    red = _reduce(H)
+    assert np.array_equal(np.sort(np.ldexp(_roots(H, red, 1e-12), red.exp)), s.eigenvalues)
 
 
 def test_mp_eigenvalues_resolve_collapsed_cluster():
+    # the full-matrix mp oracle at fixed digits separates the collapsed
+    # pairs of the whole scaled H
     H = build_qdnls_dimer(12, 8.0)
     evs = eigenvalues_bisection(H)
     assert np.min(np.diff(evs)) < 1e-8
-    roots = _mp_eigenvalues(H, 60)
+    d, o, _ = _scaled(H)
+    roots = _mp_eigenvalues(d, o, 60)
     assert len(roots) == H.dim
     gaps = [roots[i + 1] - roots[i] for i in range(len(roots) - 1)]
     assert min(gaps) > 0
+    assert _df_gram_mp(d, o, 60) < 1e-9 * H.dim
+    assert df_orthonormality_check(solve_spectrum(H)) < 1e-9 * H.dim
 
 
 def test_completeness():
