@@ -54,7 +54,14 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _echo(pairs) -> str:
+def _row(cells) -> str:
+    return ",".join(_fmt(c) for c in cells)
+
+
+def _echo(args, keys, *extra) -> str:
+    """`# key=value` line: the named arguments, the extra pairs, then version."""
+    pairs = [(k, getattr(args, k)) for k in keys.split()]
+    pairs += [*extra, ("version", __version__)]
     return "# " + " ".join(f"{k}={_fmt(v)}" for k, v in pairs)
 
 
@@ -67,6 +74,11 @@ def _emit(lines, out_path):
             fh.write(text)
 
 
+def _table(args, echo, header, rows, tail=()) -> int:
+    _emit([echo, _row(header), *map(_row, rows), *tail], args.out)
+    return 0
+
+
 def _check_epsilon(parser, args):
     if args.model == "al" and args.epsilon != 1.0:
         parser.error("--epsilon applies to the dnls model only")
@@ -74,32 +86,20 @@ def _check_epsilon(parser, args):
         parser.error("the al model requires --gamma >= 0")
 
 
+def _dimer_levels(args, two_j, gamma):
+    """The dimer at (two_j, gamma) and its bisection eigenvalues."""
+    H = build_dimer(args.model, two_j, float(gamma), args.epsilon)
+    return H, eigenvalues_bisection(H, args.tol)
+
+
 def cmd_spectrum(parser, args) -> int:
     _check_epsilon(parser, args)
     H = build_dimer(args.model, args.two_j, args.gamma, args.epsilon)
     spec = solve_spectrum(H, args.tol)
-    lines = [
-        _echo(
-            [
-                ("command", "spectrum"),
-                ("model", args.model),
-                ("two_j", args.two_j),
-                ("gamma", args.gamma),
-                ("epsilon", args.epsilon),
-                ("tol", args.tol),
-                ("energy_scale", H.energy_scale),
-                ("energy_shift", H.energy_shift),
-                ("version", __version__),
-            ]
-        ),
-        "index,eigenvalue,norm_constant",
-    ]
-    for i in range(spec.dim):
-        lines.append(
-            f"{i},{_fmt(spec.eigenvalues[i])},{_fmt(spec.norm_constants[i])}"
-        )
-    _emit(lines, args.out)
-    return 0
+    echo = _echo(args, "command model two_j gamma epsilon tol",
+                 ("energy_scale", H.energy_scale), ("energy_shift", H.energy_shift))
+    rows = zip(range(spec.dim), spec.eigenvalues, spec.norm_constants)
+    return _table(args, echo, ["index", "eigenvalue", "norm_constant"], rows)
 
 
 def _gamma_grid(parser, args):
@@ -119,37 +119,14 @@ def _gamma_grid(parser, args):
 def cmd_sweep(parser, args) -> int:
     _check_epsilon(parser, args)
     grid = _gamma_grid(parser, args)
-
-    def one(g):
-        H = build_dimer(args.model, args.two_j, float(g), args.epsilon)
-        return H, eigenvalues_bisection(H, args.tol)
-
-    results = [one(g) for g in grid]
-
-    dim = args.two_j + 1
-    lines = [
-        _echo(
-            [
-                ("command", "sweep"),
-                ("model", args.model),
-                ("two_j", args.two_j),
-                ("gamma_min", args.gamma_min),
-                ("gamma_max", args.gamma_max),
-                ("steps", args.steps),
-                ("scale", args.scale),
-                ("epsilon", args.epsilon),
-                ("tol", args.tol),
-                ("version", __version__),
-            ]
-        ),
-        "gamma,energy_scale,energy_shift,"
-        + ",".join(f"ev_{i}" for i in range(dim)),
-    ]
-    for g, (H, evs) in zip(grid, results):
-        cells = [g, H.energy_scale, H.energy_shift, *evs]
-        lines.append(",".join(_fmt(c) for c in cells))
-    _emit(lines, args.out)
-    return 0
+    rows = []
+    for g in grid:
+        H, evs = _dimer_levels(args, args.two_j, g)
+        rows.append([g, H.energy_scale, H.energy_shift, *evs])
+    header = ["gamma", "energy_scale", "energy_shift"]
+    header += [f"ev_{i}" for i in range(args.two_j + 1)]
+    echo = _echo(args, "command model two_j gamma_min gamma_max steps scale epsilon tol")
+    return _table(args, echo, header, rows)
 
 
 def cmd_gaps(parser, args) -> int:
@@ -163,71 +140,37 @@ def cmd_gaps(parser, args) -> int:
             f"--pairs {args.pairs} out of range for dimension {dim}"
         )
 
-    def one(g):
-        H = build_dimer(args.model, args.two_j, float(g), args.epsilon)
-        evs = eigenvalues_bisection(H, args.tol)
-        return np.sort(H.to_physical(evs))
-
-    spectra = [one(g) for g in grid]
-
-    npairs = args.pairs
-    gaps = np.empty((len(grid), npairs))
-    for r, phys in enumerate(spectra):
-        for k in range(npairs):
-            gaps[r, k] = phys[2 * k + 1] - phys[2 * k]
+    levels = []
+    for g in grid:
+        H, evs = _dimer_levels(args, args.two_j, g)
+        levels.append(np.sort(H.to_physical(evs))[: 2 * args.pairs])
+    levels = np.array(levels)
+    gaps = levels[:, 1::2] - levels[:, ::2]
     # a pair that collapses exactly has ln_gap = -inf and nan slopes
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_g = np.log(grid)
         ln_gap = np.log(gaps)
+        span = (ln_g[2:] - ln_g[:-2])[:, None]
         slope = np.full_like(gaps, np.nan)
-        for k in range(npairs):
-            slope[1:-1, k] = (ln_gap[2:, k] - ln_gap[:-2, k]) / (ln_g[2:] - ln_g[:-2])
+        slope[1:-1] = (ln_gap[2:] - ln_gap[:-2]) / span
+        # second divided difference: steepest change of the log-log slope
+        chord = np.diff(ln_gap, axis=0) / np.diff(ln_g)[:, None]
+        curvature = np.full_like(gaps, np.nan)
+        curvature[1:-1] = 2.0 * (chord[1:] - chord[:-1]) / span
+    finite = np.isfinite(curvature)
+    best = np.argmax(np.where(finite, np.abs(curvature), -np.inf), axis=0)
+    steepest = np.where(finite.any(axis=0), grid[best], np.nan)
 
     header = ["gamma", "ln_gamma"]
-    for k in range(1, npairs + 1):
+    for k in range(1, args.pairs + 1):
         header += [f"gap_{k}", f"ln_gap_{k}", f"slope_{k}"]
-    lines = [
-        _echo(
-            [
-                ("command", "gaps"),
-                ("model", args.model),
-                ("two_j", args.two_j),
-                ("pairs", args.pairs),
-                ("gamma_min", args.gamma_min),
-                ("gamma_max", args.gamma_max),
-                ("steps", args.steps),
-                ("scale", args.scale),
-                ("epsilon", args.epsilon),
-                ("tol", args.tol),
-                ("version", __version__),
-            ]
-        ),
-        ",".join(header),
-    ]
-    for r in range(len(grid)):
-        cells = [grid[r], ln_g[r]]
-        for k in range(npairs):
-            cells += [gaps[r, k], ln_gap[r, k], slope[r, k]]
-        lines.append(",".join(_fmt(c) for c in cells))
-    for k in range(npairs):
-        lines.append(_steepest_change_line(k + 1, ln_g, ln_gap[:, k], grid))
-    _emit(lines, args.out)
-    return 0
-
-
-def _steepest_change_line(pair, x, y, grid):
-    """Interior point of largest curvature of y(x), as a trailing comment."""
-    d2 = np.full(x.size, np.nan)
-    with np.errstate(invalid="ignore"):
-        for i in range(1, x.size - 1):
-            left = (y[i] - y[i - 1]) / (x[i] - x[i - 1])
-            right = (y[i + 1] - y[i]) / (x[i + 1] - x[i])
-            d2[i] = 2.0 * (right - left) / (x[i + 1] - x[i - 1])
-    mag = np.abs(d2)
-    if np.all(~np.isfinite(mag)):
-        return f"# steepest_change pair={pair} gamma=nan"
-    best = int(np.nanargmax(np.where(np.isfinite(mag), mag, -np.inf)))
-    return f"# steepest_change pair={pair} gamma={_fmt(grid[best])}"
+    cells = np.stack([gaps, ln_gap, slope], axis=2).reshape(len(grid), -1)
+    rows = np.column_stack([grid, ln_g, cells])
+    tail = [f"# steepest_change pair={k} gamma={_fmt(g)}"
+            for k, g in enumerate(steepest, 1)]
+    echo = _echo(args, "command model two_j pairs gamma_min gamma_max steps scale "
+                 "epsilon tol")
+    return _table(args, echo, header, rows, tail)
 
 
 def cmd_quanta_scan(parser, args) -> int:
@@ -236,32 +179,15 @@ def cmd_quanta_scan(parser, args) -> int:
         parser.error("--two-j-max must be at least 1")
     if args.levels < 1:
         parser.error("--levels must be at least 1")
-    lines = [
-        _echo(
-            [
-                ("command", "quanta-scan"),
-                ("model", args.model),
-                ("gamma", args.gamma),
-                ("epsilon", args.epsilon),
-                ("two_j_max", args.two_j_max),
-                ("levels", args.levels),
-                ("tol", args.tol),
-                ("version", __version__),
-            ]
-        ),
-        "two_j,dim," + ",".join(f"level_{i}" for i in range(1, args.levels + 1)),
-    ]
+    rows = []
     for two_j in range(1, args.two_j_max + 1):
-        H = build_dimer(args.model, two_j, args.gamma, args.epsilon)
-        evs = eigenvalues_bisection(H, args.tol)
-        phys = np.sort(H.to_physical(evs))
-        cells = [two_j, H.dim]
-        for i in range(args.levels):
-            cells.append(phys[i] if i < phys.size else float("nan"))
-        lines.append(",".join(_fmt(c) for c in cells))
-    _emit(lines, args.out)
-    return 0
-
+        H, evs = _dimer_levels(args, two_j, args.gamma)
+        phys = np.sort(H.to_physical(evs))[: args.levels]
+        rows.append([two_j, H.dim, *np.pad(phys, (0, args.levels - phys.size),
+                                           constant_values=np.nan)])
+    header = ["two_j", "dim"] + [f"level_{i}" for i in range(1, args.levels + 1)]
+    echo = _echo(args, "command model gamma epsilon two_j_max levels tol")
+    return _table(args, echo, header, rows)
 
 # ---------------------------------------------------------------------------
 # verify

@@ -202,8 +202,7 @@ def cartan_matrix(n: int) -> np.ndarray:
 class ChevalleyGenerators:
     """Chevalley generators e_i, f_i, h_i on a sector, i = 1..n-1 (list slot i-1).
 
-    For q != 1 the group-like k_i = q^h_i and the local sector weights
-    C_i = q^((N_i + N_{i+1})/2) are also populated.  h, k and c_loc are
+    For q != 1 the group-like k_i = q^h_i is also populated.  h and k are
     diagonal; every operator is a sparse SectorOperator.
     """
 
@@ -214,7 +213,6 @@ class ChevalleyGenerators:
     f: tuple
     h: tuple
     k: tuple | None = None
-    c_loc: tuple | None = None
 
     @property
     def rank(self) -> int:
@@ -248,17 +246,14 @@ def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
     qnums = _sym_qnums(basis, q)
-    e, f, h, k, c_loc = [], [], [], [], []
+    e, f, h, k = [], [], [], []
     for i in range(1, basis.n_sites):
         ei = _hop(basis, i, i + 1, qnums)
         e.append(ei)
         f.append(_adjoint(ei))
-        ni = _occupation(basis, i)
-        nip = _occupation(basis, i + 1)
-        hdiag = 0.5 * (ni - nip)
+        hdiag = 0.5 * (_occupation(basis, i) - _occupation(basis, i + 1))
         h.append(SectorOperator(basis, _diagonal(hdiag)))
         k.append(SectorOperator(basis, _diagonal(q**hdiag)))
-        c_loc.append(SectorOperator(basis, _diagonal(q ** (0.5 * (ni + nip)))))
     return ChevalleyGenerators(
         n=basis.n_sites,
         q=float(q),
@@ -267,7 +262,6 @@ def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
         f=tuple(f),
         h=tuple(h),
         k=tuple(k),
-        c_loc=tuple(c_loc),
     )
 
 
@@ -276,7 +270,6 @@ class ResidualReport:
     """Labelled max-norm residuals from an identity check."""
 
     entries: list = field(default_factory=list)
-    dim: int = 0
     vacuous: bool = False
 
     def add(self, label, value):
@@ -322,7 +315,7 @@ def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
     Relations with a diagonal factor (h_i, k_i) are evaluated on the stored
     entries of e_j and f_j: entry (r, c) of d x - x d is d_r x_rc - x_rc d_c.
     """
-    rep = ResidualReport(dim=gens.basis.dim)
+    rep = ResidualReport()
     a = cartan_matrix(gens.n)
     r = gens.rank
     deformed = abs(gens.q - 1.0) >= Q_ONE_THRESHOLD
@@ -369,7 +362,7 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
     x = f, with q-binomials (ordinary binomials at q = 1).  Vacuous for rank 1.
     Each term is formed as ((coeff x_i^r) x_j) x_i^s.
     """
-    rep = ResidualReport(dim=gens.basis.dim)
+    rep = ResidualReport()
     r = gens.rank
     if r < 2:
         rep.vacuous = True
@@ -417,7 +410,7 @@ def verify_al_relations(b, bd, n_op, gamma: float, n_max: int) -> ResidualReport
     gamma > 0 and N = b'b in the linear limit.  Rows and columns at the
     truncation edge n = n_max are excluded, where b' leaks out of the space.
     """
-    rep = ResidualReport(dim=n_max + 1)
+    rep = ResidualReport()
     sub = slice(0, n_max)
     eye = np.eye(n_max + 1)
     occ = bd @ b
@@ -441,12 +434,10 @@ def verify_al_relations(b, bd, n_op, gamma: float, n_max: int) -> ResidualReport
 # ---------------------------------------------------------------------------
 
 
-def _raising_matrix(gens, chain="low"):
+def _raising_matrix(gens):
     """Root vectors E_ab for a < b from nested commutators of the e_i.
 
-    E_{a,a+1} = e_a and E_ab = [E_ac, E_cb] with the intermediate index
-    c = a+1 ("low") or c = b-1 ("high"); both chains give the same matrix in
-    this realization, which verify code asserts.
+    E_{a,a+1} = e_a and E_ab = [E_a,a+1, E_a+1,b].
     """
     n = gens.n
     E = [[None] * n for _ in range(n)]
@@ -455,8 +446,7 @@ def _raising_matrix(gens, chain="low"):
     for span in range(2, n):
         for a in range(n - span):
             b = a + span
-            c = a + 1 if chain == "low" else b - 1
-            E[a][b] = _comm(E[a][c], E[c][b])
+            E[a][b] = _comm(E[a][a + 1], E[a + 1][b])
     return E
 
 
@@ -474,7 +464,7 @@ def _cartan_diagonal(gens):
     return eps
 
 
-def casimir_matrix(gens: ChevalleyGenerators, p: int, chain: str = "low") -> SectorOperator:
+def casimir_matrix(gens: ChevalleyGenerators, p: int) -> SectorOperator:
     """Even-degree invariant C_2p = sum_a (M^p)_aa with M_ab = sum_c G_ac G_cb.
 
     G is the full n x n generator matrix: nested-commutator root vectors
@@ -488,7 +478,7 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int, chain: str = "low") -> Sec
         raise ValueError(f"p must be a positive integer, got {p}")
     if abs(gens.q - 1.0) >= Q_ONE_THRESHOLD:
         raise ValueError("casimir_matrix supports only the undeformed algebra (q = 1)")
-    G = _generator_matrix(gens, chain)
+    G = _generator_matrix(gens)
     if p == 1:
         left = right = G
     else:
@@ -499,11 +489,11 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int, chain: str = "low") -> Sec
     return SectorOperator(gens.basis, _diagonal_block_sum(left, right))
 
 
-def _generator_matrix(gens, chain="low"):
+def _generator_matrix(gens):
     """The n x n operator matrix G of casimir_matrix: E_ab above the
     diagonal, E_ab' below it, diag(eps_a) on it."""
     n = gens.n
-    E = _raising_matrix(gens, chain)
+    E = _raising_matrix(gens)
     eps = _cartan_diagonal(gens)
     G = [[None] * n for _ in range(n)]
     for a in range(n):
@@ -580,7 +570,7 @@ def verify_number_reconstruction(basis: FockSectorBasis) -> ResidualReport:
     gens = su_n_generators(basis)
     om_inv = np.linalg.inv(omega_matrix(n))
     total = np.full(basis.dim, float(basis.total_quanta))
-    rep = ResidualReport(dim=basis.dim)
+    rep = ResidualReport()
     for i in range(n):
         recon = om_inv[i, n - 1] * total
         for jx in range(n - 1):

@@ -6,7 +6,9 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
+from qdimer import build_dimer, cli
 from qdimer.cli import main
 
 
@@ -222,3 +224,87 @@ def test_gaps_collapsed_pair_no_warnings(capsys):
         main(["gaps", "--model", "dnls", "--two-j", "40", "--steps", "8",
               "--gamma-min", "2", "--gamma-max", "10"])
     assert ",-inf," in capsys.readouterr().out
+
+
+def _lapack_levels(model, two_j, gamma):
+    H = build_dimer(model, two_j, gamma)
+    return np.sort(H.to_physical(eigvalsh_tridiagonal(H.diag, H.off)))
+
+
+@pytest.mark.parametrize("model,two_j,pairs", [("dnls", 6, 3), ("al", 7, 4)])
+def test_gaps_values_match_lapack(capsys, monkeypatch, model, two_j, pairs):
+    argv = ["gaps", "--model", model, "--two-j", str(two_j), "--pairs", str(pairs),
+            "--gamma-min", "2", "--gamma-max", "10", "--steps", "9"]
+    _, out = run(capsys, argv)
+    # The table arithmetic is compared on the LAPACK spectrum itself: a gap of
+    # 3e-5 among levels of size 50 (dnls, gamma 10) resolves only to about
+    # 4e-10 relative in float64, whichever solver computes it.
+    monkeypatch.setattr(cli, "eigenvalues_bisection",
+                        lambda H, tol: eigvalsh_tridiagonal(H.diag, H.off))
+    _, lapack_out = run(capsys, argv)
+    assert parse_rows(lapack_out)[0] == parse_rows(out)[0]
+
+    table = np.array([[float(c) for c in r] for r in parse_rows(lapack_out)[1]])
+    grid = table[:, 0]
+    levels = np.array([_lapack_levels(model, two_j, g) for g in grid])
+    x = np.log(grid)
+    assert np.array_equal(table[:, 1], x)
+    steepest = [ln for ln in lapack_out.splitlines() if ln.startswith("# steepest_change")]
+    for k in range(pairs):
+        gap = levels[:, 2 * k + 1] - levels[:, 2 * k]
+        y = np.log(gap)
+        slope = [(y[i + 1] - y[i - 1]) / (x[i + 1] - x[i - 1]) for i in range(1, grid.size - 1)]
+        cols = table[:, 2 + 3 * k: 5 + 3 * k]
+        np.testing.assert_allclose(cols[:, 0], gap, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(cols[:, 1], y, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(cols[1:-1, 2], slope, rtol=1e-10, atol=0)
+        assert np.isnan(cols[0, 2]) and np.isnan(cols[-1, 2])
+        d2 = [2.0 * ((y[i + 1] - y[i]) / (x[i + 1] - x[i]) - (y[i] - y[i - 1]) / (x[i] - x[i - 1]))
+              / (x[i + 1] - x[i - 1]) for i in range(1, grid.size - 1)]
+        best = 1 + int(np.argmax(np.abs(d2)))
+        pair, gamma = steepest[k].removeprefix("# steepest_change ").split()
+        assert pair == f"pair={k + 1}" and float(gamma.removeprefix("gamma=")) == grid[best]
+
+    # the bisection table agrees with LAPACK's within the criterion-1 bound
+    table = np.array([[float(c) for c in r] for r in parse_rows(out)[1]])
+    scale = np.max(np.abs(levels))
+    assert np.max(np.abs(table[:, 2::3] - (levels[:, 1:2 * pairs:2] - levels[:, :2 * pairs:2]))) \
+        <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("argv,model,gamma", [
+    (["quanta-scan"], "al", 2.0),
+    (["quanta-scan", "--model", "dnls", "--two-j-max", "9", "--levels", "6", "--gamma", "3"],
+     "dnls", 3.0),
+])
+def test_quanta_scan_levels_match_lapack(capsys, argv, model, gamma):
+    rc, out = run(capsys, argv)
+    assert rc == 0
+    header, rows = parse_rows(out)
+    n_levels = len(header) - 2
+    assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+    for r in rows:
+        two_j, dim = int(r[0]), int(r[1])
+        ref = _lapack_levels(model, two_j, gamma)[:n_levels]
+        assert dim == two_j + 1
+        got = np.array([float(c) for c in r[2:]])
+        np.testing.assert_allclose(got[:ref.size], ref, rtol=1e-10, atol=0)
+        assert np.all(np.isnan(got[ref.size:]))
+
+
+@pytest.mark.parametrize("argv,keys", [
+    (["spectrum", "--two-j", "3", "--gamma", "2"],
+     "command model two_j gamma epsilon tol energy_scale energy_shift version"),
+    (["sweep", "--two-j", "3", "--steps", "3"],
+     "command model two_j gamma_min gamma_max steps scale epsilon tol version"),
+    (["gaps", "--two-j", "3", "--steps", "3"],
+     "command model two_j pairs gamma_min gamma_max steps scale epsilon tol version"),
+    (["quanta-scan", "--two-j-max", "2"],
+     "command model gamma epsilon two_j_max levels tol version"),
+])
+def test_echo_key_order(capsys, argv, keys):
+    _, out = run(capsys, argv)
+    first = out.splitlines()[0]
+    assert first.startswith("# ")
+    assert [kv.split("=")[0] for kv in first[2:].split(" ")] == keys.split()
+    assert f"command={argv[0]} " in first

@@ -31,7 +31,7 @@ from qdimer import (
     verify_number_reconstruction,
     verify_serre,
 )
-from qdimer.fock_algebra import _hop, _sym_qnums
+from qdimer.fock_algebra import _hop, _raising_matrix, _sym_qnums
 
 
 def _q_hop(basis, i, j, q):
@@ -274,13 +274,34 @@ def test_casimir_matrix_centrality_su3():
         assert np.max(np.abs(c - val * np.eye(basis.dim))) < 1e-10
 
 
+def _upper_end_roots(gens):
+    """Reference root vectors nested from the upper end: E_ab = [E_a,b-1, E_b-1,b]."""
+    E = {(a, a + 1): gens.e[a].matrix for a in range(gens.n - 1)}
+    for span in range(2, gens.n):
+        for a in range(gens.n - span):
+            b = a + span
+            E[a, b] = E[a, b - 1] @ E[b - 1, b] - E[b - 1, b] @ E[a, b - 1]
+    return E
+
+
 def test_casimir_matrix_chain_invariance():
-    # the nested-commutator root vectors can be built from either end
-    basis = build_sector_basis(3, 2)
-    gens = su_n_generators(basis)
-    a = casimir_matrix(gens, p=1, chain="low").matrix
-    b = casimir_matrix(gens, p=1, chain="high").matrix
-    assert np.max(np.abs(a - b)) < 1e-12
+    # the root vectors nested from the lower end (casimir_matrix) equal those
+    # nested from the upper end, and so does the quadratic Casimir
+    # sum_a eps_a^2 + sum_{a<b} (E_ab E_ab' + E_ab' E_ab), eps_a = N_a - M/n
+    for n_sites, total in ((3, 2), (4, 3), (5, 2)):
+        basis = build_sector_basis(n_sites, total)
+        gens = su_n_generators(basis)
+        roots = _upper_end_roots(gens)
+        eps = [number_operator(basis, a + 1).matrix.diagonal() - total / n_sites
+               for a in range(n_sites)]
+        ref = np.diag(sum(x * x for x in eps))
+        for m in roots.values():
+            ref = ref + (m @ m.T + m.T @ m).toarray()
+        lower = _raising_matrix(gens)
+        for (a, b), m in roots.items():
+            assert np.max(np.abs((lower[a][b] - m).toarray())) < 1e-12
+        c = casimir_matrix(gens, p=1).matrix.toarray()
+        assert np.max(np.abs(c - ref)) < 1e-12
 
 
 def test_casimir_matrix_rejects_deformed():
