@@ -38,6 +38,7 @@ from .invariants import conservation_suite
 from .qnumbers import basic_qnum, q_from_gamma
 from .spectral import (
     dense_oracle,
+    eigenvalues_batch,
     eigenvalues_bisection,
     parity_structure_check,
     solve_spectrum,
@@ -86,12 +87,6 @@ def _check_epsilon(parser, args):
         parser.error("the al model requires --gamma >= 0")
 
 
-def _dimer_levels(args, two_j, gamma):
-    """The dimer at (two_j, gamma) and its bisection eigenvalues."""
-    H = build_dimer(args.model, two_j, float(gamma), args.epsilon)
-    return H, eigenvalues_bisection(H, args.tol)
-
-
 def cmd_spectrum(parser, args) -> int:
     _check_epsilon(parser, args)
     H = build_dimer(args.model, args.two_j, args.gamma, args.epsilon)
@@ -119,10 +114,9 @@ def _gamma_grid(parser, args):
 def cmd_sweep(parser, args) -> int:
     _check_epsilon(parser, args)
     grid = _gamma_grid(parser, args)
-    rows = []
-    for g in grid:
-        H, evs = _dimer_levels(args, args.two_j, g)
-        rows.append([g, H.energy_scale, H.energy_shift, *evs])
+    Hs = [build_dimer(args.model, args.two_j, float(g), args.epsilon) for g in grid]
+    rows = [[g, H.energy_scale, H.energy_shift, *evs]
+            for g, H, evs in zip(grid, Hs, eigenvalues_batch(Hs, args.tol))]
     header = ["gamma", "energy_scale", "energy_shift"]
     header += [f"ev_{i}" for i in range(args.two_j + 1)]
     echo = _echo(args, "command model two_j gamma_min gamma_max steps scale epsilon tol")
@@ -140,11 +134,9 @@ def cmd_gaps(parser, args) -> int:
             f"--pairs {args.pairs} out of range for dimension {dim}"
         )
 
-    levels = []
-    for g in grid:
-        H, evs = _dimer_levels(args, args.two_j, g)
-        levels.append(np.sort(H.to_physical(evs))[: 2 * args.pairs])
-    levels = np.array(levels)
+    Hs = [build_dimer(args.model, args.two_j, float(g), args.epsilon) for g in grid]
+    levels = np.array([np.sort(H.to_physical(evs))[: 2 * args.pairs]
+                       for H, evs in zip(Hs, eigenvalues_batch(Hs, args.tol))])
     gaps = levels[:, 1::2] - levels[:, ::2]
     # a pair that collapses exactly has ln_gap = -inf and nan slopes
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -179,9 +171,10 @@ def cmd_quanta_scan(parser, args) -> int:
         parser.error("--two-j-max must be at least 1")
     if args.levels < 1:
         parser.error("--levels must be at least 1")
+    sizes = range(1, args.two_j_max + 1)
+    Hs = [build_dimer(args.model, two_j, args.gamma, args.epsilon) for two_j in sizes]
     rows = []
-    for two_j in range(1, args.two_j_max + 1):
-        H, evs = _dimer_levels(args, two_j, args.gamma)
+    for two_j, H, evs in zip(sizes, Hs, eigenvalues_batch(Hs, args.tol)):
         phys = np.sort(H.to_physical(evs))[: args.levels]
         rows.append([two_j, H.dim, *np.pad(phys, (0, args.levels - phys.size),
                                            constant_values=np.nan)])
@@ -238,13 +231,14 @@ def _verify_algebra(checks, m_max):
 
 def _verify_spectral(checks, two_j_max, cases):
     rng = np.random.default_rng(1729)
-    worst = 0.0
+    Hs = []
     for _ in range(cases):
         model = MODELS[int(rng.integers(0, 2))]
         two_j = int(rng.integers(1, two_j_max + 1))
         gamma = float(rng.uniform(0.0, 10.0))
-        H = build_dimer(model, two_j, gamma)
-        evs = eigenvalues_bisection(H, 1e-12)
+        Hs.append(build_dimer(model, two_j, gamma))
+    worst = 0.0
+    for H, evs in zip(Hs, eigenvalues_batch(Hs, 1e-12)):
         ref = dense_oracle(H).eigenvalues
         scale = max(1.0, float(np.max(np.abs(ref))))
         worst = max(worst, float(np.max(np.abs(evs - ref))) / scale)

@@ -11,9 +11,13 @@ are persymmetric (reflecting m to -m leaves them unchanged), so H splits
 exactly into an even and an odd block, and the self-trapped level pairs that
 collapse in double precision are even/odd partners; inside one block the
 spectrum is well separated.  Blocks are also cut at zero couplings.  All
-blocks are bisected together on the pivot count, and the same kernel run
-forward and backward over a block at its roots gives twisted-factorization
-eigenvectors, mirrored into exactly even or odd columns.
+blocks are bisected together on the pivot count, and the blocks of many
+matrices share one stacked bisection (eigenvalues_batch): a whole gamma grid
+of the command line is solved in consecutive stacks under a fixed budget of
+table cells, each matrix with its own scaling, bracket and tol.  The same
+kernel run forward and backward over a block at its roots gives
+twisted-factorization eigenvectors, mirrored into exactly even or odd
+columns.
 
 The orthonormality check runs per parity block of the same reduction, on the
 block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
@@ -44,6 +48,10 @@ _PIVMIN = float(np.finfo(float).tiny)
 # height: above every shift of the scaled problem, so their pivots stay
 # positive and are never counted.
 _PAD_DIAG = 8.0
+# Cells (stack height times columns) of one stacked bisection: a list of
+# matrices is bisected in consecutive stacks of at most this many cells, and
+# a matrix whose stack alone is larger is bisected by itself.
+_STACK_CELLS = 2**17
 
 
 @dataclass
@@ -93,7 +101,9 @@ def _pivots(d, seg, o2, lam):
     <= 0 count the eigenvalues below lam, and pivots stay bounded, so nothing
     is rescaled.  A zero pivot first runs through IEEE infinities; if any
     appear, the sweep is redone with pivots below _PIVMIN set to -_PIVMIN
-    (LAPACK's dstebz rule).
+    (LAPACK's dstebz rule).  The redo covers every column of the sweep, in a
+    batch the columns of all its matrices; a column whose own sweep stayed
+    finite changes only where a pivot is subnormal.
     """
     q = np.take(d, seg, axis=1)
     q -= lam
@@ -104,10 +114,12 @@ def _pivots(d, seg, o2, lam):
             np.subtract(q[k], t, out=q[k])
     if np.isfinite(q).all():
         return q
-    q = np.take(d, seg, axis=1) - lam
+    np.take(d, seg, axis=1, out=q, mode="clip")  # "clip" fills q unbuffered
+    q -= lam
     for k in range(q.shape[0]):
         if k:
-            q[k] -= o2[k - 1] / q[k - 1]
+            np.divide(o2[k - 1], q[k - 1], out=t)
+            q[k] -= t
         q[k][np.abs(q[k]) < _PIVMIN] = -_PIVMIN
     return q
 
@@ -120,11 +132,14 @@ class _Reduction:
     mirror[i] is +-1, to full row dim - 1 - rows[i] with that sign.  off[i]
     couples rows i and i + 1 and is zero at every segment end; diag and off
     end with a padding row.  Segment s has sizes[s] rows from starts[s].
+    bracket, where every bisection of H starts, is its scaled Gershgorin
+    interval widened by 1e-3 of its radius.
     """
 
     diag: np.ndarray
     off: np.ndarray
     exp: int
+    bracket: tuple[float, float]
     rows: np.ndarray
     weights: np.ndarray
     mirror: np.ndarray
@@ -168,61 +183,113 @@ def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
     o[o * o == 0.0] = 0.0
     starts = np.append(0, np.flatnonzero(o[: n - 1] == 0.0) + 1)
     sizes = np.diff(np.append(starts, n))
-    return _Reduction(np.append(d, _PAD_DIAG), o, exp, rows, weights, mirror, starts, sizes)
-
-
-def _stack(red: _Reduction):
-    """The segments of two or more rows side by side, bottom-aligned.
-
-    Returns, for each root in such a segment (root i of segment s is number
-    i - starts[s] in it): i, the segment's column in the tables, and that
-    number; then the stacked diagonal and couplings, one column per segment,
-    where off[k] couples stack rows k and k + 1 and the rows above a short
-    segment are padding.
-    """
-    multi = np.flatnonzero(red.sizes > 1)
-    sizes = red.sizes[multi]
-    height = int(sizes.max(initial=1))
-    rows = np.arange(height)[:, None] + (red.starts[multi] + sizes - height)
-    rows[rows < red.starts[multi]] = red.rows.size
-    cols = np.flatnonzero(np.repeat(red.sizes > 1, red.sizes))
-    seg = np.repeat(np.arange(multi.size), sizes)
-    return cols, seg, cols - red.starts[multi][seg], red.diag[rows], red.off[rows]
-
-
-def _roots(H: TridiagonalHamiltonian, red: _Reduction, tol: float) -> np.ndarray:
-    """Roots of every segment in scaled units, ascending within a segment.
-
-    All segments are bisected together from the Gershgorin interval of H:
-    one kernel sweep per step counts the negative pivots at every bracket
-    midpoint.  A bracket is done at width max(tol * min(1, 2**-exp),
-    4 eps |lambda|), which is tol in the units of H unless H is small.
-    """
-    n = H.dim
-    lam = red.diag[:n].copy()  # a one-row segment is its own root
-    cols, seg, idx, d, off = _stack(red)
-    if not cols.size:
-        return lam
-    glo, ghi = (math.ldexp(x, -red.exp) for x in gershgorin_bounds(H))
+    glo, ghi = (math.ldexp(x, -exp) for x in gershgorin_bounds(H))
     pad = 1e-3 * max(-glo, ghi)
-    lo, hi = np.full(cols.size, glo - pad), np.full(cols.size, ghi + pad)
-    o2 = np.take(off * off, seg, axis=1)
-    act = np.arange(cols.size)
-    tol = math.ldexp(tol, -max(red.exp, 0))
-    for _ in range(4096):
-        mid = 0.5 * (lo[act] + hi[act])
-        below = np.count_nonzero(_pivots(d, seg, o2, mid) <= 0.0, axis=0) <= idx
-        lo[act] = np.where(below, mid, lo[act])
-        hi[act] = np.where(below, hi[act], mid)
-        edge = np.maximum(np.abs(lo[act]), np.abs(hi[act]))
-        keep = hi[act] - lo[act] > np.maximum(tol, 4.0 * _EPS * edge)
-        if not keep.any():
-            break
-        if not keep.all():
-            act, seg, idx = act[keep], seg[keep], idx[keep]
-            o2 = o2[:, keep]
-    lam[cols] = 0.5 * (lo + hi)
-    return lam
+    bracket = (glo - pad, ghi + pad)
+    return _Reduction(np.append(d, _PAD_DIAG), o, exp, bracket, rows, weights, mirror,
+                      starts, sizes)
+
+
+def _stack(reds):
+    """The segments of two or more rows of the reductions side by side,
+    bottom-aligned.
+
+    The reductions' rows are laid end to end, each keeping its padding row,
+    so row i of reds[r] is row i + sum of reds[:r]'s diag sizes.  Returns,
+    for each root in such a segment (root i of segment s is number
+    i - starts[s] in it): i in that layout, the segment's column in the
+    tables, and that number; then the stacked diagonal and couplings, one
+    column per segment, where off[k] couples stack rows k and k + 1 and the
+    rows above a short segment are padding.
+    """
+    base = np.cumsum([0] + [red.diag.size for red in reds])
+    sizes = np.concatenate([red.sizes for red in reds])
+    multi = sizes > 1
+    starts = np.concatenate([red.starts + b for red, b in zip(reds, base)])[multi]
+    sizes = sizes[multi]
+    height = int(sizes.max(initial=1))
+    rows = np.arange(height)[:, None] + (starts + sizes - height)
+    rows[rows < starts] = base[1] - 1
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    idx = np.arange(seg.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    diag = np.concatenate([red.diag for red in reds])
+    off = np.concatenate([red.off for red in reds])
+    return starts[seg] + idx, seg, idx, diag[rows], off[rows]
+
+
+def _cells(red: _Reduction) -> tuple[int, int]:
+    """Height and width of red's stack."""
+    sizes = red.sizes[red.sizes > 1]
+    return int(sizes.max(initial=1)), int(sizes.sum())
+
+
+def _batches(reds):
+    """reds cut into consecutive runs whose stacks hold at most _STACK_CELLS
+    cells together; a reduction whose stack alone is larger runs by itself."""
+    run, height, width = [], 0, 0
+    for red in reds:
+        h, w = _cells(red)
+        if run and max(height, h) * (width + w) > _STACK_CELLS:
+            yield run
+            run, height, width = [], 0, 0
+        run.append(red)
+        height, width = max(height, h), width + w
+    if run:
+        yield run
+
+
+def _roots(reds, tol: float) -> list[np.ndarray]:
+    """Roots of every segment of each reduction, in its scaled units and
+    ascending within a segment.
+
+    One stacked bisection serves many matrices, a whole gamma grid of the
+    command line: the segments of all reductions in a run of _batches, which
+    holds at most _STACK_CELLS table cells, are bisected together, one kernel
+    sweep per step counting the negative pivots at every bracket midpoint.
+    Each column starts from the bracket of its own reduction and is done at
+    width max(tol * min(1, 2**-exp), 4 eps |lambda|) with its own exp, which
+    is tol in the units of H unless H is small.
+    """
+    roots = []
+    for run in _batches(reds):
+        lam = np.concatenate([red.diag for red in run])  # one-row segments
+        cols, seg, idx, d, off = _stack(run)
+        width = [_cells(red)[1] for red in run]
+        lo, hi = (np.repeat(b, width) for b in zip(*(red.bracket for red in run)))
+        tols = np.repeat([math.ldexp(tol, -max(red.exp, 0)) for red in run], width)
+        o2 = np.take(off * off, seg, axis=1)
+        act = np.arange(cols.size)
+        for _ in range(4096):
+            mid = 0.5 * (lo[act] + hi[act])
+            below = np.count_nonzero(_pivots(d, seg, o2, mid) <= 0.0, axis=0) <= idx
+            lo[act] = np.where(below, mid, lo[act])
+            hi[act] = np.where(below, hi[act], mid)
+            edge = np.maximum(np.abs(lo[act]), np.abs(hi[act]))
+            keep = hi[act] - lo[act] > np.maximum(tols, 4.0 * _EPS * edge)
+            if not keep.any():
+                break
+            if not keep.all():
+                act, seg, idx, tols = act[keep], seg[keep], idx[keep], tols[keep]
+                o2 = o2[:, keep]
+        lam[cols] = 0.5 * (lo + hi)
+        ends = np.cumsum([red.diag.size for red in run])
+        roots += [part[:-1] for part in np.split(lam, ends[:-1])]
+    return roots
+
+
+def eigenvalues_batch(Hs, tol: float = 1e-12) -> list[np.ndarray]:
+    """The eigenvalues_bisection eigenvalues of every H in Hs, in one stacked
+    bisection per run of matrices under a fixed cell budget.
+
+    Each H keeps its own scaling, bracket and tol, so its array is bitwise
+    what eigenvalues_bisection(H, tol) returns, barring a subnormal pivot in
+    a sweep that another matrix's zero pivot sends through the redo in
+    _pivots.
+    """
+    if not tol > 0.0:
+        raise ValueError(f"tol must be > 0, got {tol}")
+    reds = [_reduce(H) for H in Hs]
+    return [np.sort(np.ldexp(lam, red.exp)) for lam, red in zip(_roots(reds, tol), reds)]
 
 
 def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.ndarray:
@@ -233,10 +300,7 @@ def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.n
     together, each eigenvalue to a bracket of width max(tol, 4 eps |lambda|),
     with tol relative to the largest entry of H when that entry is below 1.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
-    red = _reduce(H)
-    return np.sort(np.ldexp(_roots(H, red, tol), red.exp))
+    return eigenvalues_batch([H], tol)[0]
 
 
 def _twisted_vectors(red: _Reduction, lam):
@@ -249,7 +313,7 @@ def _twisted_vectors(red: _Reduction, lam):
     eigenvector: z_k = -o_k z_{k+1} / q+_k above r, -o_{k-1} z_{k-1} / q-_k
     below.
     """
-    cols, seg, _, d, off = _stack(red)
+    cols, seg, _, d, off = _stack([red])
     lam = lam[cols]
     o2 = np.take(off * off, seg, axis=1)
     up = _pivots(d, seg, o2, lam)
@@ -300,7 +364,7 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
         raise ValueError(f"tol must be > 0, got {tol}")
     red = _reduce(H)
     n = H.dim
-    lam = _roots(H, red, tol)
+    lam = _roots([red], tol)[0]
     cols, z = _twisted_vectors(red, lam)
     order = np.argsort(lam, kind="stable")
     column = np.argsort(order)
@@ -384,7 +448,7 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
     """
     H = spectrum.hamiltonian
     red = _reduce(H)
-    lam = _roots(H, red, 1e-12)
+    lam = _roots([red], 1e-12)[0]
     worst = 0.0
     for first, size in zip(red.starts, red.sizes):
         d = red.diag[first : first + size]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
-from qdimer import build_dimer, cli
+from qdimer import build_dimer, cli, eigenvalues_bisection
 from qdimer.cli import main
 
 
@@ -239,8 +239,8 @@ def test_gaps_values_match_lapack(capsys, monkeypatch, model, two_j, pairs):
     # The table arithmetic is compared on the LAPACK spectrum itself: a gap of
     # 3e-5 among levels of size 50 (dnls, gamma 10) resolves only to about
     # 4e-10 relative in float64, whichever solver computes it.
-    monkeypatch.setattr(cli, "eigenvalues_bisection",
-                        lambda H, tol: eigvalsh_tridiagonal(H.diag, H.off))
+    monkeypatch.setattr(cli, "eigenvalues_batch",
+                        lambda Hs, tol: [eigvalsh_tridiagonal(H.diag, H.off) for H in Hs])
     _, lapack_out = run(capsys, argv)
     assert parse_rows(lapack_out)[0] == parse_rows(out)[0]
 
@@ -270,6 +270,23 @@ def test_gaps_values_match_lapack(capsys, monkeypatch, model, two_j, pairs):
     scale = np.max(np.abs(levels))
     assert np.max(np.abs(table[:, 2::3] - (levels[:, 1:2 * pairs:2] - levels[:, :2 * pairs:2]))) \
         <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--model", "dnls", "--two-j", "40"],
+    ["sweep", "--model", "al", "--two-j", "41"],
+    ["gaps", "--model", "dnls", "--two-j", "40"],
+    ["gaps", "--model", "al", "--two-j", "41"],
+])
+def test_batched_levels_match_per_matrix(capsys, monkeypatch, argv):
+    # one stacked bisection over the grid prints what one bisection per
+    # gamma prints
+    argv = argv + ["--gamma-min", "0.5", "--gamma-max", "10", "--steps", "9"]
+    _, out = run(capsys, argv)
+    monkeypatch.setattr(cli, "eigenvalues_batch",
+                        lambda Hs, tol: [eigenvalues_bisection(H, tol) for H in Hs])
+    _, single = run(capsys, argv)
+    assert out == single
 
 
 @pytest.mark.parametrize("argv,model,gamma", [

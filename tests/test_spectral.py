@@ -2,6 +2,8 @@
 structure checks built on them."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,12 +19,14 @@ from qdimer import (
     completeness_check,
     dense_oracle,
     df_orthonormality_check,
+    eigenvalues_batch,
     eigenvalues_bisection,
     gershgorin_bounds,
     parity_structure_check,
     solve_spectrum,
 )
 from qdimer.spectral import (
+    _batches,
     _df_gram_float,
     _df_gram_mp,
     _mp_eigenvalues,
@@ -246,6 +250,53 @@ def test_non_persymmetric_input_stays_orthonormal():
     assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-10 * scale
 
 
+def _mixed_dimers():
+    """AL with zero modes, zero couplings, linear ladders, the Sturm-overflow
+    AL dimer and a non-persymmetric one, in one list."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # two_j = 0 is a 1 x 1 sector
+        Hs = [build_qal_dimer(two_j, 2.0) for two_j in range(41)]
+    Hs += [build_dimer("dnls", two_j, 2.0, epsilon=0.0) for two_j in (1, 4, 7)]
+    Hs += [build_qdnls_dimer(two_j, g) for two_j in (2, 30, 31) for g in (0.0, 8.0)]
+    Hs += [build_qal_dimer(240, 9.0), build_qal_dimer(12, 0.0)]
+    H = build_qdnls_dimer(30, 8.0)
+    diag = H.diag.copy()
+    diag[0] += 1e-9
+    Hs.append(TridiagonalHamiltonian(H.sector, "dnls", diag, H.off))
+    return Hs
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+def test_batch_matches_per_matrix(tol):
+    # every matrix keeps its own scaling, bracket and tol inside the stack
+    Hs = _mixed_dimers()
+    assert len(Hs) == 53
+    assert len(list(_batches([_reduce(H) for H in Hs]))) > 1  # crosses the cell budget
+    batch = eigenvalues_batch(Hs, tol)
+    assert len(batch) == len(Hs)
+    for H, evs in zip(Hs, batch):
+        assert np.array_equal(evs, eigenvalues_bisection(H, tol)), (H.model, H.dim)
+
+
+def test_batch_edge_cases():
+    assert eigenvalues_batch([]) == []
+    with pytest.raises(ValueError, match="tol"):
+        eigenvalues_batch([build_qal_dimer(2, 1.0)], tol=0.0)
+
+
+def test_batch_memory_is_bounded():
+    # a 64-step grid at dim 201 stacks to about 23 MB of tables in one piece;
+    # the cell budget cuts it into stacks of about 1 MB each
+    Hs = [build_qdnls_dimer(200, float(g)) for g in np.geomspace(0.5, 10.0, 64)]
+    tracemalloc.start()
+    try:
+        eigenvalues_batch(Hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     model=st.sampled_from(["dnls", "al"]),
@@ -283,7 +334,7 @@ def test_df_orthonormality_forced_precision():
     d, o, _ = _scaled(H)
     assert _df_gram_mp(d, o, 40) < 1e-10
     red = _reduce(H)
-    lam = _roots(H, red, 1e-12)
+    lam = _roots([red], 1e-12)[0]
     blocks = [
         _df_gram_float(red.diag[a : a + n], red.off[a : a + n - 1], lam[a : a + n])[0]
         for a, n in zip(red.starts, red.sizes)
@@ -309,7 +360,7 @@ def test_df_orthonormality_collapsed_cluster():
     assert df_orthonormality_check(s) < 1e-9 * s.dim
     # the block roots the check uses are the solver's eigenvalues
     red = _reduce(H)
-    assert np.array_equal(np.sort(np.ldexp(_roots(H, red, 1e-12), red.exp)), s.eigenvalues)
+    assert np.array_equal(np.sort(np.ldexp(_roots([red], 1e-12)[0], red.exp)), s.eigenvalues)
 
 
 def test_mp_eigenvalues_resolve_collapsed_cluster():
