@@ -10,14 +10,22 @@ rescaling is needed once H is scaled by a power of two.  Both dimer matrices
 are persymmetric (reflecting m to -m leaves them unchanged), so H splits
 exactly into an even and an odd block, and the self-trapped level pairs that
 collapse in double precision are even/odd partners; inside one block the
-spectrum is well separated.  Blocks are also cut at zero couplings.  All
-blocks are bisected together on the pivot count, and the blocks of many
-matrices share one stacked bisection (eigenvalues_batch): a whole gamma grid
-of the command line is solved in consecutive stacks under a fixed budget of
-table cells, each matrix with its own scaling, bracket and tol.  The same
-kernel run forward and backward over a block at its roots gives
-twisted-factorization eigenvectors, mirrored into exactly even or odd
-columns.
+spectrum is well separated.  Blocks are also cut at zero couplings.
+
+All blocks are solved together, one column per root, and the blocks of many
+matrices share one stack (eigenvalues_batch): a whole gamma grid of the
+command line is solved in consecutive stacks under a fixed budget of table
+cells, each matrix with its own scaling, bracket and tol.  Each root is
+bisected on the pivot count only until its bracket isolates it, then
+finished by Newton steps on det(T - x) (Dhillon & Parlett, Linear Algebra
+Appl. 387 (2004) 1; Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The
+kernel run forward and backward at x gives the twisted pivots gamma_k, the
+reciprocals of the diagonal of (T - x)^-1, so the step is
+delta = 1 / sum_k 1 / gamma_k; the forward run's count narrows the bracket,
+a step that leaves the bracket becomes a bisection step, and a root is done
+once |delta| <= max(tol, 4 eps |x|).  A cluster that never isolates is
+bisected to a bracket of that width.  The same twisted factorizations at
+the roots give the eigenvectors, mirrored into exactly even or odd columns.
 
 The orthonormality check runs per parity block of the same reduction, on the
 block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
@@ -48,10 +56,12 @@ _PIVMIN = float(np.finfo(float).tiny)
 # height: above every shift of the scaled problem, so their pivots stay
 # positive and are never counted.
 _PAD_DIAG = 8.0
-# Cells (stack height times columns) of one stacked bisection: a list of
-# matrices is bisected in consecutive stacks of at most this many cells, and
-# a matrix whose stack alone is larger is bisected by itself.
+# Cells (stack height times columns) of one stacked solve: a list of
+# matrices is solved in consecutive stacks of at most this many cells, and
+# a matrix whose stack alone is larger is solved by itself.
 _STACK_CELLS = 2**17
+# Rows of squared couplings that the kernel takes at its columns at a time.
+_ROWS = 16
 
 
 @dataclass
@@ -96,32 +106,62 @@ def _pivots(d, seg, o2, lam):
     """LDL^T pivots of T - lam, one column per shift: the solver's one kernel.
 
     Column j runs down segment seg[j] of the stack (diagonal d[:, seg[j]],
-    o2[k, j] the squared coupling of rows k and k + 1) at lam[j]:
+    o2[k, seg[j]] the squared coupling of rows k and k + 1) at lam[j]:
     q_0 = d_0 - lam and q_k = (d_k - lam) - o2_{k-1} / q_{k-1}.  The pivots
     <= 0 count the eigenvalues below lam, and pivots stay bounded, so nothing
-    is rescaled.  A zero pivot first runs through IEEE infinities; if any
-    appear, the sweep is redone with pivots below _PIVMIN set to -_PIVMIN
-    (LAPACK's dstebz rule).  The redo covers every column of the sweep, in a
-    batch the columns of all its matrices; a column whose own sweep stayed
-    finite changes only where a pivot is subnormal.
+    is rescaled.  o2 is taken at the columns _ROWS rows at a time, so no
+    table of it is held.  A zero pivot first runs through IEEE infinities;
+    the columns where any appear are swept again with pivots below _PIVMIN
+    set to -_PIVMIN (LAPACK's dstebz rule).  Every column's pivots thus
+    depend on its own segment and shift alone, in a batch as on its own.
     """
-    q = np.take(d, seg, axis=1)
-    q -= lam
-    t = np.empty_like(lam)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(1, q.shape[0]):
-            np.divide(o2[k - 1], q[k - 1], out=t)
-            np.subtract(q[k], t, out=q[k])
-    if np.isfinite(q).all():
+
+    def sweep(seg, lam, clamp):
+        q = np.take(d, seg, axis=1)
+        q -= lam
+        if clamp:
+            q[0][np.abs(q[0]) < _PIVMIN] = -_PIVMIN
+        t = np.empty_like(lam)
+        block = np.empty((_ROWS, lam.size))
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for k in range(0, q.shape[0] - 1, _ROWS):
+                rows = block[: min(_ROWS, q.shape[0] - 1 - k)]
+                np.take(o2[k : k + rows.shape[0]], seg, axis=1, out=rows, mode="clip")
+                for o2k, prev, cur in zip(rows, q[k:], q[k + 1 :]):
+                    np.divide(o2k, prev, out=t)
+                    np.subtract(cur, t, out=cur)
+                    if clamp:
+                        cur[np.abs(cur) < _PIVMIN] = -_PIVMIN
         return q
-    np.take(d, seg, axis=1, out=q, mode="clip")  # "clip" fills q unbuffered
-    q -= lam
-    for k in range(q.shape[0]):
-        if k:
-            np.divide(o2[k - 1], q[k - 1], out=t)
-            q[k] -= t
-        q[k][np.abs(q[k]) < _PIVMIN] = -_PIVMIN
+
+    q = sweep(seg, lam, False)
+    redo = np.flatnonzero(~np.isfinite(q).all(axis=0))
+    if redo.size:
+        q[:, redo] = sweep(seg[redo], lam[redo], True)
     return q
+
+
+def _twisted(d, seg, o2, lam, reuse_down=False):
+    """The kernel run down and up the stack at lam, as _pivots takes it.
+
+    Returns the pivots up[k] = q+_k and down[k] = q-_k and the twisted
+    pivots gamma_k = q+_k - o2_k / q-_{k+1} = q+_k + q-_k - (d_k - lam)
+    (Dhillon & Parlett), formed the second way, in down's place when
+    reuse_down is set; gamma is inf on the padding rows.  1 / gamma_k is
+    entry (k, k) of (T - lam)^-1.  At an exact eigenvalue the pivots of
+    -_PIVMIN can push gamma_k past the float range; +-inf then stands for a
+    diagonal entry of 0.  seg must ascend.
+    """
+    up = _pivots(d, seg, o2, lam)
+    down = _pivots(d[::-1], seg, o2[-2::-1], lam)[::-1]
+    with np.errstate(over="ignore"):
+        gamma = np.add(up, down, out=down if reuse_down else None)
+    gamma += lam
+    first = np.flatnonzero(np.diff(seg, prepend=-1))
+    for s, a, b in zip(seg[first], first, np.append(first[1:], seg.size)):
+        gamma[:, a:b] -= d[:, s, None]
+        gamma[: np.count_nonzero(d[:, s] == _PAD_DIAG), a:b] = np.inf
+    return up, down, gamma
 
 
 @dataclass(frozen=True)
@@ -132,8 +172,8 @@ class _Reduction:
     mirror[i] is +-1, to full row dim - 1 - rows[i] with that sign.  off[i]
     couples rows i and i + 1 and is zero at every segment end; diag and off
     end with a padding row.  Segment s has sizes[s] rows from starts[s].
-    bracket, where every bisection of H starts, is its scaled Gershgorin
-    interval widened by 1e-3 of its radius.
+    bracket, where the search for every root of H starts, is its scaled
+    Gershgorin interval widened by 1e-3 of its radius.
     """
 
     diag: np.ndarray
@@ -242,36 +282,80 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
     """Roots of every segment of each reduction, in its scaled units and
     ascending within a segment.
 
-    One stacked bisection serves many matrices, a whole gamma grid of the
+    One stacked solve serves many matrices, a whole gamma grid of the
     command line: the segments of all reductions in a run of _batches, which
-    holds at most _STACK_CELLS table cells, are bisected together, one kernel
-    sweep per step counting the negative pivots at every bracket midpoint.
-    Each column starts from the bracket of its own reduction and is done at
-    width max(tol * min(1, 2**-exp), 4 eps |lambda|) with its own exp, which
-    is tol in the units of H unless H is small.
+    holds at most _STACK_CELLS table cells, are solved together, one column
+    per root, each from the bracket of its own reduction with its own tol
+    and exp.  Every step runs the kernel at one shift per column and narrows
+    the column's bracket by the count of negative pivots there.
+
+    First the columns are bisected, one sweep per step, until the counts at
+    both ends isolate the root (idx roots below lo, idx + 1 below hi).  Then
+    each isolated column takes safeguarded Newton steps on det(T - x) from
+    its midpoint: the kernel run down and up at x gives the twisted pivots
+    gamma_k, and delta = 1 / sum_k 1 / gamma_k, since 1 / gamma_k is the
+    diagonal of (T - x)^-1.  The up sweep gives the count at x.  A step that
+    leaves the bracket is replaced by a bisection step, unless it comes from
+    inside the bracket and overshoots by less than 1e-3 |delta|, as onto an
+    exact root at a bracket end; then it is clipped onto that end.  A step
+    from an end that reaches the other end is replaced too, so no iterate
+    can swing between the two ends.  A column is done with x + delta once
+    |delta| <= max(tol * min(1, 2**-exp), 4 eps |x|), which is tol in the
+    units of H unless H is small, or at the midpoint once its bracket is
+    that narrow, which ends a cluster that never isolates.
     """
     roots = []
     for run in _batches(reds):
         lam = np.concatenate([red.diag for red in run])  # one-row segments
         cols, seg, idx, d, off = _stack(run)
+        o2 = off * off
         width = [_cells(red)[1] for red in run]
         lo, hi = (np.repeat(b, width) for b in zip(*(red.bracket for red in run)))
         tols = np.repeat([math.ldexp(tol, -max(red.exp, 0)) for red in run], width)
-        o2 = np.take(off * off, seg, axis=1)
+        n_lo, n_hi = np.zeros_like(seg), np.bincount(seg)[seg]  # roots below the ends
+        x = 0.5 * (lo + hi)
         act = np.arange(cols.size)
+        isolated = np.zeros(cols.size, dtype=bool)
+        newton = False
         for _ in range(4096):
-            mid = 0.5 * (lo[act] + hi[act])
-            below = np.count_nonzero(_pivots(d, seg, o2, mid) <= 0.0, axis=0) <= idx
-            lo[act] = np.where(below, mid, lo[act])
-            hi[act] = np.where(below, hi[act], mid)
-            edge = np.maximum(np.abs(lo[act]), np.abs(hi[act]))
-            keep = hi[act] - lo[act] > np.maximum(tols, 4.0 * _EPS * edge)
-            if not keep.any():
-                break
-            if not keep.all():
-                act, seg, idx, tols = act[keep], seg[keep], idx[keep], tols[keep]
-                o2 = o2[:, keep]
-        lam[cols] = 0.5 * (lo + hi)
+            if not act.size:
+                if newton or not isolated.any():
+                    break
+                act, newton = np.flatnonzero(isolated), True
+            xa, i, tol_a = x[act], idx[act], tols[act]
+            if newton:
+                up, down, gamma = _twisted(d, seg[act], o2, xa, reuse_down=True)
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    # a running sum adds the rows in order at any height and
+                    # width, so a column's step is the same in any stack
+                    delta = 1.0 / np.cumsum(np.reciprocal(gamma, out=gamma), axis=0, out=gamma)[-1]
+                del down, gamma
+            else:
+                up = _pivots(d, seg[act], o2, xa)
+            count = np.count_nonzero(up <= 0.0, axis=0)
+            del up
+            below = count <= i
+            on_end = (xa == lo[act]) | (xa == hi[act])
+            la = lo[act] = np.where(below, xa, lo[act])
+            ha = hi[act] = np.where(below, hi[act], xa)
+            mid = 0.5 * (la + ha)
+            done = ha - la <= np.maximum(tol_a, 4.0 * _EPS * np.maximum(np.abs(la), np.abs(ha)))
+            if newton:
+                step = xa + delta
+                small = np.abs(delta) <= np.maximum(tol_a, 4.0 * _EPS * np.abs(xa))
+                with np.errstate(invalid="ignore"):
+                    over = np.maximum(la - step, step - ha)
+                    fits = small | (over < np.where(on_end, 0.0, 1e-3 * np.abs(delta)))
+                x[act] = np.where(fits, np.clip(step, la, ha), mid)
+                done |= small
+            else:
+                x[act] = mid
+                n_lo[act] = np.where(below, count, n_lo[act])
+                n_hi[act] = np.where(below, n_hi[act], count)
+                isolated[act] = ~done & (n_lo[act] == i) & (n_hi[act] == i + 1)
+                done |= isolated[act]
+            act = act[~done]
+        lam[cols] = x
         ends = np.cumsum([red.diag.size for red in run])
         roots += [part[:-1] for part in np.split(lam, ends[:-1])]
     return roots
@@ -279,12 +363,11 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
 
 def eigenvalues_batch(Hs, tol: float = 1e-12) -> list[np.ndarray]:
     """The eigenvalues_bisection eigenvalues of every H in Hs, in one stacked
-    bisection per run of matrices under a fixed cell budget.
+    solve per run of matrices under a fixed cell budget.
 
-    Each H keeps its own scaling, bracket and tol, so its array is bitwise
-    what eigenvalues_bisection(H, tol) returns, barring a subnormal pivot in
-    a sweep that another matrix's zero pivot sends through the redo in
-    _pivots.
+    Each H keeps its own scaling, bracket and tol, and every column of the
+    stack is computed on its own, so its array is bitwise what
+    eigenvalues_bisection(H, tol) returns.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -293,12 +376,16 @@ def eigenvalues_batch(Hs, tol: float = 1e-12) -> list[np.ndarray]:
 
 
 def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.ndarray:
-    """All eigenvalues by bisection on the pivot Sturm count, ascending.
+    """All eigenvalues by bisection to isolation and Newton steps, ascending.
 
     H is scaled by a power of two, split into its even and odd blocks when
-    it is persymmetric and cut at zero couplings; all blocks are bisected
-    together, each eigenvalue to a bracket of width max(tol, 4 eps |lambda|),
-    with tol relative to the largest entry of H when that entry is below 1.
+    it is persymmetric and cut at zero couplings; all blocks are solved
+    together.  Each eigenvalue is bisected on the pivot Sturm count until
+    its bracket holds no other, then refined by Newton steps on
+    det(H - lambda) from the twisted pivots, kept inside the bracket, until
+    a step is at most max(tol, 4 eps |lambda|), with tol relative to the
+    largest entry of H when that entry is below 1.  A cluster that never
+    isolates is bisected to a bracket of that width.
     """
     return eigenvalues_batch([H], tol)[0]
 
@@ -314,15 +401,9 @@ def _twisted_vectors(red: _Reduction, lam):
     below.
     """
     cols, seg, _, d, off = _stack([red])
-    lam = lam[cols]
-    o2 = np.take(off * off, seg, axis=1)
-    up = _pivots(d, seg, o2, lam)
-    down = _pivots(d[::-1], seg, o2[-2::-1], lam)[::-1]
-    gamma = np.divide(o2[:-1], down[1:], out=o2[:-1])
-    gamma = np.subtract(up, o2, out=o2)
-    gamma[np.take(d, seg, axis=1) == _PAD_DIAG] = np.inf
+    up, down, gamma = _twisted(d, seg, off * off, lam[cols])
     r = np.argmin(np.abs(gamma, out=gamma), axis=0)
-    del gamma, o2
+    del gamma
     k = np.arange(d.shape[0])[:, None]
     o = np.take(-off[:-1], seg, axis=1)
     np.divide(o, up[:-1], out=up[:-1])

@@ -231,6 +231,18 @@ def _lapack_levels(model, two_j, gamma):
     return np.sort(H.to_physical(eigvalsh_tridiagonal(H.diag, H.off)))
 
 
+def test_gaps_ground_pair_digits(capsys):
+    # the ground-pair gap (3e-5 among levels near 50 at gamma 10) keeps the
+    # digits float64 gives it at the default --tol
+    _, out = run(capsys, ["gaps", "--model", "dnls", "--two-j", "6", "--pairs", "3",
+                          "--gamma-min", "2", "--gamma-max", "10", "--steps", "9"])
+    header, rows = parse_rows(out)
+    table = np.array(rows, dtype=float)
+    levels = np.array([_lapack_levels("dnls", 6, g) for g in table[:, 0]])
+    np.testing.assert_allclose(table[:, header.index("gap_1")], levels[:, 1] - levels[:, 0],
+                               rtol=1e-9, atol=0)
+
+
 @pytest.mark.parametrize("model,two_j,pairs", [("dnls", 6, 3), ("al", 7, 4)])
 def test_gaps_values_match_lapack(capsys, monkeypatch, model, two_j, pairs):
     argv = ["gaps", "--model", model, "--two-j", str(two_j), "--pairs", str(pairs),

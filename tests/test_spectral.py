@@ -25,6 +25,7 @@ from qdimer import (
     parity_structure_check,
     solve_spectrum,
 )
+from qdimer import spectral
 from qdimer.spectral import (
     _batches,
     _df_gram_float,
@@ -223,6 +224,52 @@ def test_al_huge_couplings_match_lapack(two_j, gamma):
     assert np.max(np.abs(s.eigenvalues - ref)) <= 1e-10 * scale
     assert np.max(np.abs(eigenvalues_bisection(H) - ref)) <= 1e-10 * scale
     assert completeness_check(s) <= 1e-9 * s.dim
+
+
+def _sweeps(monkeypatch, solve, *args):
+    """Kernel sweeps (calls of spectral._pivots) that solve(*args) makes."""
+    calls = []
+    kernel = spectral._pivots
+
+    def counted(*sweep_args):
+        calls.append(sweep_args[3].size)
+        return kernel(*sweep_args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_pivots", counted)
+        solve(*args)
+    return len(calls)
+
+
+@pytest.mark.parametrize("model, two_j, gamma", [("dnls", 300, 4.7), ("al", 240, 9.0)])
+def test_solve_kernel_sweeps(monkeypatch, model, two_j, gamma):
+    # bisection stops once each root is isolated and Newton steps finish it;
+    # bisection down to the width tol took 58 and 192 sweeps here
+    assert _sweeps(monkeypatch, solve_spectrum, build_dimer(model, two_j, gamma)) <= 36
+
+
+def test_newton_iterates_do_not_swing_between_bracket_ends(monkeypatch):
+    # here a Newton step from one end of a bracket a few ulps wide lands on
+    # the other end and back, until the 4096-step cap, unless a step from an
+    # end that reaches the other end is replaced by bisection
+    H = build_qdnls_dimer(73, 6.79729402773982)
+    diag = H.diag.copy()
+    diag[12] += 1.0
+    H = TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
+    assert _sweeps(monkeypatch, eigenvalues_bisection, H, 1e-15) <= 100
+    ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
+    assert np.max(np.abs(eigenvalues_bisection(H, 1e-15) - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def test_al_exact_zero_mode():
+    # the Newton steps land on the exact zero eigenvalue of even two_j, where
+    # the kernel meets zero pivots; the twisted vectors there stay finite
+    for two_j in range(2, 41, 2):
+        s = solve_spectrum(build_qal_dimer(two_j, 6.0))
+        scale = max(1.0, float(np.max(np.abs(s.eigenvalues))))
+        assert np.isfinite(s.vectors).all(), two_j
+        assert np.min(np.abs(s.eigenvalues)) <= 1e-15 * scale, two_j
+        assert completeness_check(s) <= 1e-10, two_j
 
 
 @pytest.mark.parametrize("gamma", [1.0, 0.0])
