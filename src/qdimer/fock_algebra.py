@@ -13,15 +13,23 @@ lattice oscillator on a truncated single-mode space (dense, it is small),
 Casimir invariants, and the linear map reconstructing the mode numbers N_i
 from the Cartan generators.
 
-The checks multiply sparse operators, and where one factor is diagonal they
-scale the other operand's stored entries by the diagonal instead.  Every
-product of hops and diagonals has one term per entry, so the Chevalley and
-Serre residuals are the same numbers the dense products give.
+Inside the checks every hop, root vector, Chevalley word and Serre term
+moves the occupations by one fixed vector delta, so it has at most one entry
+per column: an amplitude amp[s] in the target row dst[s] of state s + delta.
+The checks run on these shift amplitudes.  A product A B is one gather and
+one multiply, A.amp[B.dst] * B.amp, a sum of terms with one delta adds their
+amplitudes, and the Casimirs (delta = 0) are diagonal vectors, so a
+commutator with one is read on the other operand's entries.  Every entry
+has one term, and each product keeps its operand order and each sum its
+term order, so the Chevalley, Serre and Casimir residuals are the same
+numbers the dense products give.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +54,9 @@ class FockSectorBasis:
     `occupations` holds the same states as a (dim, n_sites) integer array.
     Sectors above MAX_SECTOR_DIM = 1e6 states are refused: the basis takes
     about 120 bytes per state (0.12 GB at the guard) and a sparse operator at
-    most 24 bytes per state (24 MB), where a dense one would take 8 TB.
+    most 24 bytes per state (24 MB), where a dense one would take 8 TB.  The
+    algebra checks keep, on the basis, one int64 target row per state for
+    each occupation shift they use (8 MB per shift at the guard).
     """
 
     def __init__(self, n_sites: int, total_quanta: int):
@@ -63,6 +73,13 @@ class FockSectorBasis:
         self.total_quanta = total_quanta
         self.states = tuple(sorted(_compositions(n_sites, total_quanta)))
         self.occupations = np.array(self.states, dtype=np.int64)
+        # C(r + m - 1, m - 1) states of r quanta on m sites, for positions()
+        self._counts = np.array(
+            [[math.comb(r + m - 1, m - 1) for m in range(1, n_sites + 1)]
+             for r in range(total_quanta + 1)],
+            dtype=np.int64,
+        )
+        self._targets = {}  # delta -> target rows, see _targets
 
     @property
     def dim(self) -> int:
@@ -76,10 +93,7 @@ class FockSectorBasis:
         there are C(r + m - 1, m - 1) - C(r - s_k + m - 1, m - 1) of them.
         """
         n, total = self.n_sites, self.total_quanta
-        count = np.array(
-            [[math.comb(r + m - 1, m - 1) for m in range(1, n + 1)] for r in range(total + 1)],
-            dtype=np.int64,
-        )
+        count = self._counts
         pos = np.zeros(len(occupations), dtype=np.int64)
         left = np.full(len(occupations), total, dtype=np.int64)
         for k in range(n - 1):
@@ -157,7 +171,7 @@ def number_operator(basis: FockSectorBasis, i: int) -> SectorOperator:
 
 def hop_operator(basis: FockSectorBasis, i: int, j: int) -> SectorOperator:
     """Boson hop a_i' a_j with matrix elements sqrt(n_i + 1) sqrt(n_j)."""
-    return _hop(basis, i, j, np.arange(basis.total_quanta + 2, dtype=float))
+    return _hop(basis, i, j, _boson_numbers(basis))
 
 
 def al_hop_operator(basis: FockSectorBasis, i: int, j: int, gamma: float) -> SectorOperator:
@@ -173,19 +187,124 @@ def _sym_qnums(basis, q):
 
 def _hop(basis, i, j, qnums):
     """Hop from site j to site i with elements sqrt(qnums[n_i + 1] qnums[n_j])."""
+    return SectorOperator(basis, _hop_shift(basis, i, j, qnums).tocsr())
+
+
+def _hop_shift(basis, i, j, qnums):
+    """The hop of _hop as a shift."""
     _site_range_check(basis, i, j)
     if i == j:
         raise ValueError("hop requires distinct sites; use number_operator for i == j")
-    cols = np.flatnonzero(basis.occupations[:, j - 1])
+    delta = _hop_delta(basis.n_sites, i, j)
+    cols = np.flatnonzero(_targets(basis, delta) >= 0)
     src = basis.occupations[cols]
-    ni, nj = src[:, i - 1], src[:, j - 1]
-    amp = np.sqrt(qnums[ni + 1] * qnums[nj])
-    dst = src.copy()
-    dst[:, i - 1] += 1
-    dst[:, j - 1] -= 1
-    rows = basis.positions(dst)
-    mat = sparse.csr_array((amp, (rows, cols)), shape=(basis.dim, basis.dim))
-    return SectorOperator(basis, mat)
+    amp = np.zeros(basis.dim)
+    amp[cols] = np.sqrt(qnums[src[:, i - 1] + 1] * qnums[src[:, j - 1]])
+    return _Shift(basis, delta, amp)
+
+
+def _hop_delta(n_sites, i, j):
+    """Occupation change of a hop from site j to site i (1-based)."""
+    delta = [0] * n_sites
+    delta[i - 1], delta[j - 1] = 1, -1
+    return tuple(delta)
+
+
+def _targets(basis, delta):
+    """Basis index of state s + delta for every state s, -1 where it leaves
+    the sector; computed once per delta and basis."""
+    dst = basis._targets.get(delta)
+    if dst is None:
+        moved = basis.occupations + np.array(delta, dtype=np.int64)
+        inside = np.all(moved >= 0, axis=1)
+        dst = np.full(basis.dim, -1, dtype=np.int64)
+        dst[inside] = basis.positions(moved[inside])
+        basis._targets[delta] = dst
+    return dst
+
+
+class _Shift:
+    """Sector operator that moves every state s to s + delta, times amp[s].
+
+    Column s holds its one entry amp[s] in row dst[s]; where s + delta leaves
+    the sector dst[s] is -1 and amp[s] is 0, so a gather through it reads the
+    last entry and multiplies it by that zero.  Products, sums, scalar
+    multiples and adjoints of shifts are shifts, with the operand and term
+    order of the csr expressions they replace: a product's entry is
+    A_rk * B_kc and a sum's entry adds the terms' entries left to right.
+    Sums take operands of one delta.
+    """
+
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
+
+    def __init__(self, basis, delta, amp):
+        self.basis = basis
+        self.delta = delta
+        self.amp = amp
+
+    @classmethod
+    def diagonal(cls, basis, values):
+        return cls(basis, (0,) * basis.n_sites, np.asarray(values, dtype=float))
+
+    @property
+    def dst(self):
+        return _targets(self.basis, self.delta)
+
+    def __matmul__(self, other):
+        delta = tuple(a + b for a, b in zip(self.delta, other.delta))
+        return _Shift(self.basis, delta, self.amp[other.dst] * other.amp)
+
+    def __add__(self, other):
+        return _Shift(self.basis, self._same_delta(other), self.amp + other.amp)
+
+    def __sub__(self, other):
+        return _Shift(self.basis, self._same_delta(other), self.amp - other.amp)
+
+    def __rmul__(self, scalar):
+        return _Shift(self.basis, self.delta, self.amp * scalar)
+
+    def _same_delta(self, other):
+        if other.delta != self.delta:
+            raise ValueError(f"cannot add shifts {self.delta} and {other.delta}")
+        return self.delta
+
+    @property
+    def T(self):
+        """The adjoint, a shift by -delta."""
+        live = self.dst >= 0
+        amp = np.zeros_like(self.amp)
+        amp[self.dst[live]] = self.amp[live]
+        return _Shift(self.basis, tuple(-x for x in self.delta), amp)
+
+    def tocsr(self) -> sparse.csr_array:
+        cols = np.flatnonzero(self.dst >= 0)
+        dim = self.basis.dim
+        return sparse.csr_array((self.amp[cols], (self.dst[cols], cols)), shape=(dim, dim))
+
+
+def _read_shift(op: SectorOperator, delta) -> _Shift:
+    """The stored entries of op's matrix as a shift by delta; raises if an
+    entry lies off that shift's pattern."""
+    m, dim = op.matrix, op.basis.dim
+    if not np.array_equal(np.repeat(np.arange(dim), np.diff(m.indptr)),
+                          _targets(op.basis, delta)[m.indices]):
+        raise ValueError(f"operator has entries off the shift {delta}")
+    amp = np.zeros(dim)
+    amp[m.indices] = m.data
+    return _Shift(op.basis, delta, amp)
+
+
+def _ladders(gens):
+    """The raising and lowering generators e_i, f_i as shifts."""
+    deltas = [_hop_delta(gens.n, i, i + 1) for i in range(1, gens.n)]
+    e = [_read_shift(g, d) for g, d in zip(gens.e, deltas)]
+    f = [_read_shift(g, tuple(-x for x in d)) for g, d in zip(gens.f, deltas)]
+    return e, f
+
+
+def _sum(terms):
+    """Left-to-right sum of shifts of one delta."""
+    return functools.reduce(operator.add, terms)
 
 
 def cartan_matrix(n: int) -> np.ndarray:
@@ -219,24 +338,37 @@ class ChevalleyGenerators:
         return self.n - 1
 
 
-def _adjoint(op: SectorOperator) -> SectorOperator:
-    return SectorOperator(op.basis, op.matrix.T.tocsr())
+def _chevalley_shifts(basis, qnums):
+    """Shifts e_i = hop i <- i+1 with the number table qnums, and the
+    diagonals h_i = (N_i - N_{i+1})/2, for i = 1..n-1."""
+    if basis.n_sites < 2:
+        raise ValueError("need at least two sites")
+    sites = range(1, basis.n_sites)
+    e = [_hop_shift(basis, i, i + 1, qnums) for i in sites]
+    hdiags = [0.5 * (_occupation(basis, i) - _occupation(basis, i + 1)) for i in sites]
+    return e, hdiags
+
+
+def _chevalley_ops(basis, qnums):
+    """Sector operators e_i, f_i = e_i', h_i of _chevalley_shifts, and the h_i diagonals."""
+    e, hdiags = _chevalley_shifts(basis, qnums)
+    return (
+        tuple(SectorOperator(basis, x.tocsr()) for x in e),
+        tuple(SectorOperator(basis, x.T.tocsr()) for x in e),
+        tuple(SectorOperator(basis, _diagonal(d)) for d in hdiags),
+        hdiags,
+    )
 
 
 def su_n_generators(basis: FockSectorBasis) -> ChevalleyGenerators:
     """Boson realization e_i = a_i' a_{i+1}, f_i = e_i', h_i = (N_i - N_{i+1})/2."""
-    if basis.n_sites < 2:
-        raise ValueError("need at least two sites")
-    e, f, h = [], [], []
-    for i in range(1, basis.n_sites):
-        ei = hop_operator(basis, i, i + 1)
-        e.append(ei)
-        f.append(_adjoint(ei))
-        hdiag = 0.5 * (_occupation(basis, i) - _occupation(basis, i + 1))
-        h.append(SectorOperator(basis, _diagonal(hdiag)))
-    return ChevalleyGenerators(
-        n=basis.n_sites, q=1.0, basis=basis, e=tuple(e), f=tuple(f), h=tuple(h)
-    )
+    e, f, h, _ = _chevalley_ops(basis, _boson_numbers(basis))
+    return ChevalleyGenerators(n=basis.n_sites, q=1.0, basis=basis, e=e, f=f, h=h)
+
+
+def _boson_numbers(basis):
+    """n for n = 0..M+1, the number table of the boson hops."""
+    return np.arange(basis.total_quanta + 2, dtype=float)
 
 
 def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
@@ -245,24 +377,9 @@ def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
         raise ValueError("need at least two sites")
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
-    qnums = _sym_qnums(basis, q)
-    e, f, h, k = [], [], [], []
-    for i in range(1, basis.n_sites):
-        ei = _hop(basis, i, i + 1, qnums)
-        e.append(ei)
-        f.append(_adjoint(ei))
-        hdiag = 0.5 * (_occupation(basis, i) - _occupation(basis, i + 1))
-        h.append(SectorOperator(basis, _diagonal(hdiag)))
-        k.append(SectorOperator(basis, _diagonal(q**hdiag)))
-    return ChevalleyGenerators(
-        n=basis.n_sites,
-        q=float(q),
-        basis=basis,
-        e=tuple(e),
-        f=tuple(f),
-        h=tuple(h),
-        k=tuple(k),
-    )
+    e, f, h, hdiags = _chevalley_ops(basis, _sym_qnums(basis, q))
+    k = tuple(SectorOperator(basis, _diagonal(q**d)) for d in hdiags)
+    return ChevalleyGenerators(n=basis.n_sites, q=float(q), basis=basis, e=e, f=f, h=h, k=k)
 
 
 @dataclass
@@ -293,11 +410,6 @@ def _comm(a, b):
     return a @ b - b @ a
 
 
-def _rows(m):
-    """Row index of every stored entry of a CSR matrix."""
-    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
-
-
 def _qnum_map(x, q):
     """sym_qnum over the array x, one scalar call per distinct value."""
     values, where = np.unique(x, return_inverse=True)
@@ -312,8 +424,9 @@ def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
     q != 1: k_i k_j = k_j k_i, k_i e_j k_i^-1 = q^(a_ij/2) e_j (and inverse
             power for f_j), [e_i,f_j] = delta_ij [2 h_i].
 
-    Relations with a diagonal factor (h_i, k_i) are evaluated on the stored
-    entries of e_j and f_j: entry (r, c) of d x - x d is d_r x_rc - x_rc d_c.
+    e_j and f_j are read as shifts.  Relations with a diagonal factor (h_i,
+    k_i) are evaluated on their amplitudes: entry (dst[c], c) of d x - x d is
+    d_dst[c] x_c - x_c d_c.  [e_i, f_j] is the shift product.
     """
     rep = ResidualReport()
     a = cartan_matrix(gens.n)
@@ -322,36 +435,36 @@ def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
     hd = [g.matrix.diagonal() for g in gens.h]
     if deformed:
         kd = [g.matrix.diagonal() for g in gens.k]
-        targets = [_diagonal(_qnum_map(2.0 * d, gens.q)) for d in hd]
+        targets = [_qnum_map(2.0 * d, gens.q) for d in hd]
     else:
-        targets = [2.0 * g.matrix for g in gens.h]
-    stored = [(_rows(x.matrix), x.matrix.indices, x.matrix.data) for x in gens.e + gens.f]
+        targets = [2.0 * d for d in hd]
+    e, f = _ladders(gens)
     for i in range(r):
         for j in range(r):
-            er, ec, ex = stored[j]
-            fr, fc, fx = stored[r + j]
+            er, ex = e[j].dst, e[j].amp
+            fr, fx = f[j].dst, f[j].amp
             if not deformed:
                 hi = hd[i]
                 rep.add(f"[h{i+1},h{j+1}]", _maxabs(hi * hd[j] - hd[j] * hi))
-                rep.add(f"[h{i+1},e{j+1}]", _maxabs(hi[er] * ex - ex * hi[ec] - 0.5 * a[i, j] * ex))
-                rep.add(f"[h{i+1},f{j+1}]", _maxabs(hi[fr] * fx - fx * hi[fc] + 0.5 * a[i, j] * fx))
+                rep.add(f"[h{i+1},e{j+1}]", _maxabs(hi[er] * ex - ex * hi - 0.5 * a[i, j] * ex))
+                rep.add(f"[h{i+1},f{j+1}]", _maxabs(hi[fr] * fx - fx * hi + 0.5 * a[i, j] * fx))
             else:
                 ki = kd[i]
                 rep.add(f"k{i+1}k{j+1}", _maxabs(ki * kd[j] - kd[j] * ki))
-                conj_e = (ki[er] * ex) / ki[ec]
+                conj_e = (ki[er] * ex) / ki
                 rep.add(
                     f"k{i+1}e{j+1}k{i+1}^-1",
                     _maxabs(conj_e - gens.q ** (0.5 * a[i, j]) * ex),
                 )
-                conj_f = (ki[fr] * fx) / ki[fc]
+                conj_f = (ki[fr] * fx) / ki
                 rep.add(
                     f"k{i+1}f{j+1}k{i+1}^-1",
                     _maxabs(conj_f - gens.q ** (-0.5 * a[i, j]) * fx),
                 )
-            comm = _comm(gens.e[i].matrix, gens.f[j].matrix)
+            comm = _comm(e[i], f[j])
             if i == j:
-                comm = comm - targets[i]
-            rep.add(f"[e{i+1},f{j+1}]", _maxabs(comm))
+                comm = comm - _Shift.diagonal(gens.basis, targets[i])
+            rep.add(f"[e{i+1},f{j+1}]", _maxabs(comm.amp))
     return rep
 
 
@@ -360,7 +473,8 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
 
     sum_{r+s=1-a_ij} (-1)^r C_q(1-a_ij, r) x_i^r x_j x_i^s = 0 for x = e and
     x = f, with q-binomials (ordinary binomials at q = 1).  Vacuous for rank 1.
-    Each term is formed as ((coeff x_i^r) x_j) x_i^s.
+    Each term is formed as ((coeff x_i^r) x_j) x_i^s on the shifts of the
+    generators, and the terms are summed in order of r.
     """
     rep = ResidualReport()
     r = gens.rank
@@ -368,22 +482,23 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
         rep.vacuous = True
         return rep
     a = cartan_matrix(gens.n)
-    identity = _diagonal(np.ones(gens.basis.dim))
+    identity = _Shift.diagonal(gens.basis, np.ones(gens.basis.dim))
+    ladders = tuple(zip("ef", _ladders(gens)))
     for i in range(r):
         for j in range(r):
             if i == j:
                 continue
             order = 1 - a[i, j]
-            for name, ops in (("e", gens.e), ("f", gens.f)):
-                xi, xj = ops[i].matrix, ops[j].matrix
+            for name, ops in ladders:
+                xi, xj = ops[i], ops[j]
                 powers = [identity, xi]
                 while len(powers) <= order:
                     powers.append(powers[-1] @ xi)
-                acc = sum(
+                acc = _sum(
                     (-1.0) ** rr * q_binomial(order, rr, gens.q) * powers[rr] @ xj @ powers[order - rr]
                     for rr in range(order + 1)
                 )
-                rep.add(f"serre_{name}{i+1}{name}{j+1}", _maxabs(acc))
+                rep.add(f"serre_{name}{i+1}{name}{j+1}", _maxabs(acc.amp))
     return rep
 
 
@@ -435,14 +550,16 @@ def verify_al_relations(b, bd, n_op, gamma: float, n_max: int) -> ResidualReport
 
 
 def _raising_matrix(gens):
-    """Root vectors E_ab for a < b from nested commutators of the e_i.
+    """Root vectors E_ab for a < b, as shifts, from nested commutators of the e_i."""
+    return _root_vectors(_ladders(gens)[0])
 
-    E_{a,a+1} = e_a and E_ab = [E_a,a+1, E_a+1,b].
-    """
-    n = gens.n
+
+def _root_vectors(e):
+    """E_{a,a+1} = e_a and E_ab = [E_a,a+1, E_a+1,b] for a < b, from the e_a shifts."""
+    n = len(e) + 1
     E = [[None] * n for _ in range(n)]
     for a in range(n - 1):
-        E[a][a + 1] = gens.e[a].matrix
+        E[a][a + 1] = e[a]
     for span in range(2, n):
         for a in range(n - span):
             b = a + span
@@ -450,11 +567,11 @@ def _raising_matrix(gens):
     return E
 
 
-def _cartan_diagonal(gens):
+def _cartan_diagonal(hdiags):
     """Diagonals of the traceless weights eps_a: eps_a - eps_{a+1} = 2 h_a, sum eps_a = 0."""
-    n = gens.n
-    g = [2.0 * gens.h[i].matrix.diagonal() for i in range(n - 1)]
-    tail = np.zeros(gens.basis.dim)
+    n = len(hdiags) + 1
+    g = [2.0 * d for d in hdiags]
+    tail = np.zeros(len(g[0]))
     eps = [None] * n
     mean = sum((k + 1) * g[k] for k in range(n - 1)) / n
     for a in range(n - 1, -1, -1):
@@ -471,52 +588,56 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int) -> SectorOperator:
     above the diagonal, their adjoints below, and the traceless Cartan
     weights eps_a on the diagonal.  The diagonal entries are required for
     centrality; without them the contraction fails to commute with e_i.
-    Only the diagonal blocks of the last product M^(p-1) M are formed.
+    C_2p is diagonal; it is formed on shift amplitudes (_casimir_diagonals).
     Supported for the undeformed algebra only (gens.q = 1).
     """
     if p < 1 or int(p) != p:
         raise ValueError(f"p must be a positive integer, got {p}")
     if abs(gens.q - 1.0) >= Q_ONE_THRESHOLD:
         raise ValueError("casimir_matrix supports only the undeformed algebra (q = 1)")
-    G = _generator_matrix(gens)
-    if p == 1:
-        left = right = G
-    else:
-        right = _opmat_mul(G, G)
-        left = right
-        for _ in range(int(p) - 2):
-            left = _opmat_mul(left, right)
-    return SectorOperator(gens.basis, _diagonal_block_sum(left, right))
+    hdiags = [h.matrix.diagonal() for h in gens.h]
+    diagonals = _casimir_diagonals(_ladders(gens)[0], hdiags, int(p))
+    return SectorOperator(gens.basis, _diagonal(diagonals[-1]))
 
 
-def _generator_matrix(gens):
-    """The n x n operator matrix G of casimir_matrix: E_ab above the
-    diagonal, E_ab' below it, diag(eps_a) on it."""
-    n = gens.n
-    E = _raising_matrix(gens)
-    eps = _cartan_diagonal(gens)
+def _generator_matrix(e, hdiags):
+    """The n x n shift matrix G of casimir_matrix: E_ab above the diagonal,
+    E_ab' below it, diag(eps_a) on it."""
+    basis, n = e[0].basis, len(e) + 1
+    E = _root_vectors(e)
+    eps = _cartan_diagonal(hdiags)
     G = [[None] * n for _ in range(n)]
     for a in range(n):
-        G[a][a] = _diagonal(eps[a])
+        G[a][a] = _Shift.diagonal(basis, eps[a])
         for b in range(a + 1, n):
             G[a][b] = E[a][b]
-            G[b][a] = E[a][b].T.tocsr()
+            G[b][a] = E[a][b].T
     return G
 
 
-def _diagonal_block_sum(A, B):
-    """sum_a (A B)_aa over the operator-matrix product A B."""
-    return sum(_block_product(A, B, a, a) for a in range(len(A)))
+def _casimir_diagonals(e, hdiags, p):
+    """Diagonals of C_2, C_4, ..., C_2p from the e_i shifts and h_i diagonals,
+    with C_2k = sum_a (M^(k-1) M)_aa.
 
+    One G and one M = G G serve every degree.  Block (a, b) of a product
+    A B is sum_c A_ac B_cb, summed in order of c, and each C_2k sums the
+    diagonal blocks in order of a; for k > 1 only the diagonal blocks of
+    the last product are formed.
+    """
+    n = len(e) + 1
+    G = _generator_matrix(e, hdiags)
 
-def _block_product(A, B, a, b):
-    """Block (a, b) of the operator-matrix product A B."""
-    return sum(A[a][c] @ B[c][b] for c in range(len(A)))
+    def block(A, B, a, b):
+        return _sum(A[a][c] @ B[c][b] for c in range(n))
 
-
-def _opmat_mul(A, B):
-    n = len(A)
-    return [[_block_product(A, B, a, b) for b in range(n)] for a in range(n)]
+    M = [[block(G, G, a, b) for b in range(n)] for a in range(n)]
+    diagonals = [_sum(M[a][a] for a in range(n))]
+    left = M
+    for k in range(2, p + 1):
+        if k > 2:
+            left = [[block(left, M, a, b) for b in range(n)] for a in range(n)]
+        diagonals.append(_sum(block(left, M, a, a) for a in range(n)))
+    return [d.amp for d in diagonals]
 
 
 def su2_casimir(gens: ChevalleyGenerators) -> SectorOperator:
@@ -524,17 +645,26 @@ def su2_casimir(gens: ChevalleyGenerators) -> SectorOperator:
     if gens.rank != 1:
         raise ValueError("su2_casimir needs rank-1 generators (two sites)")
     j0 = gens.h[0].matrix.diagonal()
-    c = _diagonal(j0 * (j0 - 1.0)) + gens.e[0].matrix @ gens.f[0].matrix
-    return SectorOperator(gens.basis, c)
+    return SectorOperator(gens.basis, _diagonal(_plus_ef(gens, j0 * (j0 - 1.0))))
 
 
 def suq2_casimir(gens: ChevalleyGenerators, q: float) -> SectorOperator:
     """Quadratic su_q(2) invariant [J0][J0 - 1] + J+ J-, eigenvalue [j][j+1]."""
+    return SectorOperator(gens.basis, _diagonal(_suq2_diagonal(gens, q)))
+
+
+def _suq2_diagonal(gens, q):
+    """Diagonal of suq2_casimir."""
     if gens.rank != 1:
         raise ValueError("suq2_casimir needs rank-1 generators (two sites)")
     m = gens.h[0].matrix.diagonal()
-    c = _diagonal(_qnum_map(m, q) * _qnum_map(m - 1.0, q)) + gens.e[0].matrix @ gens.f[0].matrix
-    return SectorOperator(gens.basis, c)
+    return _plus_ef(gens, _qnum_map(m, q) * _qnum_map(m - 1.0, q))
+
+
+def _plus_ef(gens, values):
+    """values + the diagonal of e_1 f_1, a shift by 0."""
+    e, f = _ladders(gens)
+    return (_Shift.diagonal(gens.basis, values) + e[0] @ f[0]).amp
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +694,17 @@ def verify_number_reconstruction(basis: FockSectorBasis) -> ResidualReport:
     h_j = (N_j - N_{j+1})/2 feeds the difference rows of Omega through the
     factor 2, and h = sum N_i is the sector total.  Exact by linear algebra,
     asserted entrywise on the sector; every operator involved is diagonal,
-    so the identity is checked on the diagonals.
+    so the identity is checked on the diagonals, read from the occupations.
     """
     n = basis.n_sites
-    gens = su_n_generators(basis)
     om_inv = np.linalg.inv(omega_matrix(n))
     total = np.full(basis.dim, float(basis.total_quanta))
+    numbers = [_occupation(basis, i) for i in range(1, n + 1)]
+    twice_h = [2.0 * (0.5 * (numbers[j] - numbers[j + 1])) for j in range(n - 1)]
     rep = ResidualReport()
     for i in range(n):
         recon = om_inv[i, n - 1] * total
         for jx in range(n - 1):
-            recon = recon + om_inv[i, jx] * (2.0 * gens.h[jx].matrix.diagonal())
-        rep.add(f"N{i+1}", _maxabs(number_operator(basis, i + 1).matrix.diagonal() - recon))
+            recon = recon + om_inv[i, jx] * twice_h[jx]
+        rep.add(f"N{i+1}", _maxabs(numbers[i] - recon))
     return rep

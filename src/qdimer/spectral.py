@@ -525,7 +525,7 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
     exceeds 1e-12 * dim is checked once more in mpmath, at 30 digits plus
     the decades its recurrence columns span; that pass bisects the block
     exactly as _reduce stores it, whose folded corner entry is one rounding
-    away from H.
+    away from H, starting each root from a bracket around its float root.
     """
     H = spectrum.hamiltonian
     red = _reduce(H)
@@ -536,7 +536,7 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
         o = red.off[first : first + size - 1]
         residual, decades = _df_gram_float(d, o, lam[first : first + size])
         if residual > 1e-12 * H.dim:
-            residual = _df_gram_mp(d, o, 30 + math.ceil(decades))
+            residual = _df_gram_mp(d, o, 30 + math.ceil(decades), lam[first : first + size])
         worst = max(worst, residual)
     return worst
 
@@ -575,13 +575,20 @@ def _mp_minors(d, off2, lam):
     return minors, count
 
 
-def _mp_eigenvalues(d, off, dps):
+# half width of an mp bracket around a float root, which _roots gives to 1e-12
+_SEED_HALF_WIDTH = 2.0**-30
+
+
+def _mp_eigenvalues(d, off, dps, seeds=None):
     """All roots of the scaled tridiagonal (d, off) by Sturm bisection in
     mpmath working precision dps, each to a bracket of 10**(6 - dps).
 
     Scaled entries lie below 1 in magnitude, a folded corner below 2 and a
     folded coupling below sqrt(2), so by Gershgorin every root of H scaled
-    as in _scaled, and of each block of _reduce, lies in (-4, 4).
+    as in _scaled, and of each block of _reduce, lies in (-4, 4).  Root i
+    is bisected from there, or, given ascending float roots seeds, from
+    seeds[i] +- 2^-30 wherever the Sturm counts at those ends confirm the
+    bracket holds it (count(lo) <= i < count(hi)).
     """
     with mp.workdps(dps):
         d = [mp.mpf(x) for x in d]
@@ -590,6 +597,10 @@ def _mp_eigenvalues(d, off, dps):
         roots = []
         for i in range(len(d)):
             lo, hi = mp.mpf(-4), mp.mpf(4)
+            if seeds is not None:
+                a, b = mp.mpf(seeds[i]) - _SEED_HALF_WIDTH, mp.mpf(seeds[i]) + _SEED_HALF_WIDTH
+                if _mp_minors(d, off2, a)[1] <= i < _mp_minors(d, off2, b)[1]:
+                    lo, hi = a, b
             while hi - lo > target:
                 mid = (lo + hi) / 2
                 if _mp_minors(d, off2, mid)[1] <= i:
@@ -600,11 +611,12 @@ def _mp_eigenvalues(d, off, dps):
     return roots
 
 
-def _df_gram_mp(d, off, digits: int):
+def _df_gram_mp(d, off, digits: int, seeds=None):
     """Gram residual of the recurrence columns of the scaled tridiagonal
     (d, off) in mpmath at the given digits, on roots bisected at the same
-    precision: the minor loop gives both the Sturm counts and the columns."""
-    roots = _mp_eigenvalues(d, off, digits)
+    precision (from brackets around the float roots seeds, if given): the
+    minor loop gives both the Sturm counts and the columns."""
+    roots = _mp_eigenvalues(d, off, digits, seeds)
     dim = len(roots)
     with mp.workdps(digits):
         d = [mp.mpf(x) for x in d]

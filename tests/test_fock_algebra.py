@@ -1,6 +1,7 @@
 """Sector bases, ladder realizations, algebra relations, and invariant
 operators on small occupation-number sectors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -125,6 +126,18 @@ def test_large_sector_chevalley():
     for g in gens.e + gens.f + gens.h:
         assert g.matrix.nnz <= basis.dim
     assert verify_chevalley(gens).max_residual <= 1e-12 * basis.dim
+
+
+def test_checks_reject_generators_off_their_shift():
+    # the checks read e_i and f_i as shifts; an entry off that pattern is
+    # refused instead of dropped
+    basis = build_sector_basis(3, 3)
+    gens = su_n_generators(basis)
+    wrong = gens.e[0].matrix + hop_operator(basis, 1, 3).matrix
+    bad = dataclasses.replace(gens, e=(SectorOperator(basis, wrong),) + gens.e[1:])
+    for check in (verify_chevalley, verify_serre, lambda g: casimir_matrix(g, 1)):
+        with pytest.raises(ValueError, match="off the shift"):
+            check(bad)
 
 
 def test_number_and_hop_elements():
@@ -299,7 +312,7 @@ def test_casimir_matrix_chain_invariance():
             ref = ref + (m @ m.T + m.T @ m).toarray()
         lower = _raising_matrix(gens)
         for (a, b), m in roots.items():
-            assert np.max(np.abs((lower[a][b] - m).toarray())) < 1e-12
+            assert np.max(np.abs(lower[a][b].tocsr().toarray() - m.toarray())) < 1e-12
         c = casimir_matrix(gens, p=1).matrix.toarray()
         assert np.max(np.abs(c - ref)) < 1e-12
 

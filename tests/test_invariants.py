@@ -3,6 +3,7 @@ conservation suite."""
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from qdimer import (
     ConservationReport,
@@ -11,9 +12,17 @@ from qdimer import (
     build_qdnls_chain,
     build_qdnls_dimer,
     build_sector_basis,
+    cartan_matrix,
     check_commutes,
     conservation_suite,
     number_operator,
+    q_binomial,
+    q_from_gamma,
+    su_n_generators,
+    suq_n_generators,
+    sym_qnum,
+    verify_chevalley,
+    verify_serre,
 )
 
 
@@ -136,3 +145,141 @@ def test_conservation_report_lines():
     lines = rep.lines()
     assert lines[0].startswith("PASS demo.good")
     assert lines[1].startswith("FAIL demo.bad")
+
+
+def _csr_diagonal(values):
+    return sparse.csr_array(sparse.diags_array(np.asarray(values, dtype=float), format="csr"))
+
+
+def _csr_maxabs(m):
+    return float(np.max(np.abs(m.data))) if m.nnz else 0.0
+
+
+def _csr_qnums(x, q):
+    return np.array([sym_qnum(v, q) for v in x])
+
+
+def _csr_casimirs(gens):
+    """C_2 and C_4 by csr products: root vectors [E_a,a+1, E_a+1,b], G
+    blocks multiplied with @, and both invariants as diagonal block sums."""
+    n = gens.n
+    E = [[None] * n for _ in range(n)]
+    for a in range(n - 1):
+        E[a][a + 1] = gens.e[a].matrix
+    for span in range(2, n):
+        for a in range(n - span):
+            b = a + span
+            E[a][b] = E[a][a + 1] @ E[a + 1][b] - E[a + 1][b] @ E[a][a + 1]
+    # traceless weights: eps_a - eps_{a+1} = 2 h_a, sum eps_a = 0
+    g = [2.0 * h.matrix.diagonal() for h in gens.h]
+    mean = sum((k + 1) * g[k] for k in range(n - 1)) / n
+    eps, tail = [None] * n, np.zeros(gens.basis.dim)
+    for a in range(n - 1, -1, -1):
+        eps[a] = tail - mean
+        if a > 0:
+            tail = tail + g[a - 1]
+    G = [[None] * n for _ in range(n)]
+    for a in range(n):
+        G[a][a] = _csr_diagonal(eps[a])
+        for b in range(a + 1, n):
+            G[a][b], G[b][a] = E[a][b], E[a][b].T.tocsr()
+    gg = [[sum(G[a][c] @ G[c][b] for c in range(n)) for b in range(n)] for a in range(n)]
+    c2 = sum(gg[a][a] for a in range(n))
+    c4 = sum(sum(gg[a][c] @ gg[c][a] for c in range(n)) for a in range(n))
+    return c2, c4
+
+
+def _csr_chevalley(gens):
+    """Max deformed Chevalley residual: the k relations on the stored
+    entries of e_j and f_j, [e_i, f_j] - delta_ij [2 h_i] with csr @."""
+    a, r, q = cartan_matrix(gens.n), gens.rank, gens.q
+    kd = [k.matrix.diagonal() for k in gens.k]
+    worst = 0.0
+    for i in range(r):
+        for j in range(r):
+            worst = max(worst, float(np.max(np.abs(kd[i] * kd[j] - kd[j] * kd[i]))))
+            for x, power in ((gens.e[j].matrix, 0.5 * a[i, j]), (gens.f[j].matrix, -0.5 * a[i, j])):
+                rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+                conj = (kd[i][rows] * x.data) / kd[i][x.indices]
+                worst = max(worst, _csr_maxabs(sparse.csr_array((conj - q**power * x.data, x.indices, x.indptr))))
+            comm = gens.e[i].matrix @ gens.f[j].matrix - gens.f[j].matrix @ gens.e[i].matrix
+            if i == j:
+                comm = comm - _csr_diagonal(_csr_qnums(2.0 * gens.h[i].matrix.diagonal(), q))
+            worst = max(worst, _csr_maxabs(comm))
+    return worst
+
+
+def _csr_serre(gens):
+    """Max Serre residual, each term ((coeff x_i^r) @ x_j) @ x_i^s in csr."""
+    a, r = cartan_matrix(gens.n), gens.rank
+    identity = _csr_diagonal(np.ones(gens.basis.dim))
+    worst = 0.0
+    for i in range(r):
+        for j in range(r):
+            if i == j:
+                continue
+            order = 1 - a[i, j]
+            for ops in (gens.e, gens.f):
+                xi, xj = ops[i].matrix, ops[j].matrix
+                powers = [identity, xi]
+                while len(powers) <= order:
+                    powers.append(powers[-1] @ xi)
+                acc = sum((-1.0) ** rr * q_binomial(order, rr, gens.q) * powers[rr] @ xj @ powers[order - rr]
+                          for rr in range(order + 1))
+                worst = max(worst, _csr_maxabs(acc))
+    return worst
+
+
+def _csr_conservation(n_sites, M, gamma):
+    """Every value of conservation_suite, by sparse matrix products."""
+    basis = build_sector_basis(n_sites, M)
+    comm = lambda H, C: _csr_maxabs(H @ C - C @ H)
+    total = number_operator(basis, 1).matrix
+    for i in range(2, n_sites + 1):
+        total = total + number_operator(basis, i).matrix
+    H = build_qdnls_chain(basis, gamma)
+    c2, c4 = _csr_casimirs(su_n_generators(basis))
+    values = {"dnls_c2": comm(H, c2), "dnls_c4": comm(H, c4), "dnls_total_number": comm(H, total)}
+    Hq = build_qal_chain(basis, gamma)
+    q = q_from_gamma(gamma).q
+    qgens = suq_n_generators(basis, q)
+    if n_sites == 2:
+        m = qgens.h[0].matrix.diagonal()
+        cq = _csr_diagonal(_csr_qnums(m, q) * _csr_qnums(m - 1.0, q)) + qgens.e[0].matrix @ qgens.f[0].matrix
+        values["al_cq"] = comm(Hq, cq)
+    else:
+        values["al_chevalley"] = _csr_chevalley(qgens)
+        values["al_serre"] = _csr_serre(qgens)
+    values["al_total_number"] = comm(Hq, total)
+    return values
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0])
+def test_conservation_suite_matches_csr_products(gamma):
+    # the suite's shift-amplitude products have one term per entry, so every
+    # value is the sparse-product value bit for bit
+    sectors = [(3, M) for M in range(6, 13)] + [(2, M) for M in range(8, 21)] + [(4, 5)]
+    nonzero = 0
+    for n_sites, M in sectors:
+        rep = conservation_suite(n_sites, M, gamma)
+        got = {label: norm for label, norm, _, _ in rep.pairs}
+        assert got == _csr_conservation(n_sites, M, gamma), (n_sites, M)
+        nonzero += sum(v > 0.0 for v in got.values())
+    assert nonzero > 0
+
+
+def test_checks_run_without_sparse_products(monkeypatch):
+    # the algebra and conservation checks form no sparse matrix product
+    def refuse(self, other):
+        raise AssertionError("sparse matrix product")
+
+    monkeypatch.setattr(sparse.csr_array, "__matmul__", refuse)
+    monkeypatch.setattr(sparse.csr_array, "__rmatmul__", refuse)
+    with pytest.raises(AssertionError):
+        sparse.csr_array(np.eye(2)) @ sparse.csr_array(np.eye(2))
+    assert conservation_suite(3, 8, 2.0).passed
+    assert conservation_suite(2, 8, 8.0).passed
+    basis = build_sector_basis(3, 6)
+    for gens in (su_n_generators(basis), suq_n_generators(basis, q_from_gamma(2.0).q)):
+        assert verify_chevalley(gens).max_residual < 1e-12 * basis.dim
+        assert verify_serre(gens).max_residual < 1e-12 * basis.dim

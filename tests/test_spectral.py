@@ -425,6 +425,28 @@ def test_mp_eigenvalues_resolve_collapsed_cluster():
     assert df_orthonormality_check(solve_spectrum(H)) < 1e-9 * H.dim
 
 
+def test_mp_roots_start_from_float_roots(monkeypatch):
+    # a block's float roots seed the mp brackets: same roots to the
+    # bisection width in fewer Sturm sweeps; a seed whose bracket misses
+    # its root falls back to (-4, 4)
+    red = _reduce(build_qdnls_dimer(12, 8.0))
+    first, size = red.starts[0], red.sizes[0]
+    d, o = red.diag[first : first + size], red.off[first : first + size - 1]
+    seeds = _roots([red], 1e-12)[0][first : first + size]
+    calls = []
+    counted = lambda *args: calls.append(1) or _mp_minors(*args)
+    monkeypatch.setattr(spectral, "_mp_minors", counted)
+    runs = {}
+    for name, given in (("plain", None), ("seeded", seeds), ("wrong", seeds + 0.5)):
+        calls.clear()
+        runs[name] = (_mp_eigenvalues(d, o, 40, given), len(calls))
+    plain = runs["plain"][0]
+    for name in ("seeded", "wrong"):
+        assert max(abs(a - b) for a, b in zip(runs[name][0], plain)) <= 1e-34
+    assert runs["seeded"][1] <= runs["plain"][1] - 25 * size
+    assert runs["wrong"][1] >= runs["plain"][1]
+
+
 def test_completeness():
     s = solve_spectrum(build_qal_dimer(1, 2.0))
     assert completeness_check(s) < 1e-14
