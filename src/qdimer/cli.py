@@ -37,6 +37,7 @@ from .fock_algebra import (
 from .invariants import conservation_suite
 from .qnumbers import basic_qnum, q_from_gamma
 from .spectral import (
+    SOLVE_TOL_MAX,
     dense_oracle,
     eigenvalues_batch,
     eigenvalues_bisection,
@@ -89,6 +90,8 @@ def _check_epsilon(parser, args):
 
 def cmd_spectrum(parser, args) -> int:
     _check_epsilon(parser, args)
+    if not 0.0 < args.tol <= SOLVE_TOL_MAX:
+        parser.error(f"spectrum needs 0 < --tol <= {SOLVE_TOL_MAX:g}")
     H = build_dimer(args.model, args.two_j, args.gamma, args.epsilon)
     spec = solve_spectrum(H, args.tol)
     echo = _echo(args, "command model two_j gamma epsilon tol",
@@ -219,7 +222,7 @@ def _verify_algebra(checks, m_max):
         qone = suq_n_generators(basis, 1.0)
         worst = 0.0
         for a, b in zip(gens.e + gens.f + gens.h, qone.e + qone.f + qone.h):
-            worst = max(worst, float(np.max(np.abs(a.matrix - b.matrix))))
+            worst = max(worst, float(np.max(np.abs(a.amp - b.amp))))
         checks.add(f"algebra.q_one_degeneration.n{n_sites}.M{m_max}", worst, 1e-14)
         rec = verify_number_reconstruction(basis)
         checks.add(f"algebra.number_reconstruction.n{n_sites}.M{m_max}", rec.max_residual, 1e-12)
@@ -298,7 +301,7 @@ def _add_common(p, need_two_j=True):
     p.add_argument("--epsilon", type=float, default=1.0,
                    help="hopping strength (dnls only)")
     p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative eigenvalue bracket width")
+                   help="relative eigenvalue bracket width (spectrum: at most 1e-10)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 

@@ -2,27 +2,26 @@
 
 A sector is the span of all occupation states of n_sites lattice modes with
 a fixed total number of quanta M.  Hopping operators a_i' a_j preserve M, so
-every operator here is a square matrix on one sector, stored as a
-`scipy.sparse.csr_array`: a hop has at most one nonzero per column and the
-number, Cartan and group-like operators are diagonal, so an operator holds
-O(dim) entries rather than dim^2 (`.toarray()` gives the dense matrix).  The
-nearest neighbour hops realize the Chevalley generators of su(n_sites), and
-their q-deformed counterparts (matrix elements built from symmetric
-q-numbers) realize su_q(n_sites).  The module also provides the deformed
-lattice oscillator on a truncated single-mode space (dense, it is small),
-Casimir invariants, and the linear map reconstructing the mode numbers N_i
-from the Cartan generators.
+every operator here is a square matrix on one sector.  The nearest
+neighbour hops realize the Chevalley generators of su(n_sites), and their
+q-deformed counterparts (matrix elements built from symmetric q-numbers)
+realize su_q(n_sites).  The module also provides the deformed lattice
+oscillator on a truncated single-mode space (dense, it is small), Casimir
+invariants, and the linear map reconstructing the mode numbers N_i from
+the Cartan generators.
 
-Inside the checks every hop, root vector, Chevalley word and Serre term
-moves the occupations by one fixed vector delta, so it has at most one entry
-per column: an amplitude amp[s] in the target row dst[s] of state s + delta.
-The checks run on these shift amplitudes.  A product A B is one gather and
-one multiply, A.amp[B.dst] * B.amp, a sum of terms with one delta adds their
-amplitudes, and the Casimirs (delta = 0) are diagonal vectors, so a
-commutator with one is read on the other operand's entries.  Every entry
-has one term, and each product keeps its operand order and each sum its
-term order, so the Chevalley, Serre and Casimir residuals are the same
-numbers the dense products give.
+Every sector operator here, and every root vector, Chevalley word and
+Serre term the checks form, moves the occupations by one fixed vector
+delta, so it has at most one entry per column: an amplitude amp[s] in the
+target row dst[s] of state s + delta.  A SectorOperator holds just (basis,
+delta, amp); number, Cartan, group-like and Casimir operators are the
+shifts by delta = 0.  Its `matrix`, a `scipy.sparse.csr_array`, is formed
+on first access.  A product A B is one gather and one multiply,
+A.amp[B.dst] * B.amp, a sum of terms with one delta adds their amplitudes,
+and a commutator with a diagonal is read on the other operand's entries.
+Every entry has one term, and each product keeps its operand order and
+each sum its term order, so the Chevalley, Serre and Casimir residuals are
+the same numbers the dense products give.
 """
 
 from __future__ import annotations
@@ -37,12 +36,12 @@ from scipy import sparse
 
 from .qnumbers import Q_ONE_THRESHOLD, basic_qnum, q_binomial, sym_qnum
 
-# Largest admitted sector, 1e6 states.  A hop or diagonal operator stores at
-# most one entry per column, 16 bytes each (float64 value, int64 column
-# index), plus an 8-byte row pointer per row: at most 24 bytes per state, 24 MB
-# at the guard, where one dense operator would take 8 * dim^2 bytes = 8 TB.
-# The basis costs about 120 bytes per state on three or four sites (state
-# tuple and occupation row): about 0.12 GB at the guard.
+# Largest admitted sector, 1e6 states.  A sector operator stores 8 bytes of
+# amp per state, 8 MB at the guard, where one dense operator would take
+# 8 * dim^2 bytes = 8 TB; its csr `matrix`, once formed, adds at most 24
+# bytes per state.  The basis costs about 120 bytes per state on three or
+# four sites (state tuple and occupation row), about 0.12 GB at the guard,
+# plus one 8-byte target row per state for each shift in use.
 MAX_SECTOR_DIM = 1_000_000
 
 
@@ -53,10 +52,10 @@ class FockSectorBasis:
     in ascending lexicographic order so the layout is reproducible;
     `occupations` holds the same states as a (dim, n_sites) integer array.
     Sectors above MAX_SECTOR_DIM = 1e6 states are refused: the basis takes
-    about 120 bytes per state (0.12 GB at the guard) and a sparse operator at
-    most 24 bytes per state (24 MB), where a dense one would take 8 TB.  The
-    algebra checks keep, on the basis, one int64 target row per state for
-    each occupation shift they use (8 MB per shift at the guard).
+    about 120 bytes per state (0.12 GB at the guard) and a sector operator 8
+    bytes of amplitude per state (8 MB), where a dense one would take 8 TB.
+    The basis keeps one int64 target row per state for each occupation shift
+    in use (8 MB per shift at the guard).
     """
 
     def __init__(self, n_sites: int, total_quanta: int):
@@ -122,35 +121,89 @@ def build_sector_basis(n_sites: int, total_quanta: int) -> FockSectorBasis:
     """Enumerate the fixed-quanta occupation basis; dim = C(M+n-1, n-1).
 
     Refuses sectors above MAX_SECTOR_DIM = 1e6 states (about 0.12 GB of
-    basis, at most 24 MB per sparse operator).
+    basis, 8 MB of amplitudes per sector operator).
     """
     return FockSectorBasis(n_sites, total_quanta)
 
 
-@dataclass
 class SectorOperator:
-    """A real sparse (CSR) matrix acting on one fixed-quanta sector.
+    """Real operator on one sector that moves every state s to s + delta,
+    times amp[s].
 
-    `matrix` is a `scipy.sparse.csr_array`; dense or sparse input is
-    converted.  Use `matrix.toarray()` for the dense matrix.
+    Column s holds its one entry amp[s] in row dst[s], the basis index of
+    s + delta; where s + delta leaves the sector dst[s] is -1 and amp[s]
+    must be 0, so a gather through it reads the last entry and multiplies it
+    by that zero.  Number, Cartan and group-like operators are the shifts by
+    delta = 0, with their diagonal in amp.  `matrix` is the
+    `scipy.sparse.csr_array`, formed on first access (`.matrix.toarray()`
+    for the dense matrix).
+
+    Products, sums, scalar multiples and adjoints of shifts are shifts, with
+    the operand and term order of the matrix expressions they stand for: a
+    product's entry is A_rk * B_kc and a sum's entry adds the terms' entries
+    left to right.  Sums take operands of one delta.
     """
 
-    basis: FockSectorBasis
-    matrix: sparse.csr_array
+    __array_ufunc__ = None  # numpy scalars defer to __rmul__
 
-    def __post_init__(self):
-        self.matrix = sparse.csr_array(self.matrix, dtype=float)
-        if self.matrix.shape != (self.basis.dim, self.basis.dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match sector dim {self.basis.dim}"
-            )
+    def __init__(self, basis: FockSectorBasis, delta, amp):
+        delta, amp = tuple(delta), np.asarray(amp)
+        if len(delta) != basis.n_sites:
+            raise ValueError(f"shift {delta} does not match {basis.n_sites} sites")
+        if amp.shape != (basis.dim,):
+            raise ValueError(f"amplitude shape {amp.shape} does not match sector dim {basis.dim}")
+        self.basis = basis
+        self.delta = delta
+        self.amp = amp
+
+    @classmethod
+    def diagonal(cls, basis, values):
+        """diag(values), the shift by 0."""
+        return cls(basis, (0,) * basis.n_sites, np.asarray(values, dtype=float))
+
+    @property
+    def dst(self):
+        return _targets(self.basis, self.delta)
+
+    @functools.cached_property
+    def matrix(self) -> sparse.csr_array:
+        return _csr([self])
+
+    def __matmul__(self, other):
+        delta = tuple(a + b for a, b in zip(self.delta, other.delta))
+        return SectorOperator(self.basis, delta, self.amp[other.dst] * other.amp)
+
+    def __add__(self, other):
+        return SectorOperator(self.basis, self._same_delta(other), self.amp + other.amp)
+
+    def __sub__(self, other):
+        return SectorOperator(self.basis, self._same_delta(other), self.amp - other.amp)
+
+    def __rmul__(self, scalar):
+        return SectorOperator(self.basis, self.delta, self.amp * scalar)
+
+    def _same_delta(self, other):
+        if other.delta != self.delta:
+            raise ValueError(f"cannot add shifts {self.delta} and {other.delta}")
+        return self.delta
+
+    @property
+    def T(self):
+        """The adjoint, a shift by -delta."""
+        live = self.dst >= 0
+        amp = np.zeros_like(self.amp)
+        amp[self.dst[live]] = self.amp[live]
+        return SectorOperator(self.basis, tuple(-x for x in self.delta), amp)
 
 
-def _diagonal(values) -> sparse.csr_array:
-    """Sparse diagonal matrix with the given diagonal."""
-    values = np.asarray(values, dtype=float)
-    dim = len(values)
-    return sparse.csr_array((values, np.arange(dim), np.arange(dim + 1)), shape=(dim, dim))
+def _csr(ops) -> sparse.csr_array:
+    """One csr array holding the entries of shifts, on one basis, that share
+    no entry."""
+    live = [np.flatnonzero(op.dst >= 0) for op in ops]
+    data = np.concatenate([op.amp[c] for op, c in zip(ops, live)])
+    rows = np.concatenate([op.dst[c] for op, c in zip(ops, live)])
+    dim = ops[0].basis.dim
+    return sparse.csr_array((data, (rows, np.concatenate(live))), shape=(dim, dim))
 
 
 def _site_range_check(basis, *sites):
@@ -166,7 +219,7 @@ def _occupation(basis, i):
 def number_operator(basis: FockSectorBasis, i: int) -> SectorOperator:
     """Diagonal mode-occupation operator N_i (1-based site index)."""
     _site_range_check(basis, i)
-    return SectorOperator(basis, _diagonal(_occupation(basis, i)))
+    return SectorOperator.diagonal(basis, _occupation(basis, i))
 
 
 def hop_operator(basis: FockSectorBasis, i: int, j: int) -> SectorOperator:
@@ -187,27 +240,17 @@ def _sym_qnums(basis, q):
 
 def _hop(basis, i, j, qnums):
     """Hop from site j to site i with elements sqrt(qnums[n_i + 1] qnums[n_j])."""
-    return SectorOperator(basis, _hop_shift(basis, i, j, qnums).tocsr())
-
-
-def _hop_shift(basis, i, j, qnums):
-    """The hop of _hop as a shift."""
     _site_range_check(basis, i, j)
     if i == j:
         raise ValueError("hop requires distinct sites; use number_operator for i == j")
-    delta = _hop_delta(basis.n_sites, i, j)
+    delta = [0] * basis.n_sites
+    delta[i - 1], delta[j - 1] = 1, -1
+    delta = tuple(delta)
     cols = np.flatnonzero(_targets(basis, delta) >= 0)
     src = basis.occupations[cols]
     amp = np.zeros(basis.dim)
     amp[cols] = np.sqrt(qnums[src[:, i - 1] + 1] * qnums[src[:, j - 1]])
-    return _Shift(basis, delta, amp)
-
-
-def _hop_delta(n_sites, i, j):
-    """Occupation change of a hop from site j to site i (1-based)."""
-    delta = [0] * n_sites
-    delta[i - 1], delta[j - 1] = 1, -1
-    return tuple(delta)
+    return SectorOperator(basis, delta, amp)
 
 
 def _targets(basis, delta):
@@ -221,85 +264,6 @@ def _targets(basis, delta):
         dst[inside] = basis.positions(moved[inside])
         basis._targets[delta] = dst
     return dst
-
-
-class _Shift:
-    """Sector operator that moves every state s to s + delta, times amp[s].
-
-    Column s holds its one entry amp[s] in row dst[s]; where s + delta leaves
-    the sector dst[s] is -1 and amp[s] is 0, so a gather through it reads the
-    last entry and multiplies it by that zero.  Products, sums, scalar
-    multiples and adjoints of shifts are shifts, with the operand and term
-    order of the csr expressions they replace: a product's entry is
-    A_rk * B_kc and a sum's entry adds the terms' entries left to right.
-    Sums take operands of one delta.
-    """
-
-    __array_ufunc__ = None  # numpy scalars defer to __rmul__
-
-    def __init__(self, basis, delta, amp):
-        self.basis = basis
-        self.delta = delta
-        self.amp = amp
-
-    @classmethod
-    def diagonal(cls, basis, values):
-        return cls(basis, (0,) * basis.n_sites, np.asarray(values, dtype=float))
-
-    @property
-    def dst(self):
-        return _targets(self.basis, self.delta)
-
-    def __matmul__(self, other):
-        delta = tuple(a + b for a, b in zip(self.delta, other.delta))
-        return _Shift(self.basis, delta, self.amp[other.dst] * other.amp)
-
-    def __add__(self, other):
-        return _Shift(self.basis, self._same_delta(other), self.amp + other.amp)
-
-    def __sub__(self, other):
-        return _Shift(self.basis, self._same_delta(other), self.amp - other.amp)
-
-    def __rmul__(self, scalar):
-        return _Shift(self.basis, self.delta, self.amp * scalar)
-
-    def _same_delta(self, other):
-        if other.delta != self.delta:
-            raise ValueError(f"cannot add shifts {self.delta} and {other.delta}")
-        return self.delta
-
-    @property
-    def T(self):
-        """The adjoint, a shift by -delta."""
-        live = self.dst >= 0
-        amp = np.zeros_like(self.amp)
-        amp[self.dst[live]] = self.amp[live]
-        return _Shift(self.basis, tuple(-x for x in self.delta), amp)
-
-    def tocsr(self) -> sparse.csr_array:
-        cols = np.flatnonzero(self.dst >= 0)
-        dim = self.basis.dim
-        return sparse.csr_array((self.amp[cols], (self.dst[cols], cols)), shape=(dim, dim))
-
-
-def _read_shift(op: SectorOperator, delta) -> _Shift:
-    """The stored entries of op's matrix as a shift by delta; raises if an
-    entry lies off that shift's pattern."""
-    m, dim = op.matrix, op.basis.dim
-    if not np.array_equal(np.repeat(np.arange(dim), np.diff(m.indptr)),
-                          _targets(op.basis, delta)[m.indices]):
-        raise ValueError(f"operator has entries off the shift {delta}")
-    amp = np.zeros(dim)
-    amp[m.indices] = m.data
-    return _Shift(op.basis, delta, amp)
-
-
-def _ladders(gens):
-    """The raising and lowering generators e_i, f_i as shifts."""
-    deltas = [_hop_delta(gens.n, i, i + 1) for i in range(1, gens.n)]
-    e = [_read_shift(g, d) for g, d in zip(gens.e, deltas)]
-    f = [_read_shift(g, tuple(-x for x in d)) for g, d in zip(gens.f, deltas)]
-    return e, f
 
 
 def _sum(terms):
@@ -321,8 +285,9 @@ def cartan_matrix(n: int) -> np.ndarray:
 class ChevalleyGenerators:
     """Chevalley generators e_i, f_i, h_i on a sector, i = 1..n-1 (list slot i-1).
 
-    For q != 1 the group-like k_i = q^h_i is also populated.  h and k are
-    diagonal; every operator is a sparse SectorOperator.
+    For q != 1 the group-like k_i = q^h_i is also populated.  Every operator
+    is a SectorOperator: e_i and f_i are shifts by the hop's occupation
+    change, h and k are diagonal.
     """
 
     n: int
@@ -338,31 +303,21 @@ class ChevalleyGenerators:
         return self.n - 1
 
 
-def _chevalley_shifts(basis, qnums):
-    """Shifts e_i = hop i <- i+1 with the number table qnums, and the
-    diagonals h_i = (N_i - N_{i+1})/2, for i = 1..n-1."""
+def _chevalley(basis, qnums):
+    """e_i = hop i <- i+1 with the number table qnums, f_i = e_i' and
+    h_i = (N_i - N_{i+1})/2, for i = 1..n-1."""
     if basis.n_sites < 2:
         raise ValueError("need at least two sites")
     sites = range(1, basis.n_sites)
-    e = [_hop_shift(basis, i, i + 1, qnums) for i in sites]
-    hdiags = [0.5 * (_occupation(basis, i) - _occupation(basis, i + 1)) for i in sites]
-    return e, hdiags
-
-
-def _chevalley_ops(basis, qnums):
-    """Sector operators e_i, f_i = e_i', h_i of _chevalley_shifts, and the h_i diagonals."""
-    e, hdiags = _chevalley_shifts(basis, qnums)
-    return (
-        tuple(SectorOperator(basis, x.tocsr()) for x in e),
-        tuple(SectorOperator(basis, x.T.tocsr()) for x in e),
-        tuple(SectorOperator(basis, _diagonal(d)) for d in hdiags),
-        hdiags,
-    )
+    e = tuple(_hop(basis, i, i + 1, qnums) for i in sites)
+    h = tuple(SectorOperator.diagonal(basis, 0.5 * (_occupation(basis, i) - _occupation(basis, i + 1)))
+              for i in sites)
+    return e, tuple(x.T for x in e), h
 
 
 def su_n_generators(basis: FockSectorBasis) -> ChevalleyGenerators:
     """Boson realization e_i = a_i' a_{i+1}, f_i = e_i', h_i = (N_i - N_{i+1})/2."""
-    e, f, h, _ = _chevalley_ops(basis, _boson_numbers(basis))
+    e, f, h = _chevalley(basis, _boson_numbers(basis))
     return ChevalleyGenerators(n=basis.n_sites, q=1.0, basis=basis, e=e, f=f, h=h)
 
 
@@ -377,8 +332,8 @@ def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
         raise ValueError("need at least two sites")
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
-    e, f, h, hdiags = _chevalley_ops(basis, _sym_qnums(basis, q))
-    k = tuple(SectorOperator(basis, _diagonal(q**d)) for d in hdiags)
+    e, f, h = _chevalley(basis, _sym_qnums(basis, q))
+    k = tuple(SectorOperator.diagonal(basis, q**x.amp) for x in h)
     return ChevalleyGenerators(n=basis.n_sites, q=float(q), basis=basis, e=e, f=f, h=h, k=k)
 
 
@@ -424,21 +379,21 @@ def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
     q != 1: k_i k_j = k_j k_i, k_i e_j k_i^-1 = q^(a_ij/2) e_j (and inverse
             power for f_j), [e_i,f_j] = delta_ij [2 h_i].
 
-    e_j and f_j are read as shifts.  Relations with a diagonal factor (h_i,
-    k_i) are evaluated on their amplitudes: entry (dst[c], c) of d x - x d is
-    d_dst[c] x_c - x_c d_c.  [e_i, f_j] is the shift product.
+    Relations with a diagonal factor (h_i, k_i) are evaluated on the
+    amplitudes: entry (dst[c], c) of d x - x d is d_dst[c] x_c - x_c d_c.
+    [e_i, f_j] is the shift product.
     """
     rep = ResidualReport()
     a = cartan_matrix(gens.n)
     r = gens.rank
     deformed = abs(gens.q - 1.0) >= Q_ONE_THRESHOLD
-    hd = [g.matrix.diagonal() for g in gens.h]
+    hd = [g.amp for g in gens.h]
     if deformed:
-        kd = [g.matrix.diagonal() for g in gens.k]
+        kd = [g.amp for g in gens.k]
         targets = [_qnum_map(2.0 * d, gens.q) for d in hd]
     else:
         targets = [2.0 * d for d in hd]
-    e, f = _ladders(gens)
+    e, f = gens.e, gens.f
     for i in range(r):
         for j in range(r):
             er, ex = e[j].dst, e[j].amp
@@ -463,7 +418,7 @@ def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
                 )
             comm = _comm(e[i], f[j])
             if i == j:
-                comm = comm - _Shift.diagonal(gens.basis, targets[i])
+                comm = comm - SectorOperator.diagonal(gens.basis, targets[i])
             rep.add(f"[e{i+1},f{j+1}]", _maxabs(comm.amp))
     return rep
 
@@ -473,8 +428,8 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
 
     sum_{r+s=1-a_ij} (-1)^r C_q(1-a_ij, r) x_i^r x_j x_i^s = 0 for x = e and
     x = f, with q-binomials (ordinary binomials at q = 1).  Vacuous for rank 1.
-    Each term is formed as ((coeff x_i^r) x_j) x_i^s on the shifts of the
-    generators, and the terms are summed in order of r.
+    Each term is formed as ((coeff x_i^r) x_j) x_i^s on the generators'
+    shifts, and the terms are summed in order of r.
     """
     rep = ResidualReport()
     r = gens.rank
@@ -482,8 +437,8 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
         rep.vacuous = True
         return rep
     a = cartan_matrix(gens.n)
-    identity = _Shift.diagonal(gens.basis, np.ones(gens.basis.dim))
-    ladders = tuple(zip("ef", _ladders(gens)))
+    identity = SectorOperator.diagonal(gens.basis, np.ones(gens.basis.dim))
+    ladders = (("e", gens.e), ("f", gens.f))
     for i in range(r):
         for j in range(r):
             if i == j:
@@ -549,11 +504,6 @@ def verify_al_relations(b, bd, n_op, gamma: float, n_max: int) -> ResidualReport
 # ---------------------------------------------------------------------------
 
 
-def _raising_matrix(gens):
-    """Root vectors E_ab for a < b, as shifts, from nested commutators of the e_i."""
-    return _root_vectors(_ladders(gens)[0])
-
-
 def _root_vectors(e):
     """E_{a,a+1} = e_a and E_ab = [E_a,a+1, E_a+1,b] for a < b, from the e_a shifts."""
     n = len(e) + 1
@@ -567,10 +517,10 @@ def _root_vectors(e):
     return E
 
 
-def _cartan_diagonal(hdiags):
+def _cartan_weights(h):
     """Diagonals of the traceless weights eps_a: eps_a - eps_{a+1} = 2 h_a, sum eps_a = 0."""
-    n = len(hdiags) + 1
-    g = [2.0 * d for d in hdiags]
+    n = len(h) + 1
+    g = [2.0 * x.amp for x in h]
     tail = np.zeros(len(g[0]))
     eps = [None] * n
     mean = sum((k + 1) * g[k] for k in range(n - 1)) / n
@@ -595,37 +545,34 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int) -> SectorOperator:
         raise ValueError(f"p must be a positive integer, got {p}")
     if abs(gens.q - 1.0) >= Q_ONE_THRESHOLD:
         raise ValueError("casimir_matrix supports only the undeformed algebra (q = 1)")
-    hdiags = [h.matrix.diagonal() for h in gens.h]
-    diagonals = _casimir_diagonals(_ladders(gens)[0], hdiags, int(p))
-    return SectorOperator(gens.basis, _diagonal(diagonals[-1]))
+    return SectorOperator.diagonal(gens.basis, _casimir_diagonals(gens, int(p))[-1])
 
 
-def _generator_matrix(e, hdiags):
+def _generator_matrix(gens):
     """The n x n shift matrix G of casimir_matrix: E_ab above the diagonal,
     E_ab' below it, diag(eps_a) on it."""
-    basis, n = e[0].basis, len(e) + 1
-    E = _root_vectors(e)
-    eps = _cartan_diagonal(hdiags)
+    n = gens.n
+    E = _root_vectors(gens.e)
+    eps = _cartan_weights(gens.h)
     G = [[None] * n for _ in range(n)]
     for a in range(n):
-        G[a][a] = _Shift.diagonal(basis, eps[a])
+        G[a][a] = SectorOperator.diagonal(gens.basis, eps[a])
         for b in range(a + 1, n):
             G[a][b] = E[a][b]
             G[b][a] = E[a][b].T
     return G
 
 
-def _casimir_diagonals(e, hdiags, p):
-    """Diagonals of C_2, C_4, ..., C_2p from the e_i shifts and h_i diagonals,
-    with C_2k = sum_a (M^(k-1) M)_aa.
+def _casimir_diagonals(gens, p):
+    """Diagonals of C_2, C_4, ..., C_2p, with C_2k = sum_a (M^(k-1) M)_aa.
 
     One G and one M = G G serve every degree.  Block (a, b) of a product
     A B is sum_c A_ac B_cb, summed in order of c, and each C_2k sums the
     diagonal blocks in order of a; for k > 1 only the diagonal blocks of
     the last product are formed.
     """
-    n = len(e) + 1
-    G = _generator_matrix(e, hdiags)
+    n = gens.n
+    G = _generator_matrix(gens)
 
     def block(A, B, a, b):
         return _sum(A[a][c] @ B[c][b] for c in range(n))
@@ -644,27 +591,21 @@ def su2_casimir(gens: ChevalleyGenerators) -> SectorOperator:
     """Quadratic su(2) invariant J0 (J0 - 1) + J+ J-, eigenvalue j(j+1)."""
     if gens.rank != 1:
         raise ValueError("su2_casimir needs rank-1 generators (two sites)")
-    j0 = gens.h[0].matrix.diagonal()
-    return SectorOperator(gens.basis, _diagonal(_plus_ef(gens, j0 * (j0 - 1.0))))
+    j0 = gens.h[0].amp
+    return _plus_ef(gens, j0 * (j0 - 1.0))
 
 
 def suq2_casimir(gens: ChevalleyGenerators, q: float) -> SectorOperator:
     """Quadratic su_q(2) invariant [J0][J0 - 1] + J+ J-, eigenvalue [j][j+1]."""
-    return SectorOperator(gens.basis, _diagonal(_suq2_diagonal(gens, q)))
-
-
-def _suq2_diagonal(gens, q):
-    """Diagonal of suq2_casimir."""
     if gens.rank != 1:
         raise ValueError("suq2_casimir needs rank-1 generators (two sites)")
-    m = gens.h[0].matrix.diagonal()
+    m = gens.h[0].amp
     return _plus_ef(gens, _qnum_map(m, q) * _qnum_map(m - 1.0, q))
 
 
 def _plus_ef(gens, values):
-    """values + the diagonal of e_1 f_1, a shift by 0."""
-    e, f = _ladders(gens)
-    return (_Shift.diagonal(gens.basis, values) + e[0] @ f[0]).amp
+    """diag(values) + e_1 f_1, a shift by 0."""
+    return SectorOperator.diagonal(gens.basis, values) + gens.e[0] @ gens.f[0]
 
 
 # ---------------------------------------------------------------------------

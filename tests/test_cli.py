@@ -115,6 +115,20 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+def test_spectrum_rejects_loose_tol(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--two-j", "4", "--gamma", "2", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    assert "--tol <= 1e-10" in capsys.readouterr().err
+    rc, out = run(capsys, ["spectrum", "--two-j", "4", "--gamma", "2", "--tol", "1e-10"])
+    assert rc == 0 and "tol=1e-10" in out
+    for argv in (["sweep", "--two-j", "4", "--steps", "3"],
+                 ["gaps", "--two-j", "4", "--steps", "3"],
+                 ["quanta-scan", "--two-j-max", "4"]):
+        rc, out = run(capsys, argv + ["--tol", "1e-3"])
+        assert rc == 0 and "tol=0.001" in out
+
+
 def test_negative_gamma_rejected():
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--model", "al", "--two-j", "2", "--gamma", "-1"])

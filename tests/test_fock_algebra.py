@@ -32,7 +32,7 @@ from qdimer import (
     verify_number_reconstruction,
     verify_serre,
 )
-from qdimer.fock_algebra import _hop, _raising_matrix, _sym_qnums
+from qdimer.fock_algebra import _hop, _root_vectors, _sym_qnums
 
 
 def _q_hop(basis, i, j, q):
@@ -70,19 +70,34 @@ def test_basis_validation():
 
 def test_sector_operator_shape_check():
     basis = build_sector_basis(2, 2)
-    with pytest.raises(ValueError):
-        SectorOperator(basis, np.zeros((2, 2)))
+    SectorOperator(basis, (1, -1), np.zeros(3))
+    with pytest.raises(ValueError, match="amplitude shape"):
+        SectorOperator(basis, (1, -1), np.zeros(2))
+    with pytest.raises(ValueError, match="amplitude shape"):
+        SectorOperator(basis, (0, 0), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="sites"):
+        SectorOperator(basis, (1, 0, -1), np.zeros(3))
 
 
 def test_sector_operator_stores_csr():
-    basis = build_sector_basis(2, 2)
-    dense = np.arange(9.0).reshape(3, 3)
-    for given in (dense, sparse.csr_array(dense), sparse.coo_array(dense)):
-        op = SectorOperator(basis, given)
-        assert isinstance(op.matrix, sparse.csr_array)
-        assert np.array_equal(op.matrix.toarray(), dense)
-    with pytest.raises(ValueError):
-        SectorOperator(basis, sparse.csr_array((2, 2)))
+    # .matrix is formed from (delta, amp) on first access and then kept
+    basis = build_sector_basis(3, 3)
+    amp = np.zeros(basis.dim)
+    ref = np.zeros((basis.dim, basis.dim))
+    index = {s: k for k, s in enumerate(basis.states)}
+    for col, s in enumerate(basis.states):
+        if s[1] > 0:
+            amp[col] = col + 1.0
+            ref[index[(s[0] + 1, s[1] - 1, s[2])], col] = col + 1.0
+    op = SectorOperator(basis, (1, -1, 0), amp)
+    assert isinstance(op.matrix, sparse.csr_array)
+    assert op.matrix is op.matrix
+    assert np.array_equal(op.matrix.toarray(), ref)
+    assert np.array_equal(op.T.matrix.toarray(), ref.T)
+    hop = hop_operator(basis, 1, 2)
+    assert isinstance(hop.matrix, sparse.csr_array)
+    assert np.array_equal(hop.matrix.toarray(),
+                          _dict_hop(basis, 1, 2, lambda ni, nj: math.sqrt((ni + 1) * nj)))
 
 
 def _dict_hop(basis, i, j, amplitude):
@@ -128,16 +143,32 @@ def test_large_sector_chevalley():
     assert verify_chevalley(gens).max_residual <= 1e-12 * basis.dim
 
 
-def test_checks_reject_generators_off_their_shift():
-    # the checks read e_i and f_i as shifts; an entry off that pattern is
-    # refused instead of dropped
+def _perturbed_e1(gens):
+    """gens with one amplitude of e_1 scaled by 1 + 1e-6."""
+    e1 = gens.e[0]
+    amp = e1.amp.copy()
+    amp[np.flatnonzero(amp)[0]] *= 1.0 + 1e-6
+    return dataclasses.replace(gens, e=(SectorOperator(gens.basis, e1.delta, amp),) + gens.e[1:])
+
+
+def test_checks_detect_a_perturbed_amplitude():
     basis = build_sector_basis(3, 3)
+    tol = 1e-12 * basis.dim
+    for gens in (su_n_generators(basis), suq_n_generators(basis, q_from_gamma(2.0).q)):
+        assert verify_chevalley(gens).max_residual <= tol
+        assert verify_serre(gens).max_residual <= tol
+        bad = _perturbed_e1(gens)
+        assert verify_chevalley(bad).max_residual > tol
+        assert verify_serre(bad).max_residual > tol
     gens = su_n_generators(basis)
-    wrong = gens.e[0].matrix + hop_operator(basis, 1, 3).matrix
-    bad = dataclasses.replace(gens, e=(SectorOperator(basis, wrong),) + gens.e[1:])
-    for check in (verify_chevalley, verify_serre, lambda g: casimir_matrix(g, 1)):
-        with pytest.raises(ValueError, match="off the shift"):
-            check(bad)
+    for g, lost in ((gens, False), (_perturbed_e1(gens), True)):
+        c = casimir_matrix(g, 1).matrix
+        worst = max(_sparse_maxabs(c @ x.matrix - x.matrix @ c) for x in g.e + g.h + tuple(x.T for x in g.e))
+        assert (worst > 1e-10) == lost, worst
+
+
+def _sparse_maxabs(m):
+    return float(np.max(np.abs(m.data))) if m.nnz else 0.0
 
 
 def test_number_and_hop_elements():
@@ -310,9 +341,9 @@ def test_casimir_matrix_chain_invariance():
         ref = np.diag(sum(x * x for x in eps))
         for m in roots.values():
             ref = ref + (m @ m.T + m.T @ m).toarray()
-        lower = _raising_matrix(gens)
+        lower = _root_vectors(gens.e)
         for (a, b), m in roots.items():
-            assert np.max(np.abs(lower[a][b].tocsr().toarray() - m.toarray())) < 1e-12
+            assert np.max(np.abs(lower[a][b].matrix.toarray() - m.toarray())) < 1e-12
         c = casimir_matrix(gens, p=1).matrix.toarray()
         assert np.max(np.abs(c - ref)) < 1e-12
 

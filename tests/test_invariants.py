@@ -7,14 +7,17 @@ from scipy import sparse
 
 from qdimer import (
     ConservationReport,
+    al_hop_operator,
     build_qal_chain,
     build_qal_dimer,
     build_qdnls_chain,
     build_qdnls_dimer,
     build_sector_basis,
     cartan_matrix,
+    casimir_matrix,
     check_commutes,
     conservation_suite,
+    hop_operator,
     number_operator,
     q_binomial,
     q_from_gamma,
@@ -269,17 +272,59 @@ def test_conservation_suite_matches_csr_products(gamma):
 
 
 def test_checks_run_without_sparse_products(monkeypatch):
-    # the algebra and conservation checks form no sparse matrix product
-    def refuse(self, other):
-        raise AssertionError("sparse matrix product")
+    # the generators, the algebra and conservation checks and the Casimirs
+    # form no sparse matrix product and construct no csr array
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("sparse matrix operation")
 
+    eye = sparse.csr_array(np.eye(2))
     monkeypatch.setattr(sparse.csr_array, "__matmul__", refuse)
     monkeypatch.setattr(sparse.csr_array, "__rmatmul__", refuse)
+    monkeypatch.setattr(sparse.csr_array, "__init__", refuse)
     with pytest.raises(AssertionError):
-        sparse.csr_array(np.eye(2)) @ sparse.csr_array(np.eye(2))
+        eye @ eye
+    with pytest.raises(AssertionError):
+        sparse.csr_array(np.eye(2))
     assert conservation_suite(3, 8, 2.0).passed
     assert conservation_suite(2, 8, 8.0).passed
     basis = build_sector_basis(3, 6)
     for gens in (su_n_generators(basis), suq_n_generators(basis, q_from_gamma(2.0).q)):
         assert verify_chevalley(gens).max_residual < 1e-12 * basis.dim
         assert verify_serre(gens).max_residual < 1e-12 * basis.dim
+    c2 = casimir_matrix(su_n_generators(basis), 1).amp
+    assert np.max(np.abs(c2 - c2[0])) < 1e-10
+
+
+def _csr_sum_chains(basis, gamma, epsilon):
+    """Both chains as a csr diagonal minus csr sums of the hop matrices."""
+    dim, n = basis.dim, basis.n_sites
+    diagonal = lambda v: sparse.csr_array((v, np.arange(dim), np.arange(dim + 1)), shape=(dim, dim))
+    well = np.zeros(dim)
+    for i in range(1, n + 1):
+        num = number_operator(basis, i).amp
+        well -= 0.5 * gamma * (num * num)
+    H = diagonal(well)
+    for i in range(1, n):
+        H = H - epsilon * (hop_operator(basis, i, i + 1).matrix + hop_operator(basis, i + 1, i).matrix)
+    Hq = diagonal(np.full(dim, 2.0 * basis.total_quanta))
+    for i in range(1, n):
+        Hq = Hq - al_hop_operator(basis, i, i + 1, gamma).matrix
+        Hq = Hq - al_hop_operator(basis, i + 1, i, gamma).matrix
+    return H, Hq
+
+
+def test_chains_match_csr_sums_bitwise():
+    for n_sites, M in ((2, 1), (2, 20), (3, 0), (3, 12), (4, 5), (5, 3)):
+        basis = build_sector_basis(n_sites, M)
+        for gamma in (0.0, 0.5, 2.0, 8.0):
+            for epsilon in (1.0, 0.7):
+                ref, ref_q = _csr_sum_chains(basis, gamma, epsilon)
+                pairs = ((build_qdnls_chain(basis, gamma, epsilon), ref),
+                         (build_qal_chain(basis, gamma), ref_q))
+                for got, want in pairs:
+                    assert isinstance(got, sparse.csr_array)
+                    got.sort_indices()
+                    want.sort_indices()
+                    for name in ("indptr", "indices", "data"):
+                        assert np.array_equal(getattr(got, name), getattr(want, name)), (
+                            n_sites, M, gamma, epsilon, name)

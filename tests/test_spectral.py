@@ -331,6 +331,19 @@ def test_batch_edge_cases():
         eigenvalues_batch([build_qal_dimer(2, 1.0)], tol=0.0)
 
 
+def test_solve_spectrum_rejects_loose_tol():
+    # eigenvectors need roots to at least 1e-10; eigenvalues take any tol > 0
+    H = build_qdnls_dimer(12, 2.0)
+    for tol in (1e-9, 1e-3, 0.0):
+        with pytest.raises(ValueError, match="1e-10"):
+            solve_spectrum(H, tol)
+    assert np.array_equal(solve_spectrum(H, spectral.SOLVE_TOL_MAX).eigenvalues,
+                          eigenvalues_bisection(H, spectral.SOLVE_TOL_MAX))
+    loose = eigenvalues_bisection(H, 1e-3)
+    assert np.array_equal(eigenvalues_batch([H], 1e-3)[0], loose)
+    assert np.max(np.abs(loose - dense_oracle(H).eigenvalues)) < 1e-3 * (1.0 + _radius(H))
+
+
 def test_batch_memory_is_bounded():
     # a 64-step grid at dim 201 stacks to about 23 MB of tables in one piece;
     # the cell budget cuts it into stacks of about 1 MB each
