@@ -17,6 +17,7 @@ scale * lam + shift; gaps and quanta-scan work on those absolute energies.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -44,6 +45,26 @@ from .spectral import (
     parity_structure_check,
     solve_spectrum,
 )
+
+
+def _checked(cast, ok, what):
+    """argparse type: the text cast, refused with `must be <what>` where ok
+    fails, so a bad value is a usage error (exit 2)."""
+
+    def parse(text):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # named in argparse's "invalid float value"
+    return parse
+
+
+_FINITE = _checked(float, math.isfinite, "finite")
+_POSITIVE = _checked(float, lambda x: 0.0 < x < math.inf, "positive and finite")
+_NATURAL = _checked(int, lambda n: n >= 0, ">= 0")
+_COUNT = _checked(int, lambda n: n >= 1, ">= 1")
 
 
 def _fmt(x) -> str:
@@ -90,7 +111,7 @@ def _check_epsilon(parser, args):
 
 def cmd_spectrum(parser, args) -> int:
     _check_epsilon(parser, args)
-    if not 0.0 < args.tol <= SOLVE_TOL_MAX:
+    if args.tol > SOLVE_TOL_MAX:
         parser.error(f"spectrum needs 0 < --tol <= {SOLVE_TOL_MAX:g}")
     H = build_dimer(args.model, args.two_j, args.gamma, args.epsilon)
     spec = solve_spectrum(H, args.tol)
@@ -130,8 +151,6 @@ def cmd_gaps(parser, args) -> int:
     _check_epsilon(parser, args)
     grid = _gamma_grid(parser, args)
     dim = args.two_j + 1
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     if 2 * args.pairs > dim:
         parser.error(
             f"--pairs {args.pairs} out of range for dimension {dim}"
@@ -170,10 +189,6 @@ def cmd_gaps(parser, args) -> int:
 
 def cmd_quanta_scan(parser, args) -> int:
     _check_epsilon(parser, args)
-    if args.two_j_max < 1:
-        parser.error("--two-j-max must be at least 1")
-    if args.levels < 1:
-        parser.error("--levels must be at least 1")
     sizes = range(1, args.two_j_max + 1)
     Hs = [build_dimer(args.model, two_j, args.gamma, args.epsilon) for two_j in sizes]
     rows = []
@@ -295,19 +310,21 @@ def cmd_verify(parser, args) -> int:
 
 def _add_common(p, need_two_j=True):
     if need_two_j:
-        p.add_argument("--two-j", dest="two_j", type=int, required=True,
+        p.add_argument("--two-j", dest="two_j", type=_NATURAL, required=True,
                        help="twice the sector spin (dimension minus one)")
     p.add_argument("--model", choices=MODELS, default="dnls")
-    p.add_argument("--epsilon", type=float, default=1.0,
+    p.add_argument("--epsilon", type=_FINITE, default=1.0,
                    help="hopping strength (dnls only)")
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative eigenvalue bracket width (spectrum: at most 1e-10)")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-12,
+                   help="a root is done once its Newton step is at most "
+                        "max(tol, 4 eps |lambda|) in the units of H; tol is relative to H's "
+                        "largest entry when that entry is below 1 (spectrum: at most 1e-10)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
 
 
 def _add_grid(p):
-    p.add_argument("--gamma-min", dest="gamma_min", type=float, default=0.5)
-    p.add_argument("--gamma-max", dest="gamma_max", type=float, default=10.0)
+    p.add_argument("--gamma-min", dest="gamma_min", type=_FINITE, default=0.5)
+    p.add_argument("--gamma-max", dest="gamma_max", type=_FINITE, default=10.0)
     p.add_argument("--steps", type=int, default=20)
     p.add_argument("--scale", choices=("linear", "log"), default="log")
 
@@ -322,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="eigenvalues and norm constants of one dimer")
     _add_common(p)
-    p.add_argument("--gamma", type=float, required=True)
+    p.add_argument("--gamma", type=_FINITE, required=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("sweep", help="eigenvalue table over a nonlinearity grid")
@@ -333,22 +350,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gaps", help="pair gaps of the physical spectrum, log-log")
     _add_common(p)
     _add_grid(p)
-    p.add_argument("--pairs", type=int, default=2)
+    p.add_argument("--pairs", type=_COUNT, default=2)
     p.set_defaults(func=cmd_gaps)
 
     p = sub.add_parser("quanta-scan", help="lowest levels versus sector size")
     _add_common(p, need_two_j=False)
     p.set_defaults(model="al")
-    p.add_argument("--gamma", type=float, default=2.0)
-    p.add_argument("--two-j-max", dest="two_j_max", type=int, default=8)
-    p.add_argument("--levels", type=int, default=4)
+    p.add_argument("--gamma", type=_FINITE, default=2.0)
+    p.add_argument("--two-j-max", dest="two_j_max", type=_COUNT, default=8)
+    p.add_argument("--levels", type=_COUNT, default=4)
     p.set_defaults(func=cmd_quanta_scan)
 
     p = sub.add_parser("verify", help="self-check suites")
     p.add_argument("--suite", choices=("algebra", "spectral", "conservation", "all"),
                    default="all")
-    p.add_argument("--two-j-max", dest="two_j_max", type=int, default=40)
-    p.add_argument("--m-max", dest="m_max", type=int, default=4)
+    p.add_argument("--two-j-max", dest="two_j_max", type=_COUNT, default=40)
+    p.add_argument("--m-max", dest="m_max", type=_NATURAL, default=4)
     p.add_argument("--cases", type=int, default=200)
     p.add_argument("--out", default=None)
     p.add_argument("--self-test-fail", dest="self_test_fail",

@@ -32,9 +32,9 @@ block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
 minor polynomials p_{k+1}(x) = (x - d_k) p_k(x) - o_{k-1}^2 p_{k-1}(x) from
 the same pivots, since p_{k+1}/p_k = -q_k, in double precision first.  A
 block that fails there gets one mpmath pass, at 30 digits plus the decades
-its columns span: one scalar loop over the minor polynomials serves as both
-the Sturm count of an arbitrary-precision bisection and the Gram columns, an
-independent referee.
+its columns span, an independent referee: mpmath's symmetric QL eigensolver
+(eigsy) gives the block's roots at those digits, and one scalar loop over
+the minor polynomials at each root gives its Gram column.
 """
 
 from __future__ import annotations
@@ -529,9 +529,11 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
 
     Each block is checked in double precision.  A block whose residual
     exceeds 1e-12 * dim is checked once more in mpmath, at 30 digits plus
-    the decades its recurrence columns span; that pass bisects the block
-    exactly as _reduce stores it, whose folded corner entry is one rounding
-    away from H, starting each root from a bracket around its float root.
+    the decades its recurrence columns span.  That pass takes the roots of
+    the block exactly as _reduce stores it, whose folded corner entry is one
+    rounding away from H, from mpmath's symmetric eigensolver (eigsy) at the
+    same digits, independent of the float roots, and builds the columns from
+    the minor polynomials there.
     """
     H = spectrum.hamiltonian
     red = _reduce(H)
@@ -542,7 +544,7 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
         o = red.off[first : first + size - 1]
         residual, decades = _df_gram_float(d, o, lam[first : first + size])
         if residual > 1e-12 * H.dim:
-            residual = _df_gram_mp(d, o, 30 + math.ceil(decades), lam[first : first + size])
+            residual = _df_gram_mp(d, o, 30 + math.ceil(decades))
         worst = max(worst, residual)
     return worst
 
@@ -581,48 +583,23 @@ def _mp_minors(d, off2, lam):
     return minors, count
 
 
-# half width of an mp bracket around a float root, which _roots gives to 1e-12
-_SEED_HALF_WIDTH = 2.0**-30
-
-
-def _mp_eigenvalues(d, off, dps, seeds=None):
-    """All roots of the scaled tridiagonal (d, off) by Sturm bisection in
-    mpmath working precision dps, each to a bracket of 10**(6 - dps).
-
-    Scaled entries lie below 1 in magnitude, a folded corner below 2 and a
-    folded coupling below sqrt(2), so by Gershgorin every root of H scaled
-    as in _scaled, and of each block of _reduce, lies in (-4, 4).  Root i
-    is bisected from there, or, given ascending float roots seeds, from
-    seeds[i] +- 2^-30 wherever the Sturm counts at those ends confirm the
-    bracket holds it (count(lo) <= i < count(hi)).
-    """
+def _mp_eigenvalues(d, off, dps):
+    """All roots of the tridiagonal (d, off), ascending, from mpmath's
+    symmetric QL eigensolver (eigsy) in working precision dps.  A QL sweep
+    that does not converge raises RuntimeError."""
     with mp.workdps(dps):
-        d = [mp.mpf(x) for x in d]
-        off2 = [mp.mpf(x) ** 2 for x in off]
-        target = mp.mpf(10) ** (6 - dps)
-        roots = []
-        for i in range(len(d)):
-            lo, hi = mp.mpf(-4), mp.mpf(4)
-            if seeds is not None:
-                a, b = mp.mpf(seeds[i]) - _SEED_HALF_WIDTH, mp.mpf(seeds[i]) + _SEED_HALF_WIDTH
-                if _mp_minors(d, off2, a)[1] <= i < _mp_minors(d, off2, b)[1]:
-                    lo, hi = a, b
-            while hi - lo > target:
-                mid = (lo + hi) / 2
-                if _mp_minors(d, off2, mid)[1] <= i:
-                    lo = mid
-                else:
-                    hi = mid
-            roots.append((lo + hi) / 2)
-    return roots
+        A = mp.diag([mp.mpf(x) for x in d])
+        for k, o in enumerate(off):
+            A[k, k + 1] = A[k + 1, k] = mp.mpf(o)
+        return sorted(mp.eigsy(A, eigvals_only=True))
 
 
-def _df_gram_mp(d, off, digits: int, seeds=None):
+def _df_gram_mp(d, off, digits: int):
     """Gram residual of the recurrence columns of the scaled tridiagonal
-    (d, off) in mpmath at the given digits, on roots bisected at the same
-    precision (from brackets around the float roots seeds, if given): the
-    minor loop gives both the Sturm counts and the columns."""
-    roots = _mp_eigenvalues(d, off, digits, seeds)
+    (d, off) in mpmath at the given digits, on its roots from
+    _mp_eigenvalues at the same precision: one minor loop per root gives
+    its column."""
+    roots = _mp_eigenvalues(d, off, digits)
     dim = len(roots)
     with mp.workdps(digits):
         d = [mp.mpf(x) for x in d]

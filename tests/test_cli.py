@@ -115,6 +115,27 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["sweep", "--two-j", "4", "--tol", "0"], "argument --tol: must be positive and finite"),
+    (["gaps", "--two-j", "4", "--tol", "-1"], "argument --tol: must be positive and finite"),
+    (["quanta-scan", "--tol", "-0.5"], "argument --tol: must be positive and finite"),
+    (["spectrum", "--gamma", "2", "--two-j", "-1"], "argument --two-j: must be >= 0"),
+    (["sweep", "--two-j", "-1"], "argument --two-j: must be >= 0"),
+    (["spectrum", "--two-j", "2", "--gamma", "nan"], "argument --gamma: must be finite"),
+    (["sweep", "--two-j", "2", "--gamma-max", "inf"], "argument --gamma-max: must be finite"),
+    (["verify", "--suite", "spectral", "--two-j-max", "0"],
+     "argument --two-j-max: must be >= 1"),
+    (["verify", "--suite", "algebra", "--m-max", "-1"], "argument --m-max: must be >= 0"),
+])
+def test_bad_values_are_usage_errors(capsys, argv, message):
+    # refused by the parser with one error line, before any solve
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    errors = [ln for ln in capsys.readouterr().err.splitlines() if "error:" in ln]
+    assert len(errors) == 1 and errors[0].endswith(f"error: {message}, got {argv[-1]}")
+
+
 def test_spectrum_rejects_loose_tol(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--two-j", "4", "--gamma", "2", "--tol", "1e-9"])

@@ -5,6 +5,7 @@ import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.linalg
@@ -282,16 +283,28 @@ def test_zero_couplings_give_diagonal_spectrum(gamma):
     assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) == 0.0
 
 
-def test_non_persymmetric_input_stays_orthonormal():
-    # one nudged diagonal entry breaks the mirror symmetry, so the collapsed
-    # pairs share a block and take the Rayleigh-Ritz guard
+def _nudged_dimer():
+    """build_qdnls_dimer(30, 8) with diag[0] nudged by 1e-9: not persymmetric,
+    so its collapsed pairs share one block of 31 rows."""
     H = build_qdnls_dimer(30, 8.0)
     diag = H.diag.copy()
     diag[0] += 1e-9
-    H = TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
+    return TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
+
+
+def test_non_persymmetric_input_stays_orthonormal(monkeypatch):
+    # one nudged diagonal entry breaks the mirror symmetry, so the collapsed
+    # pairs share a block and take the Rayleigh-Ritz guard
+    H = _nudged_dimer()
     s = solve_spectrum(H)
     assert "ritz" in s.vector_method
+    # the mp pass (336 digits here) runs the minor loop once per root, for
+    # its Gram column; bisecting the roots took about 1000 loops per root
+    calls = []
+    minors = spectral._mp_minors
+    monkeypatch.setattr(spectral, "_mp_minors", lambda *args: calls.append(1) or minors(*args))
     assert df_orthonormality_check(s) <= 1e-9 * s.dim
+    assert len(calls) == s.dim
     scale = max(1.0, float(np.max(np.abs(s.eigenvalues))))
     assert completeness_check(s) < 1e-9 * s.dim
     assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-10 * scale
@@ -438,26 +451,50 @@ def test_mp_eigenvalues_resolve_collapsed_cluster():
     assert df_orthonormality_check(solve_spectrum(H)) < 1e-9 * H.dim
 
 
-def test_mp_roots_start_from_float_roots(monkeypatch):
-    # a block's float roots seed the mp brackets: same roots to the
-    # bisection width in fewer Sturm sweeps; a seed whose bracket misses
-    # its root falls back to (-4, 4)
-    red = _reduce(build_qdnls_dimer(12, 8.0))
-    first, size = red.starts[0], red.sizes[0]
-    d, o = red.diag[first : first + size], red.off[first : first + size - 1]
-    seeds = _roots([red], 1e-12)[0][first : first + size]
-    calls = []
-    counted = lambda *args: calls.append(1) or _mp_minors(*args)
-    monkeypatch.setattr(spectral, "_mp_minors", counted)
-    runs = {}
-    for name, given in (("plain", None), ("seeded", seeds), ("wrong", seeds + 0.5)):
-        calls.clear()
-        runs[name] = (_mp_eigenvalues(d, o, 40, given), len(calls))
-    plain = runs["plain"][0]
-    for name in ("seeded", "wrong"):
-        assert max(abs(a - b) for a, b in zip(runs[name][0], plain)) <= 1e-34
-    assert runs["seeded"][1] <= runs["plain"][1] - 25 * size
-    assert runs["wrong"][1] >= runs["plain"][1]
+def _mp_blocks(H):
+    """The blocks of H that df_orthonormality_check takes to mpmath, with the
+    digits it picks there."""
+    red = _reduce(H)
+    lam = _roots([red], 1e-12)[0]
+    for a, n in zip(red.starts, red.sizes):
+        d, o = red.diag[a : a + n], red.off[a : a + n - 1]
+        residual, decades = _df_gram_float(d, o, lam[a : a + n])
+        if residual > 1e-12 * H.dim:
+            yield d, o, 30 + math.ceil(decades)
+
+
+@pytest.mark.parametrize("H", [build_qdnls_dimer(30, 8.0), _nudged_dimer()],
+                         ids=["dnls30-g8", "nudged"])
+def test_mp_roots_confirmed_by_sturm_counts(H):
+    # every mp root of an escalated block lies alone in root -+ 10^(6 - dps)
+    # by the Sturm counts of the mp minor loop
+    blocks = list(_mp_blocks(H))
+    assert blocks
+    for d, o, dps in blocks:
+        roots = _mp_eigenvalues(d, o, dps)
+        with mp.workdps(dps):
+            d, o2 = [mp.mpf(x) for x in d], [mp.mpf(x) ** 2 for x in o]
+            w = mp.mpf(10) ** (6 - dps)
+            for i, x in enumerate(roots):
+                assert _mp_minors(d, o2, x - w)[1] == i, (dps, i)
+                assert _mp_minors(d, o2, x + w)[1] == i + 1, (dps, i)
+
+
+def test_mp_referee_rejects_bad_roots(monkeypatch):
+    # roots with one repeated, or one moved by 1e-8, fail the mp Gram
+    H = build_qdnls_dimer(30, 8.0)
+    for d, o, dps in _mp_blocks(H):
+        roots = _mp_eigenvalues(d, o, dps)
+        bad = []
+        with mp.workdps(dps):
+            for j in range(len(roots)):
+                moved = list(roots)
+                moved[j] += mp.mpf("1e-8")
+                bad.append(moved)
+            bad.append(roots[:1] + roots[:-1])
+        for wrong in bad:
+            monkeypatch.setattr(spectral, "_mp_eigenvalues", lambda *args: wrong)
+            assert _df_gram_mp(d, o, dps) > 1e-9 * H.dim
 
 
 def test_completeness():
