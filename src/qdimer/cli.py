@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="all")
     p.add_argument("--two-j-max", dest="two_j_max", type=_COUNT, default=40)
     p.add_argument("--m-max", dest="m_max", type=_NATURAL, default=4)
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--cases", type=_COUNT, default=200)
     p.add_argument("--out", default=None)
     p.add_argument("--self-test-fail", dest="self_test_fail",
                    action="store_true", help=argparse.SUPPRESS)

@@ -15,8 +15,13 @@ spectrum is well separated.  Blocks are also cut at zero couplings.
 All blocks are solved together, one column per root, and the blocks of many
 matrices share one stack (eigenvalues_batch): a whole gamma grid of the
 command line is solved in consecutive stacks under a fixed budget of table
-cells, each matrix with its own scaling, bracket and tol.  Each root is
-bisected on the pivot count only until its bracket isolates it, then
+cells, each matrix with its own scaling, bracket and tol.  One first sweep
+brackets every root by multisection: a block of m roots is counted at m
+evenly spaced shifts, and the counts, shared across the block, narrow each
+root's bracket (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8 (1987)
+s155); a block whose counts do not rise with the shift keeps its whole
+bracket.  Each root is then bisected on the pivot count only until its
+bracket isolates it, and
 finished by Newton steps on det(T - x) (Dhillon & Parlett, Linear Algebra
 Appl. 387 (2004) 1; Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The
 kernel run forward and backward at x gives the twisted pivots gamma_k, the
@@ -156,17 +161,16 @@ def _twisted(d, seg, o2, lam, reuse_down=False):
     reuse_down is set; gamma is inf on the padding rows.  1 / gamma_k is
     entry (k, k) of (T - lam)^-1.  At an exact eigenvalue the pivots of
     -_PIVMIN can push gamma_k past the float range; +-inf then stands for a
-    diagonal entry of 0.  seg must ascend.
+    diagonal entry of 0.
     """
     up = _pivots(d, seg, o2, lam)
     down = _pivots(d[::-1], seg, o2[-2::-1], lam)[::-1]
     with np.errstate(over="ignore"):
         gamma = np.add(up, down, out=down if reuse_down else None)
     gamma += lam
-    first = np.flatnonzero(np.diff(seg, prepend=-1))
-    for s, a, b in zip(seg[first], first, np.append(first[1:], seg.size)):
-        gamma[:, a:b] -= d[:, s, None]
-        gamma[: np.count_nonzero(d[:, s] == _PAD_DIAG), a:b] = np.inf
+    dc = np.take(d, seg, axis=1)
+    gamma -= dc
+    gamma[dc == _PAD_DIAG] = np.inf
     return up, down, gamma
 
 
@@ -284,6 +288,43 @@ def _batches(reds):
         yield run
 
 
+def _multisect(seg, idx, lo, hi, x, count):
+    """Brackets of the roots of the stack's segments from one Sturm count per
+    root, shared across each segment (multisection).
+
+    Column j is root idx[j] of segment seg[j], whose columns are adjacent
+    with idx ascending from 0; lo and hi bracket the segment's m roots, and
+    count[j] roots lie below x[j], with x ascending in the segment.  The
+    segment's points [lo, x..., hi] carry the counts [0, count..., m], and
+    root i takes the highest point whose count is <= i as its lower end and
+    the next point, the lowest whose count is >= i + 1, as its upper end.
+    Returns lo, hi and the counts n_lo, n_hi at both.  Floating-point counts
+    need not rise with the shift (Demmel, Dhillon & Ren, ETNA 3 (1995) 116),
+    so a segment whose counts fall somewhere keeps its brackets, with counts
+    0 and m.
+    """
+    m = np.bincount(seg)[seg]
+    start = np.arange(seg.size) - idx
+    rises = np.ones(seg.size, dtype=bool)
+    rises[1:] = (np.diff(count) >= 0) | (idx[1:] == 0)
+    keep = np.bincount(seg, ~rises)[seg] > 0
+    # the counts offset by start + seg ascend over the whole stack, as
+    # segment s then spans [start + s, start + s + m] and the next one
+    # starts above it; the running max only touches segments kept anyway
+    offset = start + seg
+    up = np.searchsorted(np.maximum.accumulate(count + offset), offset + idx, side="right")
+    below = (up > start) & ~keep
+    above = (up < start + m) & ~keep
+    k = np.minimum(up, seg.size - 1)
+    return (np.where(below, x[up - 1], lo), np.where(above, x[k], hi),
+            np.where(below, count[up - 1], 0), np.where(above, count[k], m))
+
+
+def _narrow(lo, hi, tol):
+    """Whether each bracket is at most max(tol, 4 eps |end|) wide."""
+    return hi - lo <= np.maximum(tol, 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
+
+
 def _roots(reds, tol: float) -> list[np.ndarray]:
     """Roots of every segment of each reduction, in its scaled units and
     ascending within a segment.
@@ -295,8 +336,12 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
     and exp.  Every step runs the kernel at one shift per column and narrows
     the column's bracket by the count of negative pivots there.
 
-    First the columns are bisected, one sweep per step, until the counts at
-    both ends isolate the root (idx roots below lo, idx + 1 below hi).  Then
+    The first sweep counts the column of root i of a segment of m roots at
+    lo + (i + 1)(hi - lo)/(m + 1), and _multisect brackets all of the
+    segment's roots from these counts, which are shared within one segment
+    of one reduction only, so a matrix's roots are the same in any stack.
+    The columns not isolated there (idx roots below lo, idx + 1 below hi)
+    are bisected, one sweep per step, until they are.  Then
     each isolated column takes safeguarded Newton steps on det(T - x) from
     its midpoint: the kernel run down and up at x gives the twisted pivots
     gamma_k, and delta = 1 / sum_k 1 / gamma_k, since 1 / gamma_k is the
@@ -318,10 +363,13 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
         width = [_cells(red)[1] for red in run]
         lo, hi = (np.repeat(b, width) for b in zip(*(red.bracket for red in run)))
         tols = np.repeat([math.ldexp(tol, -max(red.exp, 0)) for red in run], width)
-        n_lo, n_hi = np.zeros_like(seg), np.bincount(seg)[seg]  # roots below the ends
+        x = lo + (hi - lo) * ((idx + 1) / (np.bincount(seg)[seg] + 1))
+        count = np.count_nonzero(_pivots(d, seg, o2, x) <= 0.0, axis=0)
+        lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count)
         x = 0.5 * (lo + hi)
-        act = np.arange(cols.size)
-        isolated = np.zeros(cols.size, dtype=bool)
+        done = _narrow(lo, hi, tols)
+        isolated = ~done & (n_lo == idx) & (n_hi == idx + 1)
+        act = np.flatnonzero(~(done | isolated))
         newton = False
         for _ in range(4096):
             if not act.size:
@@ -345,7 +393,7 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
             la = lo[act] = np.where(below, xa, lo[act])
             ha = hi[act] = np.where(below, hi[act], xa)
             mid = 0.5 * (la + ha)
-            done = ha - la <= np.maximum(tol_a, 4.0 * _EPS * np.maximum(np.abs(la), np.abs(ha)))
+            done = _narrow(la, ha, tol_a)
             if newton:
                 step = xa + delta
                 small = np.abs(delta) <= np.maximum(tol_a, 4.0 * _EPS * np.abs(xa))
@@ -386,8 +434,10 @@ def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.n
 
     H is scaled by a power of two, split into its even and odd blocks when
     it is persymmetric and cut at zero couplings; all blocks are solved
-    together.  Each eigenvalue is bisected on the pivot Sturm count until
-    its bracket holds no other, then refined by Newton steps on
+    together.  One multisection sweep, m Sturm counts at evenly spaced
+    shifts for a block of m eigenvalues, brackets them all; each eigenvalue
+    is then bisected on the pivot Sturm count until its bracket holds no
+    other, and refined by Newton steps on
     det(H - lambda) from the twisted pivots, kept inside the bracket, until
     a step is at most max(tol, 4 eps |lambda|), with tol relative to the
     largest entry of H when that entry is below 1.  A cluster that never

@@ -126,6 +126,8 @@ def test_usage_errors_exit_2(argv):
     (["verify", "--suite", "spectral", "--two-j-max", "0"],
      "argument --two-j-max: must be >= 1"),
     (["verify", "--suite", "algebra", "--m-max", "-1"], "argument --m-max: must be >= 0"),
+    (["verify", "--suite", "spectral", "--cases", "0"], "argument --cases: must be >= 1"),
+    (["verify", "--suite", "spectral", "--cases", "-5"], "argument --cases: must be >= 1"),
 ])
 def test_bad_values_are_usage_errors(capsys, argv, message):
     # refused by the parser with one error line, before any solve

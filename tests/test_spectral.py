@@ -33,11 +33,13 @@ from qdimer.spectral import (
     _df_gram_mp,
     _mp_eigenvalues,
     _mp_minors,
+    _multisect,
     _pivots,
     _radius,
     _reduce,
     _roots,
     _scaled,
+    _stack,
 )
 
 
@@ -244,9 +246,58 @@ def _sweeps(monkeypatch, solve, *args):
 
 @pytest.mark.parametrize("model, two_j, gamma", [("dnls", 300, 4.7), ("al", 240, 9.0)])
 def test_solve_kernel_sweeps(monkeypatch, model, two_j, gamma):
-    # bisection stops once each root is isolated and Newton steps finish it;
-    # bisection down to the width tol took 58 and 192 sweeps here
-    assert _sweeps(monkeypatch, solve_spectrum, build_dimer(model, two_j, gamma)) <= 36
+    # one multisection sweep brackets every root, bisection goes on only
+    # until each root is isolated and Newton steps finish it: 25 and 22
+    # sweeps here, against 31 and 30 when every root was bisected from the
+    # whole bracket, and 58 and 192 when bisection went down to the width tol
+    assert _sweeps(monkeypatch, solve_spectrum, build_dimer(model, two_j, gamma)) <= 28
+
+
+def test_batch_kernel_sweeps(monkeypatch):
+    # the stacked grid shares the multisection sweep: 24 sweeps, against 29
+    # when every root was bisected from the whole bracket
+    Hs = [build_dimer("dnls", 100, g) for g in np.geomspace(0.5, 10.0, 16)]
+    assert _sweeps(monkeypatch, eigenvalues_batch, Hs) <= 27
+
+
+def test_multisect_brackets_from_counts():
+    # three segments of 3, 2 and 2 roots; the middle one's counts fall
+    seg = np.array([0, 0, 0, 1, 1, 2, 2])
+    idx = np.array([0, 1, 2, 0, 1, 0, 1])
+    lo = np.array([0.0, 0.0, 0.0, -1.0, -1.0, 5.0, 5.0])
+    hi = np.array([4.0, 4.0, 4.0, 1.0, 1.0, 8.0, 8.0])
+    x = np.array([1.0, 2.0, 3.0, -0.5, 0.5, 6.0, 7.0])
+    count = np.array([1, 1, 3, 2, 1, 1, 2])
+    lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count)
+    # points [0, 1, 2, 3, 4] with counts [0, 1, 1, 3, 3]: root 0 is isolated
+    # in (0, 1], roots 1 and 2 share (2, 3]
+    assert lo[:3].tolist() == [0.0, 2.0, 2.0] and hi[:3].tolist() == [1.0, 3.0, 3.0]
+    assert n_lo[:3].tolist() == [0, 1, 1] and n_hi[:3].tolist() == [1, 3, 3]
+    # counts 2, 1 do not rise: the segment keeps its whole bracket
+    assert lo[3:5].tolist() == [-1.0, -1.0] and hi[3:5].tolist() == [1.0, 1.0]
+    assert n_lo[3:5].tolist() == [0, 0] and n_hi[3:5].tolist() == [2, 2]
+    # points [5, 6, 7, 8] with counts [0, 1, 2, 2]: both roots isolated
+    assert lo[5:].tolist() == [5.0, 6.0] and hi[5:].tolist() == [6.0, 7.0]
+    assert n_lo[5:].tolist() == [0, 1] and n_hi[5:].tolist() == [1, 2]
+
+
+@pytest.mark.parametrize("model, two_j, gamma", [("dnls", 60, 2.0), ("al", 41, 9.0)])
+def test_multisect_brackets_hold_their_roots(model, two_j, gamma):
+    # kernel counts at the shifts _roots takes: each bracket holds its root,
+    # with the true number of roots below either end
+    red = _reduce(build_dimer(model, two_j, gamma))
+    cols, seg, idx, d, off = _stack([red])
+    lo, hi = np.full(seg.size, red.bracket[0]), np.full(seg.size, red.bracket[1])
+    x = lo + (hi - lo) * ((idx + 1) / (np.bincount(seg)[seg] + 1))
+    count = np.count_nonzero(_pivots(d, seg, off * off, x) <= 0.0, axis=0)
+    assert (np.diff(count)[np.diff(seg) == 0] >= 0).all()
+    lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count)
+    ref = [scipy.linalg.eigvalsh_tridiagonal(red.diag[a : a + b], red.off[a : a + b - 1])
+           for a, b in zip(red.starts, red.sizes) if b > 1]
+    for ends, counts in ((lo, n_lo), (hi, n_hi)):
+        assert [np.searchsorted(ref[s], e) for s, e in zip(seg, ends)] == counts.tolist()
+    assert (n_lo <= idx).all() and (idx < n_hi).all()
+    assert np.count_nonzero((n_lo == idx) & (n_hi == idx + 1)) > seg.size // 2
 
 
 def test_newton_iterates_do_not_swing_between_bracket_ends(monkeypatch):
