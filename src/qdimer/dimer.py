@@ -109,10 +109,16 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     if gamma < 0:
         warnings.warn("negative gamma: attractive convention", stacklevel=2)
     m = sector.m_values
-    diag = 0.5 * gamma * m**2
+    with np.errstate(over="ignore"):
+        diag = 0.5 * gamma * m**2
     off = np.array(
         [epsilon * math.sqrt((two_j - k) * (k + 1)) for k in range(sector.dim - 1)]
     )
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise ValueError(
+            f"dnls entries overflow double precision (two_j={two_j}, gamma={gamma}, "
+            f"epsilon={epsilon})"
+        )
     j = sector.j
     return TridiagonalHamiltonian(
         sector=sector,

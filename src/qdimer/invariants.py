@@ -106,17 +106,6 @@ class ConservationReport:
     def add(self, label: str, norm: float, tol: float):
         self.pairs.append((label, norm, tol, norm <= tol))
 
-    @property
-    def passed(self) -> bool:
-        return all(ok for (_, _, _, ok) in self.pairs)
-
-    def lines(self):
-        out = []
-        for label, norm, tol, ok in self.pairs:
-            word = "PASS" if ok else "FAIL"
-            out.append(f"{word} {self.context}.{label} value={norm:.3e} tol={tol:.1e}")
-        return out
-
 
 def _commutator_norm(terms, c) -> float:
     """Max-entry norm of [H, diag c] for H the sum of the shift terms:

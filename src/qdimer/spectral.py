@@ -28,9 +28,11 @@ kernel run forward and backward at x gives the twisted pivots gamma_k, the
 reciprocals of the diagonal of (T - x)^-1, so the step is
 delta = 1 / sum_k 1 / gamma_k; the forward run's count narrows the bracket,
 a step that leaves the bracket becomes a bisection step, and a root is done
-once |delta| <= max(tol, 4 eps |x|).  A cluster that never isolates is
-bisected to a bracket of that width.  The same twisted factorizations at
-the roots give the eigenvectors, mirrored into exactly even or odd columns.
+once |delta| <= max(tol, 4 eps |x|), or at a bracket end whose step points
+out through that end, whose step is then only rounding (the settle rule).  A
+cluster that never isolates is bisected to a bracket of that width.  The
+same twisted factorizations at the roots give the eigenvectors, mirrored
+into exactly even or odd columns.
 
 The orthonormality check runs per parity block of the same reduction, on the
 block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
@@ -353,7 +355,12 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
     can swing between the two ends.  A column is done with x + delta once
     |delta| <= max(tol * min(1, 2**-exp), 4 eps |x|), which is tol in the
     units of H unless H is small, or at the midpoint once its bracket is
-    that narrow, which ends a cluster that never isolates.
+    that narrow, which ends a cluster that never isolates.  It is also done
+    at x when x was already a bracket end, clipped there by the step before,
+    and its step now points out through that same end (the settle rule):
+    the count puts the root on the bracket side of x and the step on the
+    other, so x is the root to working accuracy and the step, some 8-21
+    eps |x| there, is its rounding floor, which the 4 eps |x| stop misses.
     """
     roots = []
     for run in _batches(reds):
@@ -400,8 +407,10 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
                 with np.errstate(invalid="ignore"):
                     over = np.maximum(la - step, step - ha)
                     fits = small | (over < np.where(on_end, 0.0, 1e-3 * np.abs(delta)))
-                x[act] = np.where(fits, np.clip(step, la, ha), mid)
-                done |= small
+                    # an end whose step points out through that same end
+                    settle = on_end & np.where(below, step < la, step > ha)
+                x[act] = np.where(settle, xa, np.where(fits, np.clip(step, la, ha), mid))
+                done |= small | settle
             else:
                 x[act] = mid
                 n_lo[act] = np.where(below, count, n_lo[act])
@@ -423,8 +432,8 @@ def eigenvalues_batch(Hs, tol: float = 1e-12) -> list[np.ndarray]:
     stack is computed on its own, so its array is bitwise what
     eigenvalues_bisection(H, tol) returns.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     reds = [_reduce(H) for H in Hs]
     return [np.sort(np.ldexp(lam, red.exp)) for lam, red in zip(_roots(reds, tol), reds)]
 

@@ -134,12 +134,12 @@ def test_criterion_5_algebra_relations():
         for gens in packs:
             chev = verify_chevalley(gens)
             worst = max(worst, chev.max_residual / basis.dim)
-            if not chev.ok(budget):
+            if chev.max_residual > budget:
                 ok = False
             serre = verify_serre(gens)
             if not serre.vacuous:
                 worst = max(worst, serre.max_residual / basis.dim)
-                if not serre.ok(budget):
+                if serre.max_residual > budget:
                     ok = False
         classical = su_n_generators(basis)
         limit = suq_n_generators(basis, 1.0)
@@ -161,9 +161,10 @@ def test_criterion_6_casimir_conservation():
         for n_sites, m_top in ((3, 4), (2, 8)):
             for M in range(1, m_top + 1):
                 rep = conservation_suite(n_sites, M, gamma)
-                if not rep.passed:
-                    ok = False
-                    failed.extend(ln for ln in rep.lines() if ln.startswith("FAIL"))
+                for label, norm, tol, passed in rep.pairs:
+                    if not passed:
+                        ok = False
+                        failed.append(f"{rep.context}.{label} value={norm:.3e} tol={tol:.1e}")
     detail = ("quadratic 1e-10*dim, quartic 1e-8*dim, deformed quadratic 1e-10*dim, "
               "total-number commutator exactly zero; sectors (3,M<=4) and (2,M<=8), "
               "gamma {0.5,2,8}")

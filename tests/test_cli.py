@@ -115,6 +115,28 @@ def test_usage_errors_exit_2(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "al", "--two-j", "1200", "--gamma", "9"],
+    ["sweep", "--two-j", "4", "--gamma-min", "1e308", "--gamma-max", "1.7e308", "--steps", "3"],
+    ["verify", "--suite", "algebra", "--m-max", "2000"],
+    ["quanta-scan", "--model", "al", "--gamma", "30", "--two-j-max", "900", "--levels", "1"],
+    ["quanta-scan", "--epsilon", "0.5"],
+    ["sweep", "--model", "al", "--two-j", "3", "--scale", "linear", "--gamma-min", "-1"],
+    ["spectrum", "--two-j", "4", "--gamma", "2", "--tol", "1e-9"],
+])
+def test_refusals_are_usage_errors(capsys, argv):
+    # the library's refusals too: exit 2, one error line, no traceback or warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len([ln for ln in err.splitlines() if "error:" in ln]) == 1, err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not caught, [str(w.message) for w in caught]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["sweep", "--two-j", "4", "--tol", "0"], "argument --tol: must be positive and finite"),
     (["gaps", "--two-j", "4", "--tol", "-1"], "argument --tol: must be positive and finite"),
@@ -142,7 +164,7 @@ def test_spectrum_rejects_loose_tol(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum", "--two-j", "4", "--gamma", "2", "--tol", "1e-9"])
     assert exc.value.code == 2
-    assert "--tol <= 1e-10" in capsys.readouterr().err
+    assert "tol must be in (0, 1e-10] for eigenvectors, got 1e-09" in capsys.readouterr().err
     rc, out = run(capsys, ["spectrum", "--two-j", "4", "--gamma", "2", "--tol", "1e-10"])
     assert rc == 0 and "tol=1e-10" in out
     for argv in (["sweep", "--two-j", "4", "--steps", "3"],
@@ -170,11 +192,19 @@ def test_verify_conservation_passes(capsys):
         assert tol.startswith("tol=")
 
 
-def test_verify_self_test_fail(capsys):
-    rc, out = run(capsys, ["verify", "--suite", "conservation", "--m-max", "2",
-                           "--self-test-fail"])
+def test_verify_self_test_fail(capsys, monkeypatch):
+    suite = cli.conservation_suite
+
+    def failing(*args):
+        rep = suite(*args)
+        rep.add("forced_failure", 1.0, 0.0)
+        return rep
+
+    monkeypatch.setattr(cli, "conservation_suite", failing)
+    rc, out = run(capsys, ["verify", "--suite", "conservation", "--m-max", "2"])
     assert rc == 1
-    assert any(ln.startswith("FAIL self_test.forced_failure") for ln in out.splitlines())
+    assert any(ln.startswith("FAIL conservation.") and ".forced_failure " in ln
+               for ln in out.splitlines())
 
 
 def test_verify_algebra_suite(capsys):

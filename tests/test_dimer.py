@@ -1,6 +1,7 @@
 """Dimer builders: matrix elements, closed-form spectra, chain metadata."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,3 +169,12 @@ def test_non_finite_parameters_rejected(model, gamma, epsilon):
 def test_al_coupling_overflow_rejected():
     with pytest.raises(ValueError, match=r"al coupling off\[0\]"):
         build_dimer("al", 2000, 8.0)
+
+
+@pytest.mark.parametrize("gamma, epsilon", [(1e308, 1.0), (2.0, 1e308)])
+def test_dnls_entry_overflow_rejected(gamma, epsilon):
+    # 0.5 * gamma * m^2 or eps * sqrt((j - m)(j + m + 1)) past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="dnls entries overflow"):
+            build_qdnls_dimer(4, gamma, epsilon)

@@ -313,6 +313,22 @@ def test_newton_iterates_do_not_swing_between_bracket_ends(monkeypatch):
     assert np.max(np.abs(eigenvalues_bisection(H, 1e-15) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("model, two_j, gamma, tol", [
+    ("dnls", 100, 0.17420709385712702, 1e-15),
+    ("al", 51, 15.581556161088884, 1e-12),
+    ("al", 240, 0.13572088082974532, 1e-15),
+])
+def test_newton_settles_at_a_bracket_end(monkeypatch, model, two_j, gamma, tol):
+    # the iterate is clipped onto a bracket end at its root, and its step
+    # from there, a rounding floor of 8-21 eps |x|, points out through that
+    # end: it is done there, in 36, 26 and 19 sweeps, where alternating
+    # between the end and bisection took 108, 106 and 89
+    H = build_dimer(model, two_j, gamma)
+    assert _sweeps(monkeypatch, eigenvalues_bisection, H, tol) <= 40
+    ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
+    assert np.max(np.abs(eigenvalues_bisection(H, tol) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_al_exact_zero_mode():
     # the Newton steps land on the exact zero eigenvalue of even two_j, where
     # the kernel meets zero pivots; the twisted vectors there stay finite
@@ -393,6 +409,15 @@ def test_batch_edge_cases():
     assert eigenvalues_batch([]) == []
     with pytest.raises(ValueError, match="tol"):
         eigenvalues_batch([build_qal_dimer(2, 1.0)], tol=0.0)
+
+
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_non_finite_tol_rejected(tol):
+    # tol = inf once returned -5.0996, -0.0394, ... for -4.9842, -1.1789, ...
+    H = build_dimer("dnls", 6, 2.0)
+    for solve, arg in ((eigenvalues_batch, [H]), (eigenvalues_bisection, H), (solve_spectrum, H)):
+        with pytest.raises(ValueError, match="tol"):
+            solve(arg, tol)
 
 
 def test_solve_spectrum_rejects_loose_tol():
