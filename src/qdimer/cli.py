@@ -143,15 +143,17 @@ def cmd_gaps(args) -> int:
     levels = np.array([np.sort(H.to_physical(evs))[: 2 * args.pairs]
                        for H, evs in zip(Hs, eigenvalues_batch(Hs, args.tol))])
     gaps = levels[:, 1::2] - levels[:, ::2]
-    # a pair that collapses exactly has ln_gap = -inf and nan slopes
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_g = np.log(grid)
         ln_gap = np.log(gaps)
+        # a pair that collapses exactly has ln_gap = -inf, and gamma <= 0 a
+        # non-finite ln_gamma; y is nan there, so is every difference over it
+        y = np.where(np.isfinite(ln_gap) & np.isfinite(ln_g)[:, None], ln_gap, np.nan)
         span = (ln_g[2:] - ln_g[:-2])[:, None]
         slope = np.full_like(gaps, np.nan)
-        slope[1:-1] = (ln_gap[2:] - ln_gap[:-2]) / span
+        slope[1:-1] = (y[2:] - y[:-2]) / span
         # second divided difference: steepest change of the log-log slope
-        chord = np.diff(ln_gap, axis=0) / np.diff(ln_g)[:, None]
+        chord = np.diff(y, axis=0) / np.diff(ln_g)[:, None]
         curvature = np.full_like(gaps, np.nan)
         curvature[1:-1] = 2.0 * (chord[1:] - chord[:-1]) / span
     finite = np.isfinite(curvature)

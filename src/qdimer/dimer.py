@@ -146,17 +146,21 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     if two_j == 0:
         warnings.warn("two_j = 0 gives a degenerate 1x1 sector", stacklevel=2)
     dp = q_from_gamma(gamma)
-    off = np.empty(two_j)
-    for k in range(two_j):
+    qn = np.empty(two_j + 1)  # [0] .. [two_j]
+    for n in range(two_j + 1):
         try:
-            off[k] = math.sqrt(sym_qnum(two_j - k, dp.q) * sym_qnum(k + 1, dp.q))
+            qn[n] = sym_qnum(n, dp.q)
         except OverflowError:
-            off[k] = math.inf
-        if not math.isfinite(off[k]):
-            raise ValueError(
-                f"al coupling off[{k}] = sqrt([{two_j - k}] [{k + 1}]) at q={dp.q:.17g} "
-                f"overflows double precision (two_j={two_j}, gamma={gamma})"
-            )
+            qn[n] = math.inf
+    with np.errstate(over="ignore"):
+        off = np.sqrt(qn[two_j:0:-1] * qn[1:])
+    bad = np.flatnonzero(~np.isfinite(off))
+    if bad.size:
+        k = int(bad[0])
+        raise ValueError(
+            f"al coupling off[{k}] = sqrt([{two_j - k}] [{k + 1}]) at q={dp.q:.17g} "
+            f"overflows double precision (two_j={two_j}, gamma={gamma})"
+        )
     j = sector.j
     return TridiagonalHamiltonian(
         sector=sector,

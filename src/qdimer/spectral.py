@@ -21,18 +21,20 @@ evenly spaced shifts, and the counts, shared across the block, narrow each
 root's bracket (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8 (1987)
 s155); a block whose counts do not rise with the shift keeps its whole
 bracket.  Each root is then bisected on the pivot count only until its
-bracket isolates it, and
-finished by Newton steps on det(T - x) (Dhillon & Parlett, Linear Algebra
-Appl. 387 (2004) 1; Parlett, The Symmetric Eigenvalue Problem, ch. 4).  The
-kernel run forward and backward at x gives the twisted pivots gamma_k, the
+bracket isolates it, and finished by Newton steps on det(T - x) (Dhillon &
+Parlett, Linear Algebra Appl. 387 (2004) 1; Parlett, The Symmetric
+Eigenvalue Problem, ch. 4).  One kernel call over the stack and its mirror,
+the stack's tables side by side with their row-reversed copies, runs
+forward and backward at x at once and gives the twisted pivots gamma_k, the
 reciprocals of the diagonal of (T - x)^-1, so the step is
-delta = 1 / sum_k 1 / gamma_k; the forward run's count narrows the bracket,
-a step that leaves the bracket becomes a bisection step, and a root is done
-once |delta| <= max(tol, 4 eps |x|), or at a bracket end whose step points
-out through that end, whose step is then only rounding (the settle rule).  A
-cluster that never isolates is bisected to a bracket of that width.  The
-same twisted factorizations at the roots give the eigenvectors, mirrored
-into exactly even or odd columns.
+delta = 1 / sum_k 1 / gamma_k, summed row by row in order; the forward
+run's count narrows the bracket, a step that leaves the bracket becomes a
+bisection step, and a root is done once |delta| <= max(tol, 4 eps |x|), or
+at a bracket end whose step points out through that end, whose step is
+then only rounding (the settle rule).  A cluster that never isolates is
+bisected to a bracket of that width.  The
+same one-call twisted factorizations at the roots give the eigenvectors,
+mirrored into exactly even or odd columns.
 
 The orthonormality check runs per parity block of the same reduction, on the
 block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
@@ -122,15 +124,22 @@ def _pivots(d, seg, o2, lam):
     o2[k, seg[j]] the squared coupling of rows k and k + 1) at lam[j]:
     q_0 = d_0 - lam and q_k = (d_k - lam) - o2_{k-1} / q_{k-1}.  The pivots
     <= 0 count the eigenvalues below lam, and pivots stay bounded, so nothing
-    is rescaled.  o2 is taken at the columns _ROWS rows at a time, so no
-    table of it is held.  A zero pivot first runs through IEEE infinities;
-    the columns where any appear are swept again with pivots below _PIVMIN
-    set to -_PIVMIN (LAPACK's dstebz rule).  Every column's pivots thus
-    depend on its own segment and shift alone, in a batch as on its own.
+    is rescaled.  seg must ascend, so the diagonal is gathered by repeating
+    each segment's column; o2 is taken at the columns _ROWS rows at a time,
+    so no table of it is held.  The tables may hold segments that seg does
+    not name: _twisted passes the stack and its mirror side by side
+    (_mirrored, 2 nseg columns) with seg followed by seg + nseg and its w
+    shifts twice, so one call runs its 2w columns down and up.  A zero
+    pivot first runs through IEEE infinities; the columns where any appear
+    are swept again with pivots below _PIVMIN set to -_PIVMIN (LAPACK's
+    dstebz rule).  Every column's pivots thus depend on its own segment and
+    shift alone, in a batch as on its own.
     """
+    if (seg[1:] < seg[:-1]).any():
+        raise ValueError("segments of the kernel's columns must ascend")
 
     def sweep(seg, lam, clamp):
-        q = np.take(d, seg, axis=1)
+        q = np.repeat(d, np.bincount(seg, minlength=d.shape[1]), axis=1)
         q -= lam
         if clamp:
             q[0][np.abs(q[0]) < _PIVMIN] = -_PIVMIN
@@ -154,26 +163,51 @@ def _pivots(d, seg, o2, lam):
     return q
 
 
-def _twisted(d, seg, o2, lam, reuse_down=False):
-    """The kernel run down and up the stack at lam, as _pivots takes it.
+def _mirrored(d, o2):
+    """The stack's diagonal and squared couplings side by side with their
+    row-reversed copies: column s + nseg is segment s read upward, so the
+    kernel run down it is the kernel run up segment s.  Row k of the
+    reversed couplings couples reversed rows k and k + 1; its last row is
+    never read."""
+    return np.hstack((d, d[::-1])), np.hstack((o2, np.roll(o2[::-1], -1, axis=0)))
 
-    Returns the pivots up[k] = q+_k and down[k] = q-_k and the twisted
-    pivots gamma_k = q+_k - o2_k / q-_{k+1} = q+_k + q-_k - (d_k - lam)
-    (Dhillon & Parlett), formed the second way, in down's place when
-    reuse_down is set; gamma is inf on the padding rows.  1 / gamma_k is
-    entry (k, k) of (T - lam)^-1.  At an exact eigenvalue the pivots of
-    -_PIVMIN can push gamma_k past the float range; +-inf then stands for a
-    diagonal entry of 0.
+
+def _twisted(d, seg, o2, lam, reuse_down=False):
+    """The kernel run down and up the stack at lam, in one call of _pivots.
+
+    d and o2 are the stack's tables and their mirror, as _mirrored gives
+    them: columns seg run down at lam, columns seg + nseg up at lam again.
+    Returns the pivots up[k] = q+_k and down[k] = q-_k, views of that call's
+    2w-wide table, and the twisted pivots gamma_k = q+_k - o2_k / q-_{k+1}
+    = q+_k + q-_k - (d_k - lam) (Dhillon & Parlett), formed the second way,
+    in down's place when reuse_down is set; gamma is inf on the padding
+    rows.  The diagonal is subtracted _ROWS rows at a time, so no table of
+    it is held.  1 / gamma_k is entry (k, k) of (T - lam)^-1.  At an exact
+    eigenvalue the pivots of -_PIVMIN can push gamma_k past the float range;
+    +-inf then stands for a diagonal entry of 0.
     """
-    up = _pivots(d, seg, o2, lam)
-    down = _pivots(d[::-1], seg, o2[-2::-1], lam)[::-1]
+    w, nseg = seg.size, d.shape[1] // 2
+    q = _pivots(d, np.concatenate((seg, seg + nseg)), o2, np.concatenate((lam, lam)))
+    up, down = q[:, :w], q[::-1, w:]
     with np.errstate(over="ignore"):
         gamma = np.add(up, down, out=down if reuse_down else None)
     gamma += lam
-    dc = np.take(d, seg, axis=1)
-    gamma -= dc
-    gamma[dc == _PAD_DIAG] = np.inf
+    counts = np.bincount(seg, minlength=nseg)
+    for k in range(0, gamma.shape[0], _ROWS):
+        dc = np.repeat(d[k : k + _ROWS, :nseg], counts, axis=1)
+        rows = gamma[k : k + _ROWS]
+        rows -= dc
+        rows[dc == _PAD_DIAG] = np.inf
     return up, down, gamma
+
+
+def _row_sum(table):
+    """Sum of the table's rows, added in row order as a running sum, so a
+    column's sum is the same at any width (np.cumsum(table, axis=0)[-1])."""
+    total = table[0].copy()
+    for row in table[1:]:
+        total += row
+    return total
 
 
 @dataclass(frozen=True)
@@ -345,12 +379,14 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
     The columns not isolated there (idx roots below lo, idx + 1 below hi)
     are bisected, one sweep per step, until they are.  Then
     each isolated column takes safeguarded Newton steps on det(T - x) from
-    its midpoint: the kernel run down and up at x gives the twisted pivots
-    gamma_k, and delta = 1 / sum_k 1 / gamma_k, since 1 / gamma_k is the
-    diagonal of (T - x)^-1.  The up sweep gives the count at x.  A step that
-    leaves the bracket is replaced by a bisection step, unless it comes from
-    inside the bracket and overshoots by less than 1e-3 |delta|, as onto an
-    exact root at a bracket end; then it is clipped onto that end.  A step
+    its midpoint: one _twisted call runs the kernel down and up at x and
+    gives the twisted pivots gamma_k, and delta = 1 / sum_k 1 / gamma_k,
+    since 1 / gamma_k is the diagonal of (T - x)^-1; the sum runs over the
+    rows in order (_row_sum), so a column's step is the same in any stack.
+    The up pivots give the count at x.  A step that leaves the bracket is
+    replaced by a bisection step, unless it comes from inside the bracket
+    and overshoots by less than 1e-3 |delta|, as onto an exact root at a
+    bracket end; then it is clipped onto that end.  A step
     from an end that reaches the other end is replaced too, so no iterate
     can swing between the two ends.  A column is done with x + delta once
     |delta| <= max(tol * min(1, 2**-exp), 4 eps |x|), which is tol in the
@@ -366,7 +402,7 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
     for run in _batches(reds):
         lam = np.concatenate([red.diag for red in run])  # one-row segments
         cols, seg, idx, d, off = _stack(run)
-        o2 = off * off
+        d, o2 = _mirrored(d, off * off)
         width = [_cells(red)[1] for red in run]
         lo, hi = (np.repeat(b, width) for b in zip(*(red.bracket for red in run)))
         tols = np.repeat([math.ldexp(tol, -max(red.exp, 0)) for red in run], width)
@@ -385,12 +421,10 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
                 act, newton = np.flatnonzero(isolated), True
             xa, i, tol_a = x[act], idx[act], tols[act]
             if newton:
-                up, down, gamma = _twisted(d, seg[act], o2, xa, reuse_down=True)
+                up, _, gamma = _twisted(d, seg[act], o2, xa, reuse_down=True)
                 with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    # a running sum adds the rows in order at any height and
-                    # width, so a column's step is the same in any stack
-                    delta = 1.0 / np.cumsum(np.reciprocal(gamma, out=gamma), axis=0, out=gamma)[-1]
-                del down, gamma
+                    delta = 1.0 / _row_sum(np.reciprocal(gamma, out=gamma))
+                del gamma
             else:
                 up = _pivots(d, seg[act], o2, xa)
             count = np.count_nonzero(up <= 0.0, axis=0)
@@ -459,24 +493,26 @@ def _twisted_vectors(red: _Reduction, lam):
     """The stack's columns and their unit eigenvectors, bottom-aligned as in
     _stack and zero on the padding rows.
 
-    The kernel run down and up the stack gives the twisted factorizations of
-    T - lam (Dhillon & Parlett), gamma_k = q+_k - o_k^2 / q-_{k+1}.  At
-    r = argmin |gamma_k| the vector with z_r = 1 that it yields is the
-    eigenvector: z_k = -o_k z_{k+1} / q+_k above r, -o_{k-1} z_{k-1} / q-_k
-    below.
+    One kernel call over the stack and its mirror (_twisted) gives the
+    twisted factorizations of T - lam (Dhillon & Parlett),
+    gamma_k = q+_k - o_k^2 / q-_{k+1}.  At r = argmin |gamma_k| the vector
+    with z_r = 1 that it yields is the eigenvector: z_k = -o_k z_{k+1} / q+_k
+    above r, -o_{k-1} z_{k-1} / q-_k below.
     """
     cols, seg, _, d, off = _stack([red])
-    up, down, gamma = _twisted(d, seg, off * off, lam[cols])
+    d, o2 = _mirrored(d, off * off)
+    up, down, gamma = _twisted(d, seg, o2, lam[cols])
     r = np.argmin(np.abs(gamma, out=gamma), axis=0)
     del gamma
     k = np.arange(d.shape[0])[:, None]
-    o = np.take(-off[:-1], seg, axis=1)
+    o = np.repeat(-off[:-1], np.bincount(seg, minlength=off.shape[1]), axis=1)
     np.divide(o, up[:-1], out=up[:-1])
     up[k >= r] = 1.0
     np.divide(o, down[1:], out=down[1:])
     down[k <= r] = 1.0
     del o
-    z = np.cumprod(up[::-1], axis=0, out=up[::-1])[::-1]
+    # a table of its own, so z keeps no view of the 2w-wide one alive
+    z = np.cumprod(up[::-1], axis=0)[::-1]
     z *= np.cumprod(down, axis=0, out=down)
     z /= np.linalg.norm(z, axis=0)
     return cols, z
@@ -497,7 +533,7 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
     """Full eigensystem: the eigenvalues of eigenvalues_bisection and
     twisted-factorization eigenvectors from the same pivot kernel.
 
-    Each parity block's vectors come from the kernel run down and up the
+    Each parity block's vectors come from one kernel call down and up the
     block at all of its roots, and are mirrored into exactly even or odd
     columns, so level pairs that collapse in double precision are orthogonal
     by construction.  Inside one block of a hand-built H that is not

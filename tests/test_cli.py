@@ -293,6 +293,31 @@ def test_gaps_collapsed_pair_no_warnings(capsys):
     assert ",-inf," in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, nan_rows", [
+    # ln_gamma is -inf at gamma 0: the slope at 0.5 once read -0
+    (["--scale", "linear", "--gamma-min", "0", "--gamma-max", "2", "--steps", "5",
+      "--two-j", "4"], [0, 1, 4]),
+    # the pair collapses from gamma 1.825 on: its slope there once read -inf
+    (["--two-j", "20", "--gamma-min", "1.5", "--gamma-max", "4", "--steps", "6"],
+     [0, 1, 2, 3, 4, 5]),
+])
+def test_gaps_slopes_next_to_a_non_finite_log(capsys, argv, nan_rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc, out = run(capsys, ["gaps", "--pairs", "1", *argv])
+    assert rc == 0
+    _, rows = parse_rows(out)
+    assert [i for i, r in enumerate(rows) if r[4] == "nan"] == nan_rows
+    steepest = out.splitlines()[-1]
+    ln_g = [float(r[1]) for r in rows]
+    ln_gap = [float(r[3]) for r in rows]
+    # steepest_change names a point whose whole stencil is finite, or nan
+    g = steepest.split("gamma=")[1]
+    if g != "nan":
+        i = [r[0] for r in rows].index(g)
+        assert all(map(math.isfinite, ln_g[i - 1 : i + 2] + ln_gap[i - 1 : i + 2]))
+
+
 def _lapack_levels(model, two_j, gamma):
     H = build_dimer(model, two_j, gamma)
     return np.sort(H.to_physical(eigvalsh_tridiagonal(H.diag, H.off)))

@@ -169,6 +169,19 @@ def test_non_finite_parameters_rejected(model, gamma, epsilon):
 def test_al_coupling_overflow_rejected():
     with pytest.raises(ValueError, match=r"al coupling off\[0\]"):
         build_dimer("al", 2000, 8.0)
+    with pytest.raises(ValueError, match=r"^al coupling off\[0\] = sqrt\(\[1000\] \[1\]\) at "
+                                         r"q=0.25 overflows double precision "
+                                         r"\(two_j=1000, gamma=30.0\)$"):
+        build_dimer("al", 1000, 30.0)
+
+
+@pytest.mark.parametrize("two_j", [101, 131, 240])
+@pytest.mark.parametrize("gamma", [0.5, 4.0, 9.0])
+def test_al_couplings_from_one_qnumber_table(two_j, gamma):
+    # the table [0] .. [two_j] gives bitwise the per-coupling formula
+    q = q_from_gamma(gamma).q
+    expect = [math.sqrt(sym_qnum(two_j - k, q) * sym_qnum(k + 1, q)) for k in range(two_j)]
+    assert np.array_equal(build_qal_dimer(two_j, gamma).off, expect)
 
 
 @pytest.mark.parametrize("gamma, epsilon", [(1e308, 1.0), (2.0, 1e308)])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdimer import (
+    SpinSector,
     TridiagonalHamiltonian,
     build_dimer,
     build_qal_dimer,
@@ -31,6 +32,7 @@ from qdimer.spectral import (
     _batches,
     _df_gram_float,
     _df_gram_mp,
+    _mirrored,
     _mp_eigenvalues,
     _mp_minors,
     _multisect,
@@ -38,8 +40,10 @@ from qdimer.spectral import (
     _radius,
     _reduce,
     _roots,
+    _row_sum,
     _scaled,
     _stack,
+    _twisted,
 )
 
 
@@ -230,7 +234,8 @@ def test_al_huge_couplings_match_lapack(two_j, gamma):
 
 
 def _sweeps(monkeypatch, solve, *args):
-    """Kernel sweeps (calls of spectral._pivots) that solve(*args) makes."""
+    """Kernel calls (of spectral._pivots) that solve(*args) makes, and the
+    columns they sweep together."""
     calls = []
     kernel = spectral._pivots
 
@@ -241,23 +246,92 @@ def _sweeps(monkeypatch, solve, *args):
     with monkeypatch.context() as patch:
         patch.setattr(spectral, "_pivots", counted)
         solve(*args)
-    return len(calls)
+    return len(calls), sum(calls)
 
 
 @pytest.mark.parametrize("model, two_j, gamma", [("dnls", 300, 4.7), ("al", 240, 9.0)])
 def test_solve_kernel_sweeps(monkeypatch, model, two_j, gamma):
     # one multisection sweep brackets every root, bisection goes on only
-    # until each root is isolated and Newton steps finish it: 25 and 22
-    # sweeps here, against 31 and 30 when every root was bisected from the
-    # whole bracket, and 58 and 192 when bisection went down to the width tol
-    assert _sweeps(monkeypatch, solve_spectrum, build_dimer(model, two_j, gamma)) <= 28
+    # until each root is isolated, Newton steps finish it and each twisted
+    # factorization runs the stack and its mirror in one call: 15 and 14
+    # calls here, against 25 and 22 when the two ran one after the other,
+    # 31 and 30 when every root was bisected from the whole bracket, and 58
+    # and 192 when bisection went down to the width tol; fusing the calls
+    # leaves the columns they sweep unchanged
+    calls, swept = _sweeps(monkeypatch, solve_spectrum, build_dimer(model, two_j, gamma))
+    assert calls <= 16 and swept <= {"dnls": 4539, "al": 3223}[model]
 
 
 def test_batch_kernel_sweeps(monkeypatch):
-    # the stacked grid shares the multisection sweep: 24 sweeps, against 29
-    # when every root was bisected from the whole bracket
+    # the stacked grid shares the multisection sweep: 14 calls, against 24
+    # with separate down and up runs and 29 when every root was bisected
+    # from the whole bracket
     Hs = [build_dimer("dnls", 100, g) for g in np.geomspace(0.5, 10.0, 16)]
-    assert _sweeps(monkeypatch, eigenvalues_batch, Hs) <= 27
+    calls, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs)
+    assert calls <= 15 and swept <= 21235
+
+
+def _random_stack(rng):
+    """The stack of random tridiagonals of 3 to 9 rows, one of them cut by a
+    zero coupling and one persymmetric, with one random shift per column
+    and, in column 0, the shift that makes its first real pivot exactly 0."""
+    Hs = []
+    for n in (5, 9, 3, 7):
+        off = rng.uniform(0.1, 1.0, n - 1)
+        Hs.append(TridiagonalHamiltonian(SpinSector(n - 1), "dnls", rng.uniform(-1, 1, n), off))
+    off = Hs[1].off.copy()
+    off[3] = 0.0
+    Hs[1] = TridiagonalHamiltonian(Hs[1].sector, "dnls", Hs[1].diag, off)
+    d = rng.uniform(-1, 1, 6)
+    Hs.append(TridiagonalHamiltonian(SpinSector(5), "dnls", np.concatenate((d[:3], d[2::-1])),
+                                     [0.3, 0.5, 0.7, 0.5, 0.3]))
+    _, seg, _, d, off = _stack([_reduce(H) for H in Hs])
+    lam = rng.uniform(-1.0, 1.0, seg.size)
+    lam[0] = d[d[:, 0] != spectral._PAD_DIAG, 0][0]
+    return seg, d, off * off, lam
+
+
+def test_twisted_is_two_kernel_runs(monkeypatch):
+    # one call over the stack and its mirror gives bitwise the separate down
+    # and up runs and the twisted pivots formed from them
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        seg, d, o2, lam = _random_stack(rng)
+        assert (np.bincount(seg) > 0).all() and (d == spectral._PAD_DIAG).any()
+        up = _pivots(d, seg, o2, lam)
+        down = _pivots(d[::-1], seg, o2[-2::-1], lam)[::-1]
+        gamma = up + down
+        gamma += lam
+        dc = np.take(d, seg, axis=1)
+        gamma -= dc
+        gamma[dc == spectral._PAD_DIAG] = np.inf
+        assert (up[:, 0] == -spectral._PIVMIN).any()  # the clamp path ran
+        dm, o2m = _mirrored(d, o2)
+        for reuse_down in (False, True):
+            calls, swept = _sweeps(monkeypatch, _twisted, dm, seg, o2m, lam, reuse_down)
+            assert (calls, swept) == (1, 2 * seg.size)
+            parts = _twisted(dm, seg, o2m, lam, reuse_down)
+            if reuse_down:
+                assert parts[1] is parts[2]
+            else:
+                assert np.array_equal(parts[1], down)
+            assert np.array_equal(parts[0], up) and np.array_equal(parts[2], gamma)
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 300])
+def test_row_sum_is_the_running_sum(width):
+    # the Newton step's sum of 1 / gamma_k adds the rows in order, as cumsum
+    # does, whatever the width of the stack
+    rng = np.random.default_rng(width)
+    table = rng.standard_normal((151, width)) * np.exp(rng.uniform(-30, 30, (151, width)))
+    table[5] = 0.0  # 1 / inf on a padding row
+    assert np.array_equal(_row_sum(table), np.cumsum(table, axis=0)[-1])
+
+
+def test_pivots_refuse_descending_segments():
+    seg, d, o2, lam = _random_stack(np.random.default_rng(3))
+    with pytest.raises(ValueError, match="ascend"):
+        _pivots(d, seg[::-1], o2, lam)
 
 
 def test_multisect_brackets_from_counts():
@@ -308,7 +382,7 @@ def test_newton_iterates_do_not_swing_between_bracket_ends(monkeypatch):
     diag = H.diag.copy()
     diag[12] += 1.0
     H = TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
-    assert _sweeps(monkeypatch, eigenvalues_bisection, H, 1e-15) <= 100
+    assert _sweeps(monkeypatch, eigenvalues_bisection, H, 1e-15)[0] <= 100
     ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
     assert np.max(np.abs(eigenvalues_bisection(H, 1e-15) - ref)) <= 1e-10 * np.max(np.abs(ref))
 
@@ -321,10 +395,11 @@ def test_newton_iterates_do_not_swing_between_bracket_ends(monkeypatch):
 def test_newton_settles_at_a_bracket_end(monkeypatch, model, two_j, gamma, tol):
     # the iterate is clipped onto a bracket end at its root, and its step
     # from there, a rounding floor of 8-21 eps |x|, points out through that
-    # end: it is done there, in 36, 26 and 19 sweeps, where alternating
-    # between the end and bisection took 108, 106 and 89
+    # end: it is done there, in 19, 15 and 11 kernel calls (36, 26 and 19
+    # when the down and up runs took one call each), where alternating
+    # between the end and bisection took 108, 106 and 89 calls
     H = build_dimer(model, two_j, gamma)
-    assert _sweeps(monkeypatch, eigenvalues_bisection, H, tol) <= 40
+    assert _sweeps(monkeypatch, eigenvalues_bisection, H, tol)[0] <= 40
     ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
     assert np.max(np.abs(eigenvalues_bisection(H, tol) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -440,6 +515,20 @@ def test_batch_memory_is_bounded():
     tracemalloc.start()
     try:
         eigenvalues_batch(Hs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_solve_memory_is_bounded():
+    # 3.72 MB at dim 481, set by the eigenvector matrix and the tables of
+    # its parity blocks; vectors that kept a view of the twisted call's
+    # 2w-wide pivot table alive read 4.61 MB
+    H = build_dimer("dnls", 480, 8.7)
+    tracemalloc.start()
+    try:
+        solve_spectrum(H)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
