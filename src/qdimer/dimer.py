@@ -150,7 +150,7 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     for n in range(two_j + 1):
         try:
             qn[n] = sym_qnum(n, dp.q)
-        except OverflowError:
+        except ValueError:  # the q-number overflows
             qn[n] = math.inf
     with np.errstate(over="ignore"):
         off = np.sqrt(qn[two_j:0:-1] * qn[1:])

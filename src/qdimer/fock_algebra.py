@@ -27,6 +27,7 @@ the same numbers the dense products give.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -39,23 +40,24 @@ from .qnumbers import Q_ONE_THRESHOLD, basic_qnum, q_binomial, sym_qnum
 # Largest admitted sector, 1e6 states.  A sector operator stores 8 bytes of
 # amp per state, 8 MB at the guard, where one dense operator would take
 # 8 * dim^2 bytes = 8 TB; its csr `matrix`, once formed, adds at most 24
-# bytes per state.  The basis costs about 120 bytes per state on three or
-# four sites (state tuple and occupation row), about 0.12 GB at the guard,
-# plus one 8-byte target row per state for each shift in use.
+# bytes per state.  The basis keeps one int64 occupation row per state,
+# 8 bytes per site (tracemalloc: 24.0 MB for three sites at M 1412 and
+# 31.1 MB for four at M 178, both just under the guard), plus one 8-byte
+# target row per state for each shift in use.
 MAX_SECTOR_DIM = 1_000_000
 
 
 class FockSectorBasis:
     """Occupation basis of the (n_sites, total_quanta) sector.
 
-    States are tuples (n_1, ..., n_sites) with sum(n) = total_quanta, listed
-    in ascending lexicographic order so the layout is reproducible;
-    `occupations` holds the same states as a (dim, n_sites) integer array.
-    Sectors above MAX_SECTOR_DIM = 1e6 states are refused: the basis takes
-    about 120 bytes per state (0.12 GB at the guard) and a sector operator 8
-    bytes of amplitude per state (8 MB), where a dense one would take 8 TB.
-    The basis keeps one int64 target row per state for each occupation shift
-    in use (8 MB per shift at the guard).
+    `occupations` is a (dim, n_sites) int64 array whose row k is state k,
+    (n_1, ..., n_sites) with sum(n) = total_quanta; the rows are in
+    ascending lexicographic order so the layout is reproducible.  Sectors
+    above MAX_SECTOR_DIM = 1e6 states are refused: the basis takes 8 bytes
+    per state and site (24 MB on three sites at the guard) and a sector
+    operator 8 bytes of amplitude per state (8 MB), where a dense one would
+    take 8 TB.  The basis keeps one int64 target row per state for each
+    occupation shift in use (8 MB per shift at the guard).
     """
 
     def __init__(self, n_sites: int, total_quanta: int):
@@ -70,8 +72,9 @@ class FockSectorBasis:
             )
         self.n_sites = n_sites
         self.total_quanta = total_quanta
-        self.states = tuple(sorted(_compositions(n_sites, total_quanta)))
-        self.occupations = np.array(self.states, dtype=np.int64)
+        self.dim = dim
+        states = itertools.chain.from_iterable(_compositions(n_sites, total_quanta))
+        self.occupations = np.fromiter(states, dtype=np.int64, count=dim * n_sites).reshape(dim, n_sites)
         # C(r + m - 1, m - 1) states of r quanta on m sites, for positions()
         self._counts = np.array(
             [[math.comb(r + m - 1, m - 1) for m in range(1, n_sites + 1)]
@@ -79,10 +82,6 @@ class FockSectorBasis:
             dtype=np.int64,
         )
         self._targets = {}  # delta -> target rows, see _targets
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
 
     def positions(self, occupations: np.ndarray) -> np.ndarray:
         """Basis indices of the occupation rows, by lexicographic rank.
@@ -109,6 +108,7 @@ class FockSectorBasis:
 
 
 def _compositions(n_sites, total):
+    """Occupation tuples of total quanta on n_sites, in lexicographic order."""
     if n_sites == 1:
         yield (total,)
         return
@@ -120,8 +120,9 @@ def _compositions(n_sites, total):
 def build_sector_basis(n_sites: int, total_quanta: int) -> FockSectorBasis:
     """Enumerate the fixed-quanta occupation basis; dim = C(M+n-1, n-1).
 
-    Refuses sectors above MAX_SECTOR_DIM = 1e6 states (about 0.12 GB of
-    basis, 8 MB of amplitudes per sector operator).
+    The states are the rows of `occupations`, in lexicographic order.
+    Refuses sectors above MAX_SECTOR_DIM = 1e6 states (8 bytes of basis per
+    state and site, 8 MB of amplitudes per sector operator).
     """
     return FockSectorBasis(n_sites, total_quanta)
 
@@ -349,9 +350,8 @@ class ResidualReport:
 
 
 def _maxabs(m):
-    """Largest |entry|; a sparse matrix is read on its stored entries."""
-    data = m.data if sparse.issparse(m) else m
-    return float(np.max(np.abs(data))) if data.size else 0.0
+    """Largest |entry| of an array, 0 for an empty one."""
+    return float(np.max(np.abs(m))) if m.size else 0.0
 
 
 def _comm(a, b):
@@ -580,24 +580,13 @@ def _casimir_diagonals(gens, p):
     return [d.amp for d in diagonals]
 
 
-def su2_casimir(gens: ChevalleyGenerators) -> SectorOperator:
-    """Quadratic su(2) invariant J0 (J0 - 1) + J+ J-, eigenvalue j(j+1)."""
-    if gens.rank != 1:
-        raise ValueError("su2_casimir needs rank-1 generators (two sites)")
-    j0 = gens.h[0].amp
-    return _plus_ef(gens, j0 * (j0 - 1.0))
-
-
 def suq2_casimir(gens: ChevalleyGenerators, q: float) -> SectorOperator:
-    """Quadratic su_q(2) invariant [J0][J0 - 1] + J+ J-, eigenvalue [j][j+1]."""
+    """Quadratic su_q(2) invariant [J0][J0 - 1] + J+ J-, eigenvalue [j][j+1];
+    at q = 1 it is the su(2) invariant J0 (J0 - 1) + J+ J-, eigenvalue j(j+1)."""
     if gens.rank != 1:
         raise ValueError("suq2_casimir needs rank-1 generators (two sites)")
     m = gens.h[0].amp
-    return _plus_ef(gens, _qnum_map(m, q) * _qnum_map(m - 1.0, q))
-
-
-def _plus_ef(gens, values):
-    """diag(values) + e_1 f_1, a shift by 0."""
+    values = _qnum_map(m, q) * _qnum_map(m - 1.0, q)
     return SectorOperator.diagonal(gens.basis, values) + gens.e[0] @ gens.f[0]
 
 

@@ -84,18 +84,6 @@ def build_qal_chain(basis: FockSectorBasis, gamma: float) -> sparse.csr_array:
     return _chain_csr(_qal_terms(basis, gamma))
 
 
-def check_commutes(H, O, tol: float) -> tuple[float, bool]:
-    """Max-entry norm of [H, O] and whether it is below tol.
-
-    H and O may be dense or sparse; the commutator is formed on sparse arrays.
-    """
-    if H.shape != O.shape:
-        raise ValueError(f"shape mismatch {H.shape} vs {O.shape}")
-    H, O = sparse.csr_array(H), sparse.csr_array(O)
-    norm = _maxabs(H @ O - O @ H)
-    return norm, norm <= tol
-
-
 @dataclass
 class ConservationReport:
     """Commutator norms of a Hamiltonian against candidate invariants."""

@@ -36,12 +36,18 @@ def q_from_gamma(gamma: float) -> DeformationParameter:
 
 
 def sym_qnum(x: float, q: float) -> float:
-    """Symmetric q-number [x] = (q^x - q^-x) / (q - q^-1); [x] -> x as q -> 1."""
+    """Symmetric q-number [x] = (q^x - q^-x) / (q - q^-1); [x] -> x as q -> 1.
+
+    Raises ValueError where a power overflows double precision.
+    """
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         return float(x)
-    return (q**x - q**-x) / (q - 1.0 / q)
+    try:  # float powers raise OverflowError, numpy scalar ones would return inf
+        return (q ** float(x) - q ** -float(x)) / (q - 1.0 / q)
+    except OverflowError:
+        raise ValueError(f"q-number [{x}] at q={q:.17g} overflows double precision") from None
 
 
 def basic_qnum(n: int, gamma: float) -> float:
@@ -49,7 +55,8 @@ def basic_qnum(n: int, gamma: float) -> float:
 
     These are the b'b eigenvalues of the deformed lattice oscillator, with
     base 1 + gamma/2 = q^-2 so that {n+1} - {n} = (1 + gamma/2)^n, which is
-    exactly the commutation rule [b, b'] = 1 + (gamma/2) b'b.
+    exactly the commutation rule [b, b'] = 1 + (gamma/2) b'b.  Raises
+    ValueError where the power overflows double precision.
     """
     if n < 0 or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
@@ -58,17 +65,11 @@ def basic_qnum(n: int, gamma: float) -> float:
     half = 0.5 * gamma
     if half < Q_ONE_THRESHOLD:
         return float(n)
-    return ((1.0 + half) ** n - 1.0) / half
-
-
-def q_factorial(m: int, q: float) -> float:
-    """q-factorial [m]! = [1][2]...[m] of symmetric q-numbers, [0]! = 1."""
-    if m < 0 or int(m) != m:
-        raise ValueError(f"m must be a nonnegative integer, got {m}")
-    out = 1.0
-    for i in range(1, int(m) + 1):
-        out *= sym_qnum(i, q)
-    return out
+    try:
+        return ((1.0 + half) ** n - 1.0) / half
+    except OverflowError:
+        q = q_from_gamma(gamma).q
+        raise ValueError(f"q-number {{{n}}} at q={q:.17g} (gamma={gamma}) overflows double precision") from None
 
 
 def q_binomial(m: int, n: int, q: float) -> float:

@@ -588,11 +588,7 @@ def _lead_positive(v):
 
 def dense_oracle(H: TridiagonalHamiltonian) -> Spectrum:
     """Independent eigensystem from the library tridiagonal QR/QL solver."""
-    if H.dim == 1:
-        w = H.diag.copy()
-        v = np.ones((1, 1))
-    else:
-        w, v = scipy.linalg.eigh_tridiagonal(H.diag, H.off)
+    w, v = scipy.linalg.eigh_tridiagonal(H.diag, H.off)
     order = np.argsort(w)
     w = w[order]
     v = _lead_positive(v[:, order])

@@ -119,6 +119,7 @@ def test_usage_errors_exit_2(argv):
     ["spectrum", "--model", "al", "--two-j", "1200", "--gamma", "9"],
     ["sweep", "--two-j", "4", "--gamma-min", "1e308", "--gamma-max", "1.7e308", "--steps", "3"],
     ["verify", "--suite", "algebra", "--m-max", "2000"],
+    ["verify", "--suite", "conservation", "--m-max", "445"],
     ["quanta-scan", "--model", "al", "--gamma", "30", "--two-j-max", "900", "--levels", "1"],
     ["quanta-scan", "--epsilon", "0.5"],
     ["sweep", "--model", "al", "--two-j", "3", "--scale", "linear", "--gamma-min", "-1"],

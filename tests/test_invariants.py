@@ -8,6 +8,7 @@ from scipy import sparse
 from qdimer import (
     ConservationReport,
     al_hop_operator,
+    al_oscillator_ops,
     build_qal_chain,
     build_qal_dimer,
     build_qdnls_chain,
@@ -15,7 +16,6 @@ from qdimer import (
     build_sector_basis,
     cartan_matrix,
     casimir_matrix,
-    check_commutes,
     conservation_suite,
     hop_operator,
     number_operator,
@@ -97,7 +97,7 @@ def test_sector_blocks_of_independent_full_space():
     assert np.max(np.abs(Hfull @ Ntot - Ntot @ Hfull)) == 0.0
     for M in (2, 4, 5):
         basis = build_sector_basis(2, M)
-        idx = [s[0] * d1 + s[1] for s in basis.states]
+        idx = [n1 * d1 + n2 for n1, n2 in basis.occupations.tolist()]
         block = Hfull[np.ix_(idx, idx)]
         Hc = build_qdnls_chain(basis, gamma, eps)
         assert np.max(np.abs(block - Hc.toarray())) < 1e-14
@@ -111,17 +111,21 @@ def test_total_number_commutes_exactly():
         basis = build_sector_basis(n_sites, M)
         Ntot = sum(number_operator(basis, i).matrix for i in range(1, n_sites + 1))
         for gamma in (0.0, 2.0, 8.0):
-            H = build_qdnls_chain(basis, gamma)
-            norm, ok = check_commutes(H, Ntot, 0.0)
-            assert norm == 0.0 and ok
-            Hq = build_qal_chain(basis, gamma)
-            norm, ok = check_commutes(Hq, Ntot, 0.0)
-            assert norm == 0.0 and ok
+            for H in (build_qdnls_chain(basis, gamma), build_qal_chain(basis, gamma)):
+                comm = H @ Ntot - Ntot @ H
+                assert comm.shape == (basis.dim, basis.dim)
+                assert np.all(comm.data == 0.0)
 
 
-def test_check_commutes_shape_mismatch():
-    with pytest.raises(ValueError):
-        check_commutes(np.zeros((2, 2)), np.zeros((3, 3)), 1e-10)
+@pytest.mark.parametrize("build", [
+    lambda: conservation_suite(2, 445, 8.0),
+    lambda: al_hop_operator(build_sector_basis(2, 445), 1, 2, 8.0),
+    lambda: al_oscillator_ops(445, 8.0),
+    lambda: suq_n_generators(build_sector_basis(2, 1000), q_from_gamma(8.0).q),
+])
+def test_qnumber_overflow_is_refused(build):
+    with pytest.raises(ValueError, match="overflows double precision"):
+        build()
 
 
 def test_conservation_suite_passes():

@@ -10,7 +10,6 @@ from qdimer import (
     DeformationParameter,
     basic_qnum,
     q_binomial,
-    q_factorial,
     q_from_gamma,
     sym_qnum,
 )
@@ -103,13 +102,15 @@ def test_basic_equals_scaled_symmetric():
             assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(lhs))
 
 
-def test_q_factorial():
-    q = 0.5
-    assert q_factorial(0, q) == 1.0
-    expect = sym_qnum(1, q) * sym_qnum(2, q) * sym_qnum(3, q)
-    assert abs(q_factorial(3, q) - expect) < 1e-14 * expect
-    with pytest.raises(ValueError):
-        q_factorial(-2, q)
+def test_qnumber_overflow_is_a_value_error():
+    assert math.isfinite(sym_qnum(511, 0.25)) and math.isfinite(basic_qnum(441, 8.0))
+    with pytest.raises(ValueError, match=r"^q-number \[512\] at q=0.25 overflows double precision$"):
+        sym_qnum(512, 0.25)
+    with pytest.raises(ValueError, match=r"overflows double precision$"):
+        sym_qnum(np.float64(600.0), 0.25)
+    with pytest.raises(ValueError, match=r"^q-number \{442\} at q=0.44721359549995793 \(gamma=8.0\) "
+                                         r"overflows double precision$"):
+        basic_qnum(442, 8.0)
 
 
 def test_q_binomial_frozen_value():

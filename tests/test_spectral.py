@@ -699,6 +699,19 @@ def test_characteristic_coefficients_structure():
     assert np.max(np.abs(roots - [-3.2112, -1.0899, 1.0899, 3.2112])) < 1e-4
 
 
+def test_dense_oracle_single_level():
+    # the 1 x 1 sector: eigenvalue d0, vector [[1]], norm constant 1
+    with pytest.warns(UserWarning, match="1x1 sector"):
+        Hs = [build_dimer(model, 0, 2.0) for model in ("dnls", "al")]
+    Hs.append(TridiagonalHamiltonian(SpinSector(0), "dnls", [-3.5], []))
+    for H in Hs:
+        o = dense_oracle(H)
+        assert np.array_equal(o.eigenvalues, H.diag)
+        assert np.array_equal(o.vectors, [[1.0]])
+        assert np.array_equal(o.norm_constants, [1.0])
+        assert o.vector_method == ["dense"]
+
+
 def test_dense_oracle_norm_constants_match_recurrence():
     H = build_qal_dimer(6, 2.0)
     s = solve_spectrum(H)
