@@ -76,10 +76,6 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _row(cells) -> str:
-    return ",".join(_fmt(c) for c in cells)
-
-
 def _echo(args, keys, *extra) -> str:
     """`# key=value` line: the named arguments, the extra pairs, then version."""
     pairs = [(k, getattr(args, k)) for k in keys.split()]
@@ -96,9 +92,25 @@ def _emit(lines, out_path):
             fh.write(text)
 
 
-def _table(args, echo, header, rows, tail=()) -> int:
-    _emit([echo, _row(header), *map(_row, rows), *tail], args.out)
+def _table(args, echo, header, rows, tail=(), ints=0) -> int:
+    """Write the echo, the header and one line per row, then tail.  A row's
+    first ints cells are integers; every row is one %-format, integers as
+    str(int) and the other cells as _fmt writes floats."""
+    line = ",".join(["%d"] * ints + ["%.17g"] * (len(header) - ints))
+    _emit([echo, ",".join(header), *(line % tuple(row) for row in rows), *tail], args.out)
     return 0
+
+
+def _lowest_levels(Hs, count, tol):
+    """The count lowest physical levels of each H, ascending.  Only the end
+    of H's spectrum that holds them is solved: its top where energy_scale
+    < 0, as in both models, its bottom otherwise."""
+    ends = {H.energy_scale < 0 for H in Hs}
+    select = None
+    if len(ends) == 1:
+        select = slice(-count, None) if ends.pop() else slice(count)
+    return [np.sort(H.to_physical(evs))[:count]
+            for H, evs in zip(Hs, eigenvalues_batch(Hs, tol, select))]
 
 
 def cmd_spectrum(args) -> int:
@@ -107,7 +119,7 @@ def cmd_spectrum(args) -> int:
     echo = _echo(args, "command model two_j gamma epsilon tol",
                  ("energy_scale", H.energy_scale), ("energy_shift", H.energy_shift))
     rows = zip(range(spec.dim), spec.eigenvalues, spec.norm_constants)
-    return _table(args, echo, ["index", "eigenvalue", "norm_constant"], rows)
+    return _table(args, echo, ["index", "eigenvalue", "norm_constant"], rows, ints=1)
 
 
 def _gamma_grid(args):
@@ -140,8 +152,7 @@ def cmd_gaps(args) -> int:
         raise ValueError(f"--pairs {args.pairs} out of range for dimension {dim}")
 
     Hs = [build_dimer(args.model, args.two_j, float(g), args.epsilon) for g in grid]
-    levels = np.array([np.sort(H.to_physical(evs))[: 2 * args.pairs]
-                       for H, evs in zip(Hs, eigenvalues_batch(Hs, args.tol))])
+    levels = np.array(_lowest_levels(Hs, 2 * args.pairs, args.tol))
     gaps = levels[:, 1::2] - levels[:, ::2]
     with np.errstate(divide="ignore", invalid="ignore"):
         ln_g = np.log(grid)
@@ -176,13 +187,12 @@ def cmd_quanta_scan(args) -> int:
     sizes = range(1, args.two_j_max + 1)
     Hs = [build_dimer(args.model, two_j, args.gamma, args.epsilon) for two_j in sizes]
     rows = []
-    for two_j, H, evs in zip(sizes, Hs, eigenvalues_batch(Hs, args.tol)):
-        phys = np.sort(H.to_physical(evs))[: args.levels]
+    for two_j, H, phys in zip(sizes, Hs, _lowest_levels(Hs, args.levels, args.tol)):
         rows.append([two_j, H.dim, *np.pad(phys, (0, args.levels - phys.size),
                                            constant_values=np.nan)])
     header = ["two_j", "dim"] + [f"level_{i}" for i in range(1, args.levels + 1)]
     echo = _echo(args, "command model gamma epsilon two_j_max levels tol")
-    return _table(args, echo, header, rows)
+    return _table(args, echo, header, rows, ints=2)
 
 # ---------------------------------------------------------------------------
 # verify

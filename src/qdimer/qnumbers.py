@@ -38,7 +38,10 @@ def q_from_gamma(gamma: float) -> DeformationParameter:
 def sym_qnum(x: float, q: float) -> float:
     """Symmetric q-number [x] = (q^x - q^-x) / (q - q^-1); [x] -> x as q -> 1.
 
-    Raises ValueError where a power overflows double precision.
+    Where a power overflows, the same ratio is taken with the large power
+    factored out, [x] = sign(x) p^(1-|x|) (1 - p^(2|x|)) / (1 - p^2) with
+    p = min(q, 1/q), since [x] is odd in x and unchanged by q -> 1/q.
+    Raises ValueError where [x] itself overflows double precision.
     """
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
@@ -47,7 +50,15 @@ def sym_qnum(x: float, q: float) -> float:
     try:  # float powers raise OverflowError, numpy scalar ones would return inf
         return (q ** float(x) - q ** -float(x)) / (q - 1.0 / q)
     except OverflowError:
-        raise ValueError(f"q-number [{x}] at q={q:.17g} overflows double precision") from None
+        pass
+    p, ax = min(q, 1.0 / q), abs(float(x))
+    try:
+        value = math.copysign(p ** (1.0 - ax) * ((1.0 - p ** (2.0 * ax)) / (1.0 - p * p)), x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValueError(f"q-number [{x}] at q={q:.17g} overflows double precision")
+    return value
 
 
 def basic_qnum(n: int, gamma: float) -> float:
@@ -55,8 +66,10 @@ def basic_qnum(n: int, gamma: float) -> float:
 
     These are the b'b eigenvalues of the deformed lattice oscillator, with
     base 1 + gamma/2 = q^-2 so that {n+1} - {n} = (1 + gamma/2)^n, which is
-    exactly the commutation rule [b, b'] = 1 + (gamma/2) b'b.  Raises
-    ValueError where the power overflows double precision.
+    exactly the commutation rule [b, b'] = 1 + (gamma/2) b'b.  Where the
+    power overflows, the same ratio is taken with the large power factored
+    out, {n} = g^(n-1) (g - g^(1-n)) / (gamma/2) with g = 1 + gamma/2.
+    Raises ValueError where {n} itself overflows double precision.
     """
     if n < 0 or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
@@ -65,11 +78,19 @@ def basic_qnum(n: int, gamma: float) -> float:
     half = 0.5 * gamma
     if half < Q_ONE_THRESHOLD:
         return float(n)
+    base = 1.0 + half
     try:
-        return ((1.0 + half) ** n - 1.0) / half
+        return (base ** n - 1.0) / half
     except OverflowError:
+        pass
+    try:
+        value = base ** (n - 1) * ((base - base ** (1 - n)) / half)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
         q = q_from_gamma(gamma).q
-        raise ValueError(f"q-number {{{n}}} at q={q:.17g} (gamma={gamma}) overflows double precision") from None
+        raise ValueError(f"q-number {{{n}}} at q={q:.17g} (gamma={gamma}) overflows double precision")
+    return value
 
 
 def q_binomial(m: int, n: int, q: float) -> float:

@@ -36,6 +36,14 @@ bisected to a bracket of that width.  The
 same one-call twisted factorizations at the roots give the eigenvectors,
 mirrored into exactly even or odd columns.
 
+A caller that needs only a prefix or a suffix of each spectrum (the
+command line's lowest physical levels are the top of H) passes that slice
+as select.  It enters after the first sweep, which still counts every root
+of every block, as the counts of a block bracket all of its roots together
+and so need its full width; then only each block's roots that can fall in
+the slice are bisected and finished.  No step of a column depends on
+another column, so a selected root is bitwise the full solve's.
+
 The orthonormality check runs per parity block of the same reduction, on the
 block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
 minor polynomials p_{k+1}(x) = (x - d_k) p_k(x) - o_{k-1}^2 p_{k-1}(x) from
@@ -361,9 +369,30 @@ def _narrow(lo, hi, tol):
     return hi - lo <= np.maximum(tol, 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
 
 
-def _roots(reds, tol: float) -> list[np.ndarray]:
+def _candidates(red: _Reduction, select) -> np.ndarray:
+    """Which of red's rows, in its layout without the padding row, hold a
+    root that can fall in the prefix or suffix select of H's ascending
+    spectrum: a prefix of b roots lies among each segment's lowest b roots,
+    a suffix of c among each segment's top c."""
+    n = red.diag.size - 1
+    a, b = select.indices(n)[:2]
+    idx = np.arange(n) - np.repeat(red.starts, red.sizes)
+    if select.start is None:
+        return idx < b
+    return idx >= np.repeat(red.sizes, red.sizes) - (n - a)
+
+
+def _cut(lam, n: int, select) -> np.ndarray:
+    """The part select names of an ascending spectrum of n roots, taken from
+    lam, its candidate roots sorted."""
+    a, b = select.indices(n)[:2]
+    return lam[:b] if select.start is None else lam[lam.size - (n - a) :]
+
+
+def _roots(reds, tol: float, select=None) -> list[np.ndarray]:
     """Roots of every segment of each reduction, in its scaled units and
-    ascending within a segment.
+    ascending within a segment; with select, only the roots _candidates
+    names, in the same order.
 
     One stacked solve serves many matrices, a whole gamma grid of the
     command line: the segments of all reductions in a run of _batches, which
@@ -397,9 +426,18 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
     the count puts the root on the bracket side of x and the step on the
     other, so x is the root to working accuracy and the step, some 8-21
     eps |x| there, is its rounding floor, which the 4 eps |x| stop misses.
+
+    A selection enters after the first sweep: that sweep still counts
+    every root, since a segment's counts bracket all of its roots together,
+    and then only the candidate columns are bisected and finished.  As no
+    step depends on another column, each of those roots is bitwise the one
+    the full solve returns.
     """
     roots = []
     for run in _batches(reds):
+        want = None
+        if select is not None:
+            want = np.concatenate([np.append(_candidates(red, select), False) for red in run])
         lam = np.concatenate([red.diag for red in run])  # one-row segments
         cols, seg, idx, d, off = _stack(run)
         d, o2 = _mirrored(d, off * off)
@@ -411,6 +449,8 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
         lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count)
         x = 0.5 * (lo + hi)
         done = _narrow(lo, hi, tols)
+        if want is not None:
+            done |= ~want[cols]
         isolated = ~done & (n_lo == idx) & (n_hi == idx + 1)
         act = np.flatnonzero(~(done | isolated))
         newton = False
@@ -453,23 +493,38 @@ def _roots(reds, tol: float) -> list[np.ndarray]:
                 done |= isolated[act]
             act = act[~done]
         lam[cols] = x
-        ends = np.cumsum([red.diag.size for red in run])
-        roots += [part[:-1] for part in np.split(lam, ends[:-1])]
+        ends = np.cumsum([red.diag.size for red in run])[:-1]
+        if want is None:
+            roots += [part[:-1] for part in np.split(lam, ends)]
+        else:
+            roots += np.split(lam[want], np.cumsum(want)[ends - 1])
     return roots
 
 
-def eigenvalues_batch(Hs, tol: float = 1e-12) -> list[np.ndarray]:
+def eigenvalues_batch(Hs, tol: float = 1e-12, select=None) -> list[np.ndarray]:
     """The eigenvalues_bisection eigenvalues of every H in Hs, in one stacked
     solve per run of matrices under a fixed cell budget.
 
     Each H keeps its own scaling, bracket and tol, and every column of the
     stack is computed on its own, so its array is bitwise what
-    eigenvalues_bisection(H, tol) returns.
+    eigenvalues_bisection(H, tol) returns.  select, a prefix slice(stop) or
+    a suffix slice(start, None) without a step, keeps that part of each
+    ascending spectrum, bitwise eigenvalues_batch(Hs, tol)[i][select].
+    _roots then still brackets every root in its first sweep, whose shared
+    counts need the segment's full width, but bisects and finishes only
+    each segment's roots that can fall in the selection; the result keeps
+    the selected part of those, sorted.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if select is not None and not (isinstance(select, slice) and select.step is None
+                                   and None in (select.start, select.stop)):
+        raise ValueError(f"select must be slice(stop) or slice(start, None), got {select!r}")
     reds = [_reduce(H) for H in Hs]
-    return [np.sort(np.ldexp(lam, red.exp)) for lam, red in zip(_roots(reds, tol), reds)]
+    out = [np.sort(np.ldexp(lam, red.exp)) for lam, red in zip(_roots(reds, tol, select), reds)]
+    if select is not None:
+        out = [_cut(lam, H.dim, select) for lam, H in zip(out, Hs)]
+    return out
 
 
 def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.ndarray:

@@ -344,8 +344,9 @@ def test_gaps_values_match_lapack(capsys, monkeypatch, model, two_j, pairs):
     # The table arithmetic is compared on the LAPACK spectrum itself: a gap of
     # 3e-5 among levels of size 50 (dnls, gamma 10) resolves only to about
     # 4e-10 relative in float64, whichever solver computes it.
-    monkeypatch.setattr(cli, "eigenvalues_batch",
-                        lambda Hs, tol: [eigvalsh_tridiagonal(H.diag, H.off) for H in Hs])
+    # full spectra, whatever select the command passes
+    monkeypatch.setattr(cli, "eigenvalues_batch", lambda Hs, tol, select=None:
+                        [eigvalsh_tridiagonal(H.diag, H.off) for H in Hs])
     _, lapack_out = run(capsys, argv)
     assert parse_rows(lapack_out)[0] == parse_rows(out)[0]
 
@@ -384,12 +385,12 @@ def test_gaps_values_match_lapack(capsys, monkeypatch, model, two_j, pairs):
     ["gaps", "--model", "al", "--two-j", "41"],
 ])
 def test_batched_levels_match_per_matrix(capsys, monkeypatch, argv):
-    # one stacked bisection over the grid prints what one bisection per
-    # gamma prints
+    # one stacked bisection over the grid, of only the levels gaps prints,
+    # prints what one full bisection per gamma prints
     argv = argv + ["--gamma-min", "0.5", "--gamma-max", "10", "--steps", "9"]
     _, out = run(capsys, argv)
-    monkeypatch.setattr(cli, "eigenvalues_batch",
-                        lambda Hs, tol: [eigenvalues_bisection(H, tol) for H in Hs])
+    monkeypatch.setattr(cli, "eigenvalues_batch", lambda Hs, tol, select=None:
+                        [eigenvalues_bisection(H, tol) for H in Hs])
     _, single = run(capsys, argv)
     assert out == single
 

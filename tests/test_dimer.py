@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from qdimer import (
     SpinSector,
@@ -13,6 +14,7 @@ from qdimer import (
     build_qal_dimer,
     build_qdnls_dimer,
     dense_oracle,
+    eigenvalues_bisection,
     q_from_gamma,
     sym_qnum,
 )
@@ -173,6 +175,17 @@ def test_al_coupling_overflow_rejected():
                                          r"q=0.25 overflows double precision "
                                          r"\(two_j=1000, gamma=30.0\)$"):
         build_dimer("al", 1000, 30.0)
+
+
+def test_al_builds_up_to_the_last_finite_qnumber():
+    # [512] at q 0.25 is 4.79e307 although 4^512 overflows; [513] is 1.9e308
+    H = build_dimer("al", 512, 30.0)
+    ref = eigvalsh_tridiagonal(H.diag, H.off)
+    assert np.max(np.abs(eigenvalues_bisection(H) - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+    with pytest.raises(ValueError, match=r"^al coupling off\[0\] = sqrt\(\[513\] \[1\]\) at "
+                                         r"q=0.25 overflows double precision "
+                                         r"\(two_j=513, gamma=30.0\)$"):
+        build_dimer("al", 513, 30.0)
 
 
 @pytest.mark.parametrize("two_j", [101, 131, 240])

@@ -103,14 +103,29 @@ def test_basic_equals_scaled_symmetric():
 
 
 def test_qnumber_overflow_is_a_value_error():
-    assert math.isfinite(sym_qnum(511, 0.25)) and math.isfinite(basic_qnum(441, 8.0))
-    with pytest.raises(ValueError, match=r"^q-number \[512\] at q=0.25 overflows double precision$"):
-        sym_qnum(512, 0.25)
+    # [512] at q 0.25 and {441} at gamma 8 fit, though a power in their
+    # defining ratios does not; [513] and {442} themselves overflow
+    assert math.isfinite(sym_qnum(512, 0.25)) and math.isfinite(basic_qnum(441, 8.0))
+    with pytest.raises(ValueError, match=r"^q-number \[513\] at q=0.25 overflows double precision$"):
+        sym_qnum(513, 0.25)
     with pytest.raises(ValueError, match=r"overflows double precision$"):
         sym_qnum(np.float64(600.0), 0.25)
     with pytest.raises(ValueError, match=r"^q-number \{442\} at q=0.44721359549995793 \(gamma=8.0\) "
                                          r"overflows double precision$"):
         basic_qnum(442, 8.0)
+
+
+def test_qnumbers_past_an_overflowing_power():
+    # 4^512 = 16^256 = 2^1024 overflows in the defining ratios, the
+    # q-numbers do not: [512] = 4.7938483596328424e307 at q 0.25 (and at
+    # q 4, odd in x) and {256} = 1.1984620899082106e307 at gamma 30
+    eps = np.finfo(float).eps
+    with mp.workdps(40):
+        sym = (mp.mpf(4) ** 512 - mp.mpf(4) ** -512) / (4 - mp.mpf(0.25))
+        basic = (mp.mpf(16) ** 256 - 1) / 15
+        for value, ref in ((sym_qnum(512, 0.25), sym), (sym_qnum(-512, 4.0), -sym),
+                           (basic_qnum(256, 30.0), basic)):
+            assert abs(value - ref) <= 4 * eps * abs(ref)
 
 
 def test_q_binomial_frozen_value():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdimer import (
+    MODELS,
     SpinSector,
     TridiagonalHamiltonian,
     build_dimer,
@@ -269,6 +270,10 @@ def test_batch_kernel_sweeps(monkeypatch):
     Hs = [build_dimer("dnls", 100, g) for g in np.geomspace(0.5, 10.0, 16)]
     calls, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs)
     assert calls <= 15 and swept <= 21235
+    # the four levels of gaps' two pairs: the first sweep, at full width,
+    # then the top four roots of each parity block only, 3374 columns
+    _, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, slice(-4, None))
+    assert swept <= 21235 // 5
 
 
 def _random_stack(rng):
@@ -478,6 +483,46 @@ def test_batch_matches_per_matrix(tol):
     assert len(batch) == len(Hs)
     for H, evs in zip(Hs, batch):
         assert np.array_equal(evs, eigenvalues_bisection(H, tol)), (H.model, H.dim)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-15])
+def test_selected_roots_are_the_full_solves(tol):
+    # each selected root runs the same steps on its own column as in the full
+    # solve; slice(-0, None) is the whole spectrum, slice(0) none of it
+    Hs = _mixed_dimers()
+    full = eigenvalues_batch(Hs, tol)
+    for k in (0, 1, 2, 4, 7, max(H.dim for H in Hs) + 3):
+        for select in (slice(k), slice(-k, None)):
+            for evs, part in zip(full, eigenvalues_batch(Hs, tol, select)):
+                assert part.tobytes() == evs[select].tobytes(), select
+
+
+def test_selected_roots_on_random_grids():
+    # 1024 dimers in 32 gamma grids of 32 steps, as the command line stacks
+    # them: dnls and AL, two_j 1-300 log-uniform, one grid in 4 from gamma 0,
+    # and three couplings set to 0 in every fifth dimer
+    rng = np.random.default_rng(23)
+    compared = 0
+    for g in range(32):
+        model, two_j = MODELS[g % 2], int(np.exp(rng.uniform(0.0, math.log(301.0))))
+        grid = np.geomspace(rng.uniform(0.05, 1.0), rng.uniform(2.0, 10.0), 32)
+        grid[0] *= g % 4 > 0
+        Hs = [build_dimer(model, two_j, float(gamma)) for gamma in grid]
+        for H in Hs[::5]:
+            H.off[rng.integers(0, two_j, 3)] = 0.0
+        full = eigenvalues_batch(Hs)
+        k = int(rng.choice([1, 2, 3, 4, 8, int(rng.integers(0, two_j + 4))]))
+        for select in (slice(k), slice(-k, None)):
+            for evs, part in zip(full, eigenvalues_batch(Hs, select=select)):
+                assert part.tobytes() == evs[select].tobytes(), (model, two_j, select)
+                compared += 1
+    assert compared == 2048
+
+
+@pytest.mark.parametrize("select", [slice(1, -1), slice(None, None, 2), slice(2, 5), 3])
+def test_unsupported_selection_rejected(select):
+    with pytest.raises(ValueError, match="select"):
+        eigenvalues_batch([build_qal_dimer(6, 1.0)], select=select)
 
 
 def test_batch_edge_cases():
