@@ -92,11 +92,11 @@ def _emit(lines, out_path):
             fh.write(text)
 
 
-def _table(args, echo, header, rows, tail=(), ints=0) -> int:
-    """Write the echo, the header and one line per row, then tail.  A row's
-    first ints cells are integers; every row is one %-format, integers as
-    str(int) and the other cells as _fmt writes floats."""
-    line = ",".join(["%d"] * ints + ["%.17g"] * (len(header) - ints))
+def _table(args, echo, header, rows, tail=()) -> int:
+    """Write the echo, the header and one line per row, then tail.  Every row
+    is one %-format of .17g cells, which writes a float as _fmt does and an
+    integer below 2^53 as str(int)."""
+    line = ",".join(["%.17g"] * len(header))
     _emit([echo, ",".join(header), *(line % tuple(row) for row in rows), *tail], args.out)
     return 0
 
@@ -104,11 +104,9 @@ def _table(args, echo, header, rows, tail=(), ints=0) -> int:
 def _lowest_levels(Hs, count, tol):
     """The count lowest physical levels of each H, ascending.  Only the end
     of H's spectrum that holds them is solved: its top where energy_scale
-    < 0, as in both models, its bottom otherwise."""
-    ends = {H.energy_scale < 0 for H in Hs}
-    select = None
-    if len(ends) == 1:
-        select = slice(-count, None) if ends.pop() else slice(count)
+    < 0, as in both models, its bottom otherwise.  The Hs come from one
+    builder, so the first one's sign is every one's."""
+    select = slice(-count, None) if Hs[0].energy_scale < 0 else slice(count)
     return [np.sort(H.to_physical(evs))[:count]
             for H, evs in zip(Hs, eigenvalues_batch(Hs, tol, select))]
 
@@ -119,7 +117,7 @@ def cmd_spectrum(args) -> int:
     echo = _echo(args, "command model two_j gamma epsilon tol",
                  ("energy_scale", H.energy_scale), ("energy_shift", H.energy_shift))
     rows = zip(range(spec.dim), spec.eigenvalues, spec.norm_constants)
-    return _table(args, echo, ["index", "eigenvalue", "norm_constant"], rows, ints=1)
+    return _table(args, echo, ["index", "eigenvalue", "norm_constant"], rows)
 
 
 def _gamma_grid(args):
@@ -192,7 +190,7 @@ def cmd_quanta_scan(args) -> int:
                                            constant_values=np.nan)])
     header = ["two_j", "dim"] + [f"level_{i}" for i in range(1, args.levels + 1)]
     echo = _echo(args, "command model gamma epsilon two_j_max levels tol")
-    return _table(args, echo, header, rows, ints=2)
+    return _table(args, echo, header, rows)
 
 # ---------------------------------------------------------------------------
 # verify

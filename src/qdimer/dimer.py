@@ -139,7 +139,9 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     two-site chain (hops of the deformed lattice oscillators plus the 2 sum N
     term) has spectrum -q^(1/2 - j) lambda + 2 M; the sector constants come
     from C_1^-1 = q^-j and from {n} = q^(1-n) [n] relating the two kinds of
-    hops, and are recorded in the energy metadata.
+    hops, and are recorded in the energy metadata.  Raises ValueError where
+    a coupling, or a physical level's Gershgorin bound, overflows double
+    precision.
     """
     _check_finite(gamma=gamma)
     sector = SpinSector(two_j)
@@ -162,13 +164,21 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
             f"overflows double precision (two_j={two_j}, gamma={gamma})"
         )
     j = sector.j
+    scale = -(dp.q ** (0.5 - j))
+    with np.errstate(over="ignore"):  # |scale| times the Gershgorin radius bounds the levels
+        top = abs(scale) * np.max(np.r_[off, 0.0] + np.r_[0.0, off]) + 2.0 * two_j
+    if not np.isfinite(top):
+        raise ValueError(
+            f"al physical levels -q^(1/2 - j) lambda + 2 M at q={dp.q:.17g} "
+            f"overflow double precision (two_j={two_j}, gamma={gamma})"
+        )
     return TridiagonalHamiltonian(
         sector=sector,
         model="al",
         diag=np.zeros(sector.dim),
         off=off,
         params={"gamma": float(gamma), "q": dp.q},
-        energy_scale=-(dp.q ** (0.5 - j)),
+        energy_scale=scale,
         energy_shift=2.0 * two_j,
     )
 

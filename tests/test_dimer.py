@@ -181,7 +181,14 @@ def test_al_builds_up_to_the_last_finite_qnumber():
     # [512] at q 0.25 is 4.79e307 although 4^512 overflows; [513] is 1.9e308
     H = build_dimer("al", 512, 30.0)
     ref = eigvalsh_tridiagonal(H.diag, H.off)
-    assert np.max(np.abs(eigenvalues_bisection(H) - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+    evs = eigenvalues_bisection(H)
+    assert np.max(np.abs(evs - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+    assert np.isfinite(H.to_physical(evs)).all()  # the top level is 9.6e307
+    # at gamma 30.1 the couplings fit but the top physical level, 2.1e308, does not
+    with pytest.raises(ValueError, match=r"^al physical levels -q\^\(1/2 - j\) lambda \+ 2 M at "
+                                         r"q=0.2496\d* overflow double precision "
+                                         r"\(two_j=512, gamma=30.1\)$"):
+        build_dimer("al", 512, 30.1)
     with pytest.raises(ValueError, match=r"^al coupling off\[0\] = sqrt\(\[513\] \[1\]\) at "
                                          r"q=0.25 overflows double precision "
                                          r"\(two_j=513, gamma=30.0\)$"):
