@@ -101,6 +101,8 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     diag_m = (gamma/2) m^2 and off(m, m+1) = eps sqrt((j - m)(j + m + 1)).
     The physical chain with hopping eps and per-site nonlinearity gamma/2
     has spectrum -lambda - (gamma/2) j^2, recorded in the energy metadata.
+    Raises ValueError where an entry, or a physical level's Gershgorin
+    bound, overflows double precision.
     """
     _check_finite(gamma=gamma, epsilon=epsilon)
     sector = SpinSector(two_j)
@@ -109,17 +111,27 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     if gamma < 0:
         warnings.warn("negative gamma: attractive convention", stacklevel=2)
     m = sector.m_values
-    with np.errstate(over="ignore"):
-        diag = 0.5 * gamma * m**2
     off = np.array(
         [epsilon * math.sqrt((two_j - k) * (k + 1)) for k in range(sector.dim - 1)]
     )
+    j = sector.j
+    shift = -0.5 * gamma * j * j
+    with np.errstate(over="ignore"):
+        diag = 0.5 * gamma * m**2
+        # the Gershgorin radius plus |shift| bounds the physical levels
+        radius = np.abs(diag)
+        radius[1:] += np.abs(off)
+        radius[:-1] += np.abs(off)
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError(
             f"dnls entries overflow double precision (two_j={two_j}, gamma={gamma}, "
             f"epsilon={epsilon})"
         )
-    j = sector.j
+    if not math.isfinite(float(radius.max()) + abs(shift)):
+        raise ValueError(
+            f"dnls physical levels -lambda - (gamma/2) j^2 overflow double precision "
+            f"(two_j={two_j}, gamma={gamma}, epsilon={epsilon})"
+        )
     return TridiagonalHamiltonian(
         sector=sector,
         model="dnls",
@@ -127,7 +139,7 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
         off=off,
         params={"gamma": float(gamma), "epsilon": float(epsilon), "chain_gamma": 0.5 * gamma},
         energy_scale=-1.0,
-        energy_shift=-0.5 * gamma * j * j,
+        energy_shift=shift,
     )
 
 

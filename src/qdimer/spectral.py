@@ -36,6 +36,18 @@ bisected to a bracket of that width.  The
 same one-call twisted factorizations at the roots give the eigenvectors,
 mirrored into exactly even or odd columns.
 
+A zero diagonal, as in every AL dimer, folds H once more (the chiral fold).
+With S the checkerboard signature diag(+1, -1, +1, ...), S T S = -T for a
+tridiagonal T of zero diagonal, so T's roots come in pairs -+lam and S maps
+the eigenvector of lam to one of -lam.  Each such block then bisects and
+finishes only its top half of roots, and takes the others as their exact
+negatives and the S-images of their vectors.  At even dimension the even
+block carries the central coupling on its diagonal, but the odd block is
+-S (even block) S, so only the even block is stacked and the odd block
+takes all of its roots and vectors from it.  The solved roots and vectors
+are bitwise those of the unfolded solve; the mirrored ones make an AL
+spectrum of even dimension antisymmetric bitwise.
+
 A caller that needs only a prefix or a suffix of each spectrum (the
 command line's lowest physical levels are the top of H) passes that slice
 as select.  It enters after the first sweep, which still counts every root
@@ -96,7 +108,11 @@ class Spectrum:
     norm_constants[a] is |vectors[0, a]|, which equals
     1 / sqrt(sum_k p_k(lam_a)^2 / eps_k^2), the normalization of the
     recurrence eigenvector expansion.  vector_method[a] records how the
-    column was obtained.
+    column was obtained: "recurrence" (a twisted factorization at its
+    root), "chiral" (the chiral fold's image of a solved column of a
+    zero-diagonal H, every other entry of its parity block negated, for
+    minus that column's eigenvalue), "ritz" (the Rayleigh-Ritz guard of
+    close roots in one block) or "dense" (dense_oracle).
     """
 
     hamiltonian: TridiagonalHamiltonian
@@ -211,11 +227,13 @@ def _twisted(d, seg, o2, lam, reuse_down=False):
 
 def _row_sum(table):
     """Sum of the table's rows, added in row order as a running sum, so a
-    column's sum is the same at any width (np.cumsum(table, axis=0)[-1])."""
-    total = table[0].copy()
-    for row in table[1:]:
-        total += row
-    return total
+    column's sum is the same at any width: np.add.reduce adds the rows of a
+    table two or more columns wide one after another, but pairs up the rows
+    of a single column, where np.cumsum runs instead (np.cumsum down the
+    rows of a wide table takes 4-8 times as long)."""
+    if table.shape[1] == 1:
+        return np.cumsum(table, axis=0)[-1]
+    return np.add.reduce(table, axis=0)
 
 
 @dataclass(frozen=True)
@@ -227,7 +245,13 @@ class _Reduction:
     couples rows i and i + 1 and is zero at every segment end; diag and off
     end with a padding row.  Segment s has sizes[s] rows from starts[s].
     bracket, where the search for every root of H starts, is its scaled
-    Gershgorin interval widened by 1e-3 of its radius.
+    Gershgorin interval widened by 1e-3 of its radius.  Where twin[i] >= 0,
+    row i's root is minus the root of row twin[i], which lies in a segment
+    of the same size, and its vector is that root's vector with every other
+    entry negated (the chiral fold); the solver solves only the rows whose
+    twin is -1, the padding row's included.  stacked marks the segments
+    the stacked solve holds: those of two or more rows whose roots are not
+    all mirrored from another segment's.
     """
 
     diag: np.ndarray
@@ -239,6 +263,8 @@ class _Reduction:
     mirror: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
+    twin: np.ndarray
+    stacked: np.ndarray
 
 
 def _scaled(H: TridiagonalHamiltonian):
@@ -254,12 +280,19 @@ def _scaled(H: TridiagonalHamiltonian):
 def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
     """Exact reduction of H: scaled by _scaled, the even and odd blocks when H
     equals its mirror image, and cuts at couplings that are zero or whose
-    square underflows."""
+    square underflows.  A zero diagonal adds the chiral fold (see the module
+    docstring) as twin: each segment of two or more rows takes its bottom
+    half of roots from its top half, except at the even dimension of a
+    persymmetric H, where the odd block takes all of its roots from the even
+    block.
+    """
     n = H.dim
     d, o, exp = _scaled(H)
+    chiral = not d.any()
     m = n // 2
     rows, weights, mirror = np.arange(n), np.ones(n), np.zeros(n)
-    if n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(o, o[::-1]):
+    folded = n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(o, o[::-1])
+    if folded:
         # even block (u_k = u_{n-1-k}) on the half-ladder with the central
         # coupling folded in, then the odd block (u_k = -u_{n-1-k})
         rows = np.concatenate((np.arange(n - m), np.arange(m)))
@@ -277,16 +310,25 @@ def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
     o[o * o == 0.0] = 0.0
     starts = np.append(0, np.flatnonzero(o[: n - 1] == 0.0) + 1)
     sizes = np.diff(np.append(starts, n))
+    twin = np.full(n + 1, -1)
+    if chiral:
+        i = np.arange(n)
+        partner = np.repeat(2 * starts + sizes - 1, sizes) - i  # the row of -lam
+        if folded and n % 2 == 0:
+            twin[:n] = np.where((i >= m) & np.repeat(sizes > 1, sizes), partner - m, -1)
+        else:
+            twin[:n] = np.where(i < partner, partner, -1)
     glo, ghi = (math.ldexp(x, -exp) for x in gershgorin_bounds(H))
     pad = 1e-3 * max(-glo, ghi)
     bracket = (glo - pad, ghi + pad)
+    stacked = (sizes > 1) & (twin[starts + sizes - 1] < 0)
     return _Reduction(np.append(d, _PAD_DIAG), o, exp, bracket, rows, weights, mirror,
-                      starts, sizes)
+                      starts, sizes, twin, stacked)
 
 
 def _stack(reds):
-    """The segments of two or more rows of the reductions side by side,
-    bottom-aligned.
+    """The stacked segments of the reductions (_Reduction.stacked) side by
+    side, bottom-aligned.
 
     The reductions' rows are laid end to end, each keeping its padding row,
     so row i of reds[r] is row i + sum of reds[:r]'s diag sizes.  Returns,
@@ -297,10 +339,9 @@ def _stack(reds):
     rows above a short segment are padding.
     """
     base = np.cumsum([0] + [red.diag.size for red in reds])
-    sizes = np.concatenate([red.sizes for red in reds])
-    multi = sizes > 1
-    starts = np.concatenate([red.starts + b for red, b in zip(reds, base)])[multi]
-    sizes = sizes[multi]
+    stacked = np.concatenate([red.stacked for red in reds])
+    starts = np.concatenate([red.starts + b for red, b in zip(reds, base)])[stacked]
+    sizes = np.concatenate([red.sizes for red in reds])[stacked]
     height = int(sizes.max(initial=1))
     rows = np.arange(height)[:, None] + (starts + sizes - height)
     rows[rows < starts] = base[1] - 1
@@ -313,7 +354,7 @@ def _stack(reds):
 
 def _cells(red: _Reduction) -> tuple[int, int]:
     """Height and width of red's stack."""
-    sizes = red.sizes[red.sizes > 1]
+    sizes = red.sizes[red.stacked]
     return int(sizes.max(initial=1)), int(sizes.sum())
 
 
@@ -370,11 +411,16 @@ def _narrow(lo, hi, tol):
 
 
 def _candidates(red: _Reduction, select) -> np.ndarray:
-    """Which of red's rows, in its layout without the padding row, hold a
-    root that can fall in the prefix or suffix select of H's ascending
-    spectrum: a prefix of b roots lies among each segment's lowest b roots,
-    a suffix of c among each segment's top c."""
+    """Which of red's rows hold a root that can fall in the prefix or suffix
+    select of H's ascending spectrum (all rows where select is None, never
+    the padding row): a prefix of b roots lies among each segment's lowest b
+    roots, a suffix of c among each segment's top c.  A mirrored candidate
+    needs its twin solved: the twins of a chiral segment's top or bottom c
+    are its top c, and the odd block of an even dimension takes its top c
+    from the even block's bottom c."""
     n = red.diag.size - 1
+    if select is None:
+        return np.ones(n, dtype=bool)
     a, b = select.indices(n)[:2]
     idx = np.arange(n) - np.repeat(red.starts, red.sizes)
     if select.start is None:
@@ -427,17 +473,25 @@ def _roots(reds, tol: float, select=None) -> list[np.ndarray]:
     other, so x is the root to working accuracy and the step, some 8-21
     eps |x| there, is its rounding floor, which the 4 eps |x| stop misses.
 
-    A selection enters after the first sweep: that sweep still counts
-    every root, since a segment's counts bracket all of its roots together,
-    and then only the candidate columns are bisected and finished.  As no
-    step depends on another column, each of those roots is bitwise the one
-    the full solve returns.
+    The chiral fold and a selection enter after the first sweep: that
+    sweep still counts every root of a stacked segment, since its counts
+    bracket all of the segment's roots together, and then only the columns
+    whose twin is -1 and whose root is a candidate or a candidate's twin are
+    bisected and finished.  As no step depends on another column, each of
+    those roots is bitwise the one the full solve returns.  Each mirrored
+    root is then minus its twin's.
     """
     roots = []
     for run in _batches(reds):
-        want = None
-        if select is not None:
-            want = np.concatenate([np.append(_candidates(red, select), False) for red in run])
+        base = np.cumsum([0] + [red.diag.size for red in run])
+        need = np.zeros(base[-1], dtype=bool)  # never a padding row
+        for red, b in zip(run, base):
+            need[b : b + red.diag.size - 1] = _candidates(red, select)
+        twin = np.concatenate([red.twin for red in run])
+        mirrored = twin >= 0
+        twin[mirrored] += np.repeat(base[:-1], np.diff(base))[mirrored]
+        want = need & ~mirrored
+        want[twin[need & mirrored]] = True
         lam = np.concatenate([red.diag for red in run])  # one-row segments
         cols, seg, idx, d, off = _stack(run)
         d, o2 = _mirrored(d, off * off)
@@ -448,9 +502,7 @@ def _roots(reds, tol: float, select=None) -> list[np.ndarray]:
         count = np.count_nonzero(_pivots(d, seg, o2, x) <= 0.0, axis=0)
         lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count)
         x = 0.5 * (lo + hi)
-        done = _narrow(lo, hi, tols)
-        if want is not None:
-            done |= ~want[cols]
+        done = _narrow(lo, hi, tols) | ~want[cols]
         isolated = ~done & (n_lo == idx) & (n_hi == idx + 1)
         act = np.flatnonzero(~(done | isolated))
         newton = False
@@ -493,11 +545,8 @@ def _roots(reds, tol: float, select=None) -> list[np.ndarray]:
                 done |= isolated[act]
             act = act[~done]
         lam[cols] = x
-        ends = np.cumsum([red.diag.size for red in run])[:-1]
-        if want is None:
-            roots += [part[:-1] for part in np.split(lam, ends)]
-        else:
-            roots += np.split(lam[want], np.cumsum(want)[ends - 1])
+        lam[mirrored] = -lam[twin[mirrored]]
+        roots += np.split(lam[need], np.cumsum(need)[base[1:-1] - 1])
     return roots
 
 
@@ -532,8 +581,10 @@ def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.n
 
     H is scaled by a power of two, split into its even and odd blocks when
     it is persymmetric and cut at zero couplings; all blocks are solved
-    together.  One multisection sweep, m Sturm counts at evenly spaced
-    shifts for a block of m eigenvalues, brackets them all; each eigenvalue
+    together, and where H has a zero diagonal only half of their roots, the
+    rest being their exact negatives (the chiral fold).  One multisection
+    sweep, m Sturm counts at evenly spaced shifts for a block of m
+    eigenvalues, brackets them all; each eigenvalue
     is then bisected on the pivot Sturm count until its bracket holds no
     other, and refined by Newton steps on
     det(H - lambda) from the twisted pivots, kept inside the bracket, until
@@ -545,16 +596,19 @@ def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.n
 
 
 def _twisted_vectors(red: _Reduction, lam):
-    """The stack's columns and their unit eigenvectors, bottom-aligned as in
-    _stack and zero on the padding rows.
+    """The stack's solved columns (twin -1) and their unit eigenvectors,
+    bottom-aligned as in _stack and zero on the padding rows.
 
     One kernel call over the stack and its mirror (_twisted) gives the
     twisted factorizations of T - lam (Dhillon & Parlett),
     gamma_k = q+_k - o_k^2 / q-_{k+1}.  At r = argmin |gamma_k| the vector
     with z_r = 1 that it yields is the eigenvector: z_k = -o_k z_{k+1} / q+_k
-    above r, -o_{k-1} z_{k-1} / q-_k below.
+    above r, -o_{k-1} z_{k-1} / q-_k below.  The norm adds the squares in
+    row order (_row_sum), so a column's vector is the same at any width.
     """
     cols, seg, _, d, off = _stack([red])
+    solved = red.twin[cols] < 0
+    cols, seg = cols[solved], seg[solved]
     d, o2 = _mirrored(d, off * off)
     up, down, gamma = _twisted(d, seg, o2, lam[cols])
     r = np.argmin(np.abs(gamma, out=gamma), axis=0)
@@ -569,7 +623,8 @@ def _twisted_vectors(red: _Reduction, lam):
     # a table of its own, so z keeps no view of the 2w-wide one alive
     z = np.cumprod(up[::-1], axis=0)[::-1]
     z *= np.cumprod(down, axis=0, out=down)
-    z /= np.linalg.norm(z, axis=0)
+    del up, down
+    z /= np.sqrt(_row_sum(z * z))
     return cols, z
 
 
@@ -594,8 +649,11 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
     by construction.  Inside one block of a hand-built H that is not
     persymmetric, roots closer than 1e-6 * radius give coinciding twisted
     vectors; those columns come from a Rayleigh-Ritz step on the complement
-    of the block's other vectors and are marked "ritz" in vector_method, all
-    others "recurrence".  tol must lie in (0, SOLVE_TOL_MAX = 1e-10].
+    of the block's other vectors and are marked "ritz" in vector_method.
+    Where H has a zero diagonal, the columns the chiral fold mirrors (see
+    _reduce) are a solved column with every other entry of its block
+    negated, and are marked "chiral"; all others are "recurrence".  tol must
+    lie in (0, SOLVE_TOL_MAX = 1e-10].
     """
     if not 0.0 < tol <= SOLVE_TOL_MAX:
         raise ValueError(f"tol must be in (0, {SOLVE_TOL_MAX:g}] for eigenvectors, got {tol}")
@@ -603,6 +661,8 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
     n = H.dim
     lam = _roots([red], tol)[0]
     cols, z = _twisted_vectors(red, lam)
+    at = np.zeros(n, dtype=int)
+    at[cols] = np.arange(cols.size)  # z's column of each solved row
     order = np.argsort(lam, kind="stable")
     column = np.argsort(order)
     gap = math.ldexp(1e-6 * _radius(H), -red.exp)
@@ -612,14 +672,18 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
         seg = slice(first, first + size)
         block = np.ones((1, 1))
         if size > 1:
-            c = np.searchsorted(cols, first)
-            block = z[-size:, c : c + size]
+            twin = red.twin[seg]
+            mirrored = twin >= 0
+            block = z[-size:, at[np.where(mirrored, twin, np.arange(first, first + size))]]
+            block[1::2, mirrored] *= -1.0
+            methods[seg][mirrored] = "chiral"
             run = np.diff(lam[seg]) <= gap
             if run.any():
                 run = np.append(run, False) | np.insert(run, 0, False)
                 block[:, run] = _ritz(red, first, size, block[:, ~run])
                 methods[seg][run] = "ritz"
-        block = _lead_positive(block * red.weights[seg, None])
+        block *= red.weights[seg, None]  # a copy of z's columns, so in place
+        block = _lead_positive(block)
         row = red.rows[first]
         vectors[row : row + size, column[seg]] = block
         if red.mirror[first]:

@@ -124,6 +124,7 @@ def test_usage_errors_exit_2(argv):
     ["quanta-scan", "--epsilon", "0.5"],
     ["sweep", "--model", "al", "--two-j", "3", "--scale", "linear", "--gamma-min", "-1"],
     ["spectrum", "--two-j", "4", "--gamma", "2", "--tol", "1e-9"],
+    ["spectrum", "--two-j", "4", "--gamma", "8e307"],
 ])
 def test_refusals_are_usage_errors(capsys, argv):
     # the library's refusals too: exit 2, one error line, no traceback or warning

@@ -211,3 +211,16 @@ def test_dnls_entry_overflow_rejected(gamma, epsilon):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="dnls entries overflow"):
             build_qdnls_dimer(4, gamma, epsilon)
+
+
+@pytest.mark.parametrize("gamma", [8e307, -8e307])
+def test_dnls_level_overflow_rejected(gamma):
+    # the entries fit (|diag| <= 1.6e308) but the levels -lambda - (gamma/2) j^2
+    # reach 3.2e308; 4e307 still builds, its lowest level -1.6e308 finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # negative gamma warns
+        with pytest.raises(ValueError, match=r"^dnls physical levels -lambda - \(gamma/2\) j\^2 "
+                                             r"overflow double precision \(two_j=4, "):
+            build_qdnls_dimer(4, gamma)
+    H = build_qdnls_dimer(4, 4e307)
+    assert np.isfinite(H.to_physical(eigenvalues_bisection(H))).all()

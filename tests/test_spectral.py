@@ -323,14 +323,19 @@ def test_twisted_is_two_kernel_runs(monkeypatch):
             assert np.array_equal(parts[0], up) and np.array_equal(parts[2], gamma)
 
 
-@pytest.mark.parametrize("width", [1, 2, 7, 300])
+@pytest.mark.parametrize("width", [1, 2, 7, 300, 2000])
 def test_row_sum_is_the_running_sum(width):
     # the Newton step's sum of 1 / gamma_k adds the rows in order, as cumsum
-    # does, whatever the width of the stack
+    # does, whatever the width of the stack, also on the row-reversed half
+    # of a 2w-wide table, as _twisted hands it over
     rng = np.random.default_rng(width)
     table = rng.standard_normal((151, width)) * np.exp(rng.uniform(-30, 30, (151, width)))
     table[5] = 0.0  # 1 / inf on a padding row
-    assert np.array_equal(_row_sum(table), np.cumsum(table, axis=0)[-1])
+    running = np.cumsum(table, axis=0)[-1]
+    assert np.array_equal(_row_sum(table), running)
+    wide = np.zeros((151, 2 * width))
+    wide[::-1, width:] = table
+    assert np.array_equal(_row_sum(wide[::-1, width:]), running)
 
 
 def test_pivots_refuse_descending_segments():
@@ -409,6 +414,117 @@ def test_newton_settles_at_a_bracket_end(monkeypatch, model, two_j, gamma, tol):
     assert np.max(np.abs(eigenvalues_bisection(H, tol) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _al_grid(two_j):
+    return [build_qal_dimer(two_j, float(g)) for g in np.geomspace(0.5, 10.0, 16)]
+
+
+def _assert_mirrored(lo, hi, dim):
+    """lo, the bottom of an ascending chiral spectrum of dim roots, is bitwise
+    minus hi, its top, reversed.  The middle root of an odd dim is its own
+    partner: solved, it is zero only to rounding, and is left out."""
+    k = min(lo.size, hi.size, dim // 2)
+    assert lo[:k].tobytes() == (-hi[::-1][:k]).tobytes()
+
+
+@pytest.mark.parametrize("two_j", [101, 100])
+def test_chiral_fold_mirrors_al_spectra(two_j):
+    # the fold solves the even block of an odd two_j, the top half of each
+    # block of an even one, and mirrors the rest: minus a solved root,
+    # bitwise, in any selection of either end too
+    Hs, dim = _al_grid(two_j), two_j + 1
+    full = eigenvalues_batch(Hs)
+    for H, evs in zip(Hs, full):
+        _assert_mirrored(evs, evs, dim)
+        assert evs.tobytes() == solve_spectrum(H).eigenvalues.tobytes()
+    for k in (0, 1, 2, 4, 7, dim + 3):
+        bottom = eigenvalues_batch(Hs, select=slice(k))
+        top = eigenvalues_batch(Hs, select=slice(-k, None))
+        for evs, lo, hi in zip(full, bottom, top):
+            assert lo.tobytes() == evs[:k].tobytes() and hi.tobytes() == evs[-k:].tobytes()
+            _assert_mirrored(lo, hi, dim)
+
+
+@pytest.mark.parametrize("two_j, gamma", [(101, 2.0), (100, 2.0), (41, 9.0), (40, 0.5),
+                                          (7, 2.0), (6, 2.0), (2, 1.0)])
+def test_chiral_vectors_are_checkerboard_images(two_j, gamma):
+    # column a's partner is column dim - 1 - a: a mirrored column is the
+    # solved one with every other entry negated, up to its sign
+    s = solve_spectrum(build_qal_dimer(two_j, gamma))
+    n = s.dim
+    mirrored = np.flatnonzero([m == "chiral" for m in s.vector_method])
+    assert mirrored.size == n // 2 and not np.isin(n - 1 - mirrored, mirrored).any()
+    assert s.eigenvalues[mirrored].tobytes() == (-s.eigenvalues[n - 1 - mirrored]).tobytes()
+    image = (-1.0) ** np.arange(n)[:, None] * s.vectors[:, n - 1 - mirrored]
+    for v, w in zip(s.vectors[:, mirrored].T, image.T):
+        assert np.array_equal(v, w) or np.array_equal(v, -w)
+    rep = parity_structure_check(s)
+    assert rep.passed and (rep.max_pair_residual == 0.0 or n % 2)
+    scale = max(1.0, float(np.max(np.abs(s.eigenvalues))))
+    dense = s.hamiltonian.to_dense()
+    assert np.max(np.abs(dense @ s.vectors - s.vectors * s.eigenvalues)) < 1e-10 * scale
+    assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(n))) <= 1e-9 * n
+    assert completeness_check(s) <= 1e-9 * n
+    assert df_orthonormality_check(s) <= 1e-9 * n
+
+
+def _zero_diagonal(n, persymmetric):
+    """A hand-built tridiagonal of zero diagonal, cut by zero couplings at
+    rows 1 and n - 3: persymmetric or not."""
+    off = np.random.default_rng(n).uniform(0.2, 1.0, n - 1)
+    if persymmetric:
+        off = np.where(np.arange(n - 1) < (n - 1) / 2, off, off[::-1])
+    off[[1, n - 3]] = 0.0
+    return TridiagonalHamiltonian(SpinSector(n - 1), "al", np.zeros(n), off)
+
+
+@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("persymmetric", [True, False])
+def test_chiral_fold_of_hand_built_matrices(n, persymmetric):
+    H = _zero_diagonal(n, persymmetric)
+    red = _reduce(H)
+    assert (red.twin >= 0).sum() == (n // 2 if persymmetric and n % 2 == 0 else
+                                     sum(size // 2 for size in red.sizes))
+    s = solve_spectrum(H)
+    assert "chiral" in s.vector_method
+    evs = eigenvalues_batch([H])[0]
+    assert evs.tobytes() == s.eigenvalues.tobytes()
+    _assert_mirrored(evs, evs, n)
+    ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
+    assert np.max(np.abs(evs - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-14
+    assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(n))) <= 1e-14
+    assert completeness_check(s) <= 1e-14
+    assert df_orthonormality_check(s) <= 1e-12 * n
+    for k in (0, 1, 2, 4, 7, n + 3):
+        for select in (slice(k), slice(-k, None)):
+            assert eigenvalues_batch([H], select=select)[0].tobytes() == evs[select].tobytes()
+
+
+def test_chiral_fold_under_the_ritz_guard():
+    # level pairs 1e-9 apart inside the even block: the Rayleigh-Ritz guard
+    # replaces solved and mirrored columns alike
+    H = TridiagonalHamiltonian(SpinSector(5), "al", np.zeros(6), [1.0, 1e-9, 1.0, 1e-9, 1.0])
+    s = solve_spectrum(H)
+    assert {"ritz", "chiral", "recurrence"} == set(s.vector_method)
+    assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-14
+    assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(6))) <= 1e-14
+    assert completeness_check(s) <= 1e-14
+
+
+def test_chiral_fold_halves_the_al_sweeps(monkeypatch):
+    # the 16-step grid at two_j 101 stacks the even blocks only: 9666
+    # columns where both blocks took 19334; at two_j 131 it fits one stack,
+    # 13 calls where two stacks took 24; an even two_j bisects and finishes
+    # the top half of each block: 1740 columns where all took 3223
+    calls, swept = _sweeps(monkeypatch, eigenvalues_batch, _al_grid(101))
+    assert calls <= 13 and swept <= 19334 // 2 + 100
+    Hs = _al_grid(131)
+    assert len(list(_batches([_reduce(H) for H in Hs]))) == 1
+    assert _sweeps(monkeypatch, eigenvalues_batch, Hs)[0] <= 14
+    _, swept = _sweeps(monkeypatch, solve_spectrum, build_qal_dimer(240, 9.0))
+    assert swept <= 1800
+
+
 def test_al_exact_zero_mode():
     # the Newton steps land on the exact zero eigenvalue of even two_j, where
     # the kernel meets zero pivots; the twisted vectors there stay finite
@@ -459,13 +575,14 @@ def test_non_persymmetric_input_stays_orthonormal(monkeypatch):
 
 def _mixed_dimers():
     """AL with zero modes, zero couplings, linear ladders, the Sturm-overflow
-    AL dimer and a non-persymmetric one, in one list."""
+    AL dimer, a large chirally folded one and a non-persymmetric one, in one
+    list."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # two_j = 0 is a 1 x 1 sector
         Hs = [build_qal_dimer(two_j, 2.0) for two_j in range(41)]
     Hs += [build_dimer("dnls", two_j, 2.0, epsilon=0.0) for two_j in (1, 4, 7)]
     Hs += [build_qdnls_dimer(two_j, g) for two_j in (2, 30, 31) for g in (0.0, 8.0)]
-    Hs += [build_qal_dimer(240, 9.0), build_qal_dimer(12, 0.0)]
+    Hs += [build_qal_dimer(240, 9.0), build_qal_dimer(241, 9.0), build_qal_dimer(12, 0.0)]
     H = build_qdnls_dimer(30, 8.0)
     diag = H.diag.copy()
     diag[0] += 1e-9
@@ -477,7 +594,7 @@ def _mixed_dimers():
 def test_batch_matches_per_matrix(tol):
     # every matrix keeps its own scaling, bracket and tol inside the stack
     Hs = _mixed_dimers()
-    assert len(Hs) == 53
+    assert len(Hs) == 54
     assert len(list(_batches([_reduce(H) for H in Hs]))) > 1  # crosses the cell budget
     batch = eigenvalues_batch(Hs, tol)
     assert len(batch) == len(Hs)
@@ -758,9 +875,10 @@ def test_dense_oracle_single_level():
 
 
 def test_dense_oracle_norm_constants_match_recurrence():
+    # the bottom three columns are the chiral images of the top three
     H = build_qal_dimer(6, 2.0)
     s = solve_spectrum(H)
     o = dense_oracle(H)
-    assert s.vector_method[0] == "recurrence"
+    assert s.vector_method == ["chiral"] * 3 + ["recurrence"] * 4
     assert o.vector_method[0] == "dense"
     assert np.max(np.abs(s.norm_constants - o.norm_constants)) < 1e-10
