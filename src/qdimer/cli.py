@@ -69,11 +69,8 @@ _COUNT = _checked(int, lambda n: n >= 1, ">= 1")
 
 
 def _fmt(x) -> str:
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return format(float(x), ".17g")
+    """A string as it is, a number as %.17g, as _table writes its cells."""
+    return x if isinstance(x, str) else format(float(x), ".17g")
 
 
 def _echo(args, keys, *extra) -> str:
@@ -102,13 +99,10 @@ def _table(args, echo, header, rows, tail=()) -> int:
 
 
 def _lowest_levels(Hs, count, tol):
-    """The count lowest physical levels of each H, ascending.  Only the end
-    of H's spectrum that holds them is solved: its top where energy_scale
-    < 0, as in both models, its bottom otherwise.  The Hs come from one
-    builder, so the first one's sign is every one's."""
-    select = slice(-count, None) if Hs[0].energy_scale < 0 else slice(count)
+    """The count lowest physical levels of each H, ascending: both models
+    have energy_scale < 0, so these are H's top count roots."""
     return [np.sort(H.to_physical(evs))[:count]
-            for H, evs in zip(Hs, eigenvalues_batch(Hs, tol, select))]
+            for H, evs in zip(Hs, eigenvalues_batch(Hs, tol, top=count))]
 
 
 def cmd_spectrum(args) -> int:

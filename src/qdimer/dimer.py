@@ -89,6 +89,17 @@ class TridiagonalHamiltonian:
         return self.energy_scale * np.asarray(eigenvalues, dtype=float) + self.energy_shift
 
 
+def gershgorin_bounds(diag, off) -> tuple[float, float]:
+    """Inclusive interval holding every eigenvalue of the symmetric
+    tridiagonal matrix with diagonal diag and couplings off; an end past the
+    float range is -inf or inf."""
+    r = np.zeros(len(diag))
+    with np.errstate(over="ignore"):
+        r[:-1] += np.abs(off)
+        r[1:] += np.abs(off)
+        return float(np.min(diag - r)), float(np.max(diag + r))
+
+
 def _check_finite(**values):
     for name, x in values.items():
         if not math.isfinite(x):
@@ -118,16 +129,14 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     shift = -0.5 * gamma * j * j
     with np.errstate(over="ignore"):
         diag = 0.5 * gamma * m**2
-        # the Gershgorin radius plus |shift| bounds the physical levels
-        radius = np.abs(diag)
-        radius[1:] += np.abs(off)
-        radius[:-1] += np.abs(off)
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError(
             f"dnls entries overflow double precision (two_j={two_j}, gamma={gamma}, "
             f"epsilon={epsilon})"
         )
-    if not math.isfinite(float(radius.max()) + abs(shift)):
+    lo, hi = gershgorin_bounds(diag, off)
+    # the Gershgorin radius plus |shift| bounds the physical levels
+    if not math.isfinite(max(-lo, hi) + abs(shift)):
         raise ValueError(
             f"dnls physical levels -lambda - (gamma/2) j^2 overflow double precision "
             f"(two_j={two_j}, gamma={gamma}, epsilon={epsilon})"
@@ -177,9 +186,9 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
         )
     j = sector.j
     scale = -(dp.q ** (0.5 - j))
-    with np.errstate(over="ignore"):  # |scale| times the Gershgorin radius bounds the levels
-        top = abs(scale) * np.max(np.r_[off, 0.0] + np.r_[0.0, off]) + 2.0 * two_j
-    if not np.isfinite(top):
+    diag = np.zeros(sector.dim)
+    # |scale| times the Gershgorin radius plus the shift bounds the levels
+    if not math.isfinite(abs(scale) * gershgorin_bounds(diag, off)[1] + 2.0 * two_j):
         raise ValueError(
             f"al physical levels -q^(1/2 - j) lambda + 2 M at q={dp.q:.17g} "
             f"overflow double precision (two_j={two_j}, gamma={gamma})"
@@ -187,7 +196,7 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     return TridiagonalHamiltonian(
         sector=sector,
         model="al",
-        diag=np.zeros(sector.dim),
+        diag=diag,
         off=off,
         params={"gamma": float(gamma), "q": dp.q},
         energy_scale=scale,

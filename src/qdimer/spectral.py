@@ -48,13 +48,11 @@ takes all of its roots and vectors from it.  The solved roots and vectors
 are bitwise those of the unfolded solve; the mirrored ones make an AL
 spectrum of even dimension antisymmetric bitwise.
 
-A caller that needs only a prefix or a suffix of each spectrum (the
-command line's lowest physical levels are the top of H) passes that slice
-as select.  It enters after the first sweep, which still counts every root
-of every block, as the counts of a block bracket all of its roots together
-and so need its full width; then only each block's roots that can fall in
-the slice are bisected and finished.  No step of a column depends on
-another column, so a selected root is bitwise the full solve's.
+A caller that needs only the top roots of each spectrum (the command
+line's lowest physical levels are the top of H) passes their number as
+top.  The first sweep still counts every root, as a block's shared counts
+need its full width; then only the roots that can be among the top ones are
+bisected and finished, each bitwise as in the full solve.
 
 The orthonormality check runs per parity block of the same reduction, on the
 block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
@@ -75,7 +73,7 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 
-from .dimer import TridiagonalHamiltonian
+from .dimer import TridiagonalHamiltonian, gershgorin_bounds
 
 _EPS = float(np.finfo(float).eps)
 # Smallest pivot magnitude of the recurrence kernel; with entries scaled
@@ -126,22 +124,7 @@ class Spectrum:
         return self.eigenvalues.size
 
 
-def gershgorin_bounds(H: TridiagonalHamiltonian) -> tuple[float, float]:
-    """Inclusive interval containing the whole spectrum."""
-    d, off = H.diag, H.off
-    r = np.zeros(H.dim)
-    if off.size:
-        r[:-1] += np.abs(off)
-        r[1:] += np.abs(off)
-    return float(np.min(d - r)), float(np.max(d + r))
-
-
-def _radius(H) -> float:
-    lo, hi = gershgorin_bounds(H)
-    return max(abs(lo), abs(hi))
-
-
-def _pivots(d, seg, o2, lam):
+def _pivots(d, seg, o2, lam, clamp=False):
     """LDL^T pivots of T - lam, one column per shift: the solver's one kernel.
 
     Column j runs down segment seg[j] of the stack (diagonal d[:, seg[j]],
@@ -156,8 +139,9 @@ def _pivots(d, seg, o2, lam):
     shifts twice, so one call runs its 2w columns down and up.  A zero
     pivot first runs through IEEE infinities; the columns where any appear
     are swept again with pivots below _PIVMIN set to -_PIVMIN (LAPACK's
-    dstebz rule).  Every column's pivots thus depend on its own segment and
-    shift alone, in a batch as on its own.
+    dstebz rule); clamp applies that rule from the first sweep.  Every
+    column's pivots thus depend on its own segment and shift alone, in a
+    batch as on its own.
     """
     if (seg[1:] < seg[:-1]).any():
         raise ValueError("segments of the kernel's columns must ascend")
@@ -180,7 +164,7 @@ def _pivots(d, seg, o2, lam):
                         cur[np.abs(cur) < _PIVMIN] = -_PIVMIN
         return q
 
-    q = sweep(seg, lam, False)
+    q = sweep(seg, lam, clamp)
     redo = np.flatnonzero(~np.isfinite(q).all(axis=0))
     if redo.size:
         q[:, redo] = sweep(seg[redo], lam[redo], True)
@@ -196,7 +180,7 @@ def _mirrored(d, o2):
     return np.hstack((d, d[::-1])), np.hstack((o2, np.roll(o2[::-1], -1, axis=0)))
 
 
-def _twisted(d, seg, o2, lam, reuse_down=False):
+def _twisted(d, seg, o2, lam, reuse_down=False, clamp=False):
     """The kernel run down and up the stack at lam, in one call of _pivots.
 
     d and o2 are the stack's tables and their mirror, as _mirrored gives
@@ -211,7 +195,7 @@ def _twisted(d, seg, o2, lam, reuse_down=False):
     +-inf then stands for a diagonal entry of 0.
     """
     w, nseg = seg.size, d.shape[1] // 2
-    q = _pivots(d, np.concatenate((seg, seg + nseg)), o2, np.concatenate((lam, lam)))
+    q = _pivots(d, np.concatenate((seg, seg + nseg)), o2, np.concatenate((lam, lam)), clamp)
     up, down = q[:, :w], q[::-1, w:]
     with np.errstate(over="ignore"):
         gamma = np.add(up, down, out=down if reuse_down else None)
@@ -244,8 +228,9 @@ class _Reduction:
     mirror[i] is +-1, to full row dim - 1 - rows[i] with that sign.  off[i]
     couples rows i and i + 1 and is zero at every segment end; diag and off
     end with a padding row.  Segment s has sizes[s] rows from starts[s].
-    bracket, where the search for every root of H starts, is its scaled
-    Gershgorin interval widened by 1e-3 of its radius.  Where twin[i] >= 0,
+    radius is the larger magnitude of the two ends of the scaled H's
+    Gershgorin interval, and bracket, where the search for every root of H
+    starts, is that interval widened by 1e-3 radius.  Where twin[i] >= 0,
     row i's root is minus the root of row twin[i], which lies in a segment
     of the same size, and its vector is that root's vector with every other
     entry negated (the chiral fold); the solver solves only the rows whose
@@ -257,6 +242,7 @@ class _Reduction:
     diag: np.ndarray
     off: np.ndarray
     exp: int
+    radius: float
     bracket: tuple[float, float]
     rows: np.ndarray
     weights: np.ndarray
@@ -288,6 +274,8 @@ def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
     """
     n = H.dim
     d, o, exp = _scaled(H)
+    glo, ghi = gershgorin_bounds(d, o)
+    radius = max(-glo, ghi)
     chiral = not d.any()
     m = n // 2
     rows, weights, mirror = np.arange(n), np.ones(n), np.zeros(n)
@@ -318,12 +306,10 @@ def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
             twin[:n] = np.where((i >= m) & np.repeat(sizes > 1, sizes), partner - m, -1)
         else:
             twin[:n] = np.where(i < partner, partner, -1)
-    glo, ghi = (math.ldexp(x, -exp) for x in gershgorin_bounds(H))
-    pad = 1e-3 * max(-glo, ghi)
-    bracket = (glo - pad, ghi + pad)
+    bracket = (glo - 1e-3 * radius, ghi + 1e-3 * radius)
     stacked = (sizes > 1) & (twin[starts + sizes - 1] < 0)
-    return _Reduction(np.append(d, _PAD_DIAG), o, exp, bracket, rows, weights, mirror,
-                      starts, sizes, twin, stacked)
+    return _Reduction(np.append(d, _PAD_DIAG), o, exp, radius, bracket, rows, weights,
+                      mirror, starts, sizes, twin, stacked)
 
 
 def _stack(reds):
@@ -410,35 +396,22 @@ def _narrow(lo, hi, tol):
     return hi - lo <= np.maximum(tol, 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
 
 
-def _candidates(red: _Reduction, select) -> np.ndarray:
-    """Which of red's rows hold a root that can fall in the prefix or suffix
-    select of H's ascending spectrum (all rows where select is None, never
-    the padding row): a prefix of b roots lies among each segment's lowest b
-    roots, a suffix of c among each segment's top c.  A mirrored candidate
-    needs its twin solved: the twins of a chiral segment's top or bottom c
-    are its top c, and the odd block of an even dimension takes its top c
-    from the even block's bottom c."""
+def _candidates(red: _Reduction, top) -> np.ndarray:
+    """Which of red's rows hold a root that can be among the top roots of
+    H (all rows where top is None, never the padding row): the top c roots
+    of H lie among each segment's top c.  A mirrored candidate needs its
+    twin solved: the twins of a chiral segment's top c are among its top c,
+    and the odd block of an even dimension takes its top c from the even
+    block's bottom c."""
     n = red.diag.size - 1
-    if select is None:
-        return np.ones(n, dtype=bool)
-    a, b = select.indices(n)[:2]
     idx = np.arange(n) - np.repeat(red.starts, red.sizes)
-    if select.start is None:
-        return idx < b
-    return idx >= np.repeat(red.sizes, red.sizes) - (n - a)
+    return idx >= np.repeat(red.sizes, red.sizes) - (n if top is None else top)
 
 
-def _cut(lam, n: int, select) -> np.ndarray:
-    """The part select names of an ascending spectrum of n roots, taken from
-    lam, its candidate roots sorted."""
-    a, b = select.indices(n)[:2]
-    return lam[:b] if select.start is None else lam[lam.size - (n - a) :]
-
-
-def _roots(reds, tol: float, select=None) -> list[np.ndarray]:
+def _roots(reds, tol: float, top=None) -> list[np.ndarray]:
     """Roots of every segment of each reduction, in its scaled units and
-    ascending within a segment; with select, only the roots _candidates
-    names, in the same order.
+    ascending within a segment; with top, only the roots _candidates names,
+    in the same order.
 
     One stacked solve serves many matrices, a whole gamma grid of the
     command line: the segments of all reductions in a run of _batches, which
@@ -473,7 +446,7 @@ def _roots(reds, tol: float, select=None) -> list[np.ndarray]:
     other, so x is the root to working accuracy and the step, some 8-21
     eps |x| there, is its rounding floor, which the 4 eps |x| stop misses.
 
-    The chiral fold and a selection enter after the first sweep: that
+    The chiral fold and top enter after the first sweep: that
     sweep still counts every root of a stacked segment, since its counts
     bracket all of the segment's roots together, and then only the columns
     whose twin is -1 and whose root is a candidate or a candidate's twin are
@@ -486,7 +459,7 @@ def _roots(reds, tol: float, select=None) -> list[np.ndarray]:
         base = np.cumsum([0] + [red.diag.size for red in run])
         need = np.zeros(base[-1], dtype=bool)  # never a padding row
         for red, b in zip(run, base):
-            need[b : b + red.diag.size - 1] = _candidates(red, select)
+            need[b : b + red.diag.size - 1] = _candidates(red, top)
         twin = np.concatenate([red.twin for red in run])
         mirrored = twin >= 0
         twin[mirrored] += np.repeat(base[:-1], np.diff(base))[mirrored]
@@ -550,30 +523,37 @@ def _roots(reds, tol: float, select=None) -> list[np.ndarray]:
     return roots
 
 
-def eigenvalues_batch(Hs, tol: float = 1e-12, select=None) -> list[np.ndarray]:
+def _unscaled(lam, red: _Reduction) -> np.ndarray:
+    """Roots in red's scaled units times 2**red.exp, refused where one
+    overflows double precision."""
+    with np.errstate(over="ignore"):
+        lam = np.ldexp(lam, red.exp)
+    if not np.isfinite(lam).all():
+        raise ValueError("an eigenvalue overflows double precision")
+    return lam
+
+
+def eigenvalues_batch(Hs, tol: float = 1e-12, top=None) -> list[np.ndarray]:
     """The eigenvalues_bisection eigenvalues of every H in Hs, in one stacked
     solve per run of matrices under a fixed cell budget.
 
     Each H keeps its own scaling, bracket and tol, and every column of the
     stack is computed on its own, so its array is bitwise what
-    eigenvalues_bisection(H, tol) returns.  select, a prefix slice(stop) or
-    a suffix slice(start, None) without a step, keeps that part of each
-    ascending spectrum, bitwise eigenvalues_batch(Hs, tol)[i][select].
-    _roots then still brackets every root in its first sweep, whose shared
-    counts need the segment's full width, but bisects and finishes only
-    each segment's roots that can fall in the selection; the result keeps
-    the selected part of those, sorted.
+    eigenvalues_bisection(H, tol) returns.  top, a count k >= 0, keeps the
+    highest k roots of each H, ascending: bitwise the last k of the full
+    solve's, the whole spectrum when k >= dim and none at k = 0; only the
+    roots that can be among them are bisected and finished.  Raises
+    ValueError where a returned eigenvalue overflows double precision.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if select is not None and not (isinstance(select, slice) and select.step is None
-                                   and None in (select.start, select.stop)):
-        raise ValueError(f"select must be slice(stop) or slice(start, None), got {select!r}")
+    if top is not None and not (isinstance(top, (int, np.integer)) and top >= 0):
+        raise ValueError(f"top must be a count >= 0, got {top!r}")
     reds = [_reduce(H) for H in Hs]
-    out = [np.sort(np.ldexp(lam, red.exp)) for lam, red in zip(_roots(reds, tol, select), reds)]
-    if select is not None:
-        out = [_cut(lam, H.dim, select) for lam, H in zip(out, Hs)]
-    return out
+    out = [np.sort(lam) for lam in _roots(reds, tol, top)]
+    if top is not None:
+        out = [lam[max(lam.size - top, 0) :] for lam in out]
+    return [_unscaled(lam, red) for lam, red in zip(out, reds)]
 
 
 def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.ndarray:
@@ -604,26 +584,38 @@ def _twisted_vectors(red: _Reduction, lam):
     gamma_k = q+_k - o_k^2 / q-_{k+1}.  At r = argmin |gamma_k| the vector
     with z_r = 1 that it yields is the eigenvector: z_k = -o_k z_{k+1} / q+_k
     above r, -o_{k-1} z_{k-1} / q-_k below.  The norm adds the squares in
-    row order (_row_sum), so a column's vector is the same at any width.
+    row order (_row_sum), so a column's vector is the same at any width.  A
+    column that comes out with a non-finite entry, as where a root within
+    _PIVMIN of zero leaves a subnormal pivot whose ratio overflows, is formed
+    again from pivots under the clamp rule of _pivots.
     """
     cols, seg, _, d, off = _stack([red])
     solved = red.twin[cols] < 0
     cols, seg = cols[solved], seg[solved]
     d, o2 = _mirrored(d, off * off)
-    up, down, gamma = _twisted(d, seg, o2, lam[cols])
-    r = np.argmin(np.abs(gamma, out=gamma), axis=0)
-    del gamma
-    k = np.arange(d.shape[0])[:, None]
-    o = np.repeat(-off[:-1], np.bincount(seg, minlength=off.shape[1]), axis=1)
-    np.divide(o, up[:-1], out=up[:-1])
-    up[k >= r] = 1.0
-    np.divide(o, down[1:], out=down[1:])
-    down[k <= r] = 1.0
-    del o
-    # a table of its own, so z keeps no view of the 2w-wide one alive
-    z = np.cumprod(up[::-1], axis=0)[::-1]
-    z *= np.cumprod(down, axis=0, out=down)
-    del up, down
+
+    def vectors(seg, x, clamp):  # with z_r = 1
+        up, down, gamma = _twisted(d, seg, o2, x, clamp=clamp)
+        r = np.argmin(np.abs(gamma, out=gamma), axis=0)
+        del gamma
+        k = np.arange(d.shape[0])[:, None]
+        o = np.repeat(-off[:-1], np.bincount(seg, minlength=off.shape[1]), axis=1)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            np.divide(o, up[:-1], out=up[:-1])
+            up[k >= r] = 1.0
+            np.divide(o, down[1:], out=down[1:])
+            down[k <= r] = 1.0
+            del o
+            # a table of its own, so z keeps no view of the 2w-wide one alive
+            z = np.cumprod(up[::-1], axis=0)[::-1]
+            z *= np.cumprod(down, axis=0, out=down)
+        return z
+
+    x = lam[cols]
+    z = vectors(seg, x, False)
+    redo = np.flatnonzero(~np.isfinite(z).all(axis=0))
+    if redo.size:
+        z[:, redo] = vectors(seg[redo], x[redo], True)
     z /= np.sqrt(_row_sum(z * z))
     return cols, z
 
@@ -653,19 +645,21 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
     Where H has a zero diagonal, the columns the chiral fold mirrors (see
     _reduce) are a solved column with every other entry of its block
     negated, and are marked "chiral"; all others are "recurrence".  tol must
-    lie in (0, SOLVE_TOL_MAX = 1e-10].
+    lie in (0, SOLVE_TOL_MAX = 1e-10].  Raises ValueError where an
+    eigenvalue overflows double precision.
     """
     if not 0.0 < tol <= SOLVE_TOL_MAX:
         raise ValueError(f"tol must be in (0, {SOLVE_TOL_MAX:g}] for eigenvectors, got {tol}")
     red = _reduce(H)
     n = H.dim
     lam = _roots([red], tol)[0]
+    order = np.argsort(lam, kind="stable")
+    eigenvalues = _unscaled(lam[order], red)
     cols, z = _twisted_vectors(red, lam)
     at = np.zeros(n, dtype=int)
     at[cols] = np.arange(cols.size)  # z's column of each solved row
-    order = np.argsort(lam, kind="stable")
     column = np.argsort(order)
-    gap = math.ldexp(1e-6 * _radius(H), -red.exp)
+    gap = 1e-6 * red.radius
     methods = np.full(n, "recurrence", dtype=object)
     vectors = np.zeros((n, n))
     for first, size in zip(red.starts, red.sizes):
@@ -690,7 +684,7 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
             vectors[n - row - size : n - row, column[seg]] = red.mirror[first] * block[::-1]
     return Spectrum(
         hamiltonian=H,
-        eigenvalues=np.ldexp(lam[order], red.exp),
+        eigenvalues=eigenvalues,
         vectors=vectors,
         norm_constants=np.abs(vectors[0, :]),
         vector_method=list(methods[order]),
@@ -845,7 +839,6 @@ class ParityReport:
     max_pair_residual: float
     zero_count: int
     expected_zero_count: int
-    min_abs_eigenvalue: float
     offending_pairs: tuple
     passed: bool
 
@@ -866,7 +859,6 @@ def parity_structure_check(spectrum: Spectrum, tol: float = 1e-10) -> ParityRepo
         max_pair_residual=float(np.max(pair_res)) if dim else 0.0,
         zero_count=zero_count,
         expected_zero_count=expected,
-        min_abs_eigenvalue=float(np.min(np.abs(evs))) if dim else 0.0,
         offending_pairs=offending,
         passed=passed,
     )

@@ -2,7 +2,9 @@
 and exit codes."""
 
 import math
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,8 +347,8 @@ def test_gaps_values_match_lapack(capsys, monkeypatch, model, two_j, pairs):
     # The table arithmetic is compared on the LAPACK spectrum itself: a gap of
     # 3e-5 among levels of size 50 (dnls, gamma 10) resolves only to about
     # 4e-10 relative in float64, whichever solver computes it.
-    # full spectra, whatever select the command passes
-    monkeypatch.setattr(cli, "eigenvalues_batch", lambda Hs, tol, select=None:
+    # full spectra, whatever top the command passes
+    monkeypatch.setattr(cli, "eigenvalues_batch", lambda Hs, tol, top=None:
                         [eigvalsh_tridiagonal(H.diag, H.off) for H in Hs])
     _, lapack_out = run(capsys, argv)
     assert parse_rows(lapack_out)[0] == parse_rows(out)[0]
@@ -390,7 +392,7 @@ def test_batched_levels_match_per_matrix(capsys, monkeypatch, argv):
     # prints what one full bisection per gamma prints
     argv = argv + ["--gamma-min", "0.5", "--gamma-max", "10", "--steps", "9"]
     _, out = run(capsys, argv)
-    monkeypatch.setattr(cli, "eigenvalues_batch", lambda Hs, tol, select=None:
+    monkeypatch.setattr(cli, "eigenvalues_batch", lambda Hs, tol, top=None:
                         [eigenvalues_bisection(H, tol) for H in Hs])
     _, single = run(capsys, argv)
     assert out == single
@@ -432,3 +434,25 @@ def test_echo_key_order(capsys, argv, keys):
     assert first.startswith("# ")
     assert [kv.split("=")[0] for kv in first[2:].split(" ")] == keys.split()
     assert f"command={argv[0]} " in first
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks():
+    """The fenced blocks of README.md as (info string, text) pairs."""
+    return re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(), re.S | re.M)
+
+
+def test_readme_examples_run(capsys):
+    # every qdimer line of the command block exits 0 with output, and the
+    # library quick start runs as written
+    lines = [ln for _, text in _readme_blocks() for ln in text.splitlines()
+             if ln.startswith("qdimer ")]
+    assert len(lines) >= 5
+    for line in lines:
+        rc, out = run(capsys, line.split()[1:])
+        assert rc == 0 and out, line
+    (code,) = [text for info, text in _readme_blocks() if info == "python"]
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out

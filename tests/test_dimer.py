@@ -102,6 +102,19 @@ def test_energy_metadata():
     assert np.allclose(phys, [10.0, 10.0 + H.energy_scale], atol=1e-14)
 
 
+def test_energy_scale_is_negative():
+    # both builders put the lowest physical levels at the top of H, so the
+    # command line asks eigenvalues_batch for top=k
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # two_j = 0 and gamma < 0 warn
+        for two_j in (0, 1, 2, 7, 40):
+            for gamma in (-3.0, 0.0, 2.5):
+                for epsilon in (-1.5, 0.0, 0.7):
+                    assert build_qdnls_dimer(two_j, gamma, epsilon).energy_scale < 0
+            for gamma in (0.0, 0.5, 9.0, 1e3):
+                assert build_qal_dimer(two_j, gamma).energy_scale < 0
+
+
 def test_build_dimer_dispatch_and_errors():
     a = build_dimer("dnls", 3, 2.0, 0.5)
     b = build_qdnls_dimer(3, 2.0, 0.5)

@@ -38,7 +38,6 @@ from qdimer.spectral import (
     _mp_minors,
     _multisect,
     _pivots,
-    _radius,
     _reduce,
     _roots,
     _row_sum,
@@ -46,6 +45,11 @@ from qdimer.spectral import (
     _stack,
     _twisted,
 )
+
+
+def _radius(H):
+    """Largest magnitude of H's Gershgorin interval."""
+    return max(abs(x) for x in gershgorin_bounds(H.diag, H.off))
 
 
 def _pivot_counts(H, xs):
@@ -73,7 +77,7 @@ def test_sturm_eval_two_level():
 
 def test_sturm_count_outside_bounds():
     H = build_qdnls_dimer(9, 3.0)
-    lo, hi = gershgorin_bounds(H)
+    lo, hi = gershgorin_bounds(H.diag, H.off)
     assert list(_pivot_counts(H, [lo - 1.0, hi + 1.0])) == [0, H.dim]
     assert _mp_count(H, lo - 1.0) == 0
     assert _mp_count(H, hi + 1.0) == H.dim
@@ -98,7 +102,7 @@ def test_sturm_count_monotone():
         gamma = float(rng.uniform(0.0, 9.0))
         model = ("dnls", "al")[int(rng.integers(2))]
         H = build_dimer(model, two_j, gamma)
-        lo, hi = gershgorin_bounds(H)
+        lo, hi = gershgorin_bounds(H.diag, H.off)
         grid = np.sort(rng.uniform(lo, hi, size=12))
         counts = list(_pivot_counts(H, grid))
         assert all(a <= b for a, b in zip(counts, counts[1:]))
@@ -110,7 +114,7 @@ def test_sturm_count_monotone():
 def test_sturm_no_overflow_large_sector():
     # plain products of (lam - d_k) overflow long before 2j = 120
     H = build_qdnls_dimer(120, 8.0)
-    lo, hi = gershgorin_bounds(H)
+    lo, hi = gershgorin_bounds(H.diag, H.off)
     assert list(_pivot_counts(H, [hi + 1.0])) == [H.dim]
 
 
@@ -234,6 +238,71 @@ def test_al_huge_couplings_match_lapack(two_j, gamma):
     assert completeness_check(s) <= 1e-9 * s.dim
 
 
+def _float_range_matrices():
+    """Seeded hand-built tridiagonals of dim 1-60 with entries up to about
+    1e308: spread over up to six decades below their matrix's largest, or
+    over one decade below a largest above 1e307 in every sixth; a zero
+    diagonal in every fourth, zero couplings in every third, persymmetric
+    in every fifth, the others neither.  Then four pinned ones: two whose
+    unscaled Gershgorin bound overflowed and whose eigenvalues read nan
+    (LAPACK: +-1.618e308, +-6.18e307 and +-1.414e308), one whose zero root
+    ends at -3.2e-309 in scaled units, a subnormal pivot whose ratio
+    overflowed and made its twisted vector nan, and one whose top
+    eigenvalue is past the float range."""
+    rng = np.random.default_rng(308)
+    out = []
+    for i in range(150):
+        n, near_max = int(rng.integers(1, 61)), i % 6 == 0
+        spread = rng.uniform(0.0, 1.0 if near_max else 6.0)
+        big = 10.0 ** rng.uniform(307.0 if near_max else -300.0, 308.25)
+        d, o = (big * rng.uniform(-1.0, 1.0, k) * 10.0 ** -rng.uniform(0.0, spread, k)
+                for k in (n, n - 1))
+        if i % 4 == 0:
+            d[:] = 0.0
+        if i % 3 == 0 and n > 1:
+            o[rng.integers(0, n - 1, 2)] = 0.0
+        if i % 5 == 0:
+            d = np.where(np.arange(n) < n / 2, d, d[::-1])
+            o = np.where(np.arange(n - 1) < (n - 1) / 2, o, o[::-1])
+        out.append((d, o))
+    out += [([0.0] * 4, [1e308] * 3), ([1e308, -1e308], [1e308]),
+            ([0.0] * 3, [0.8e300, 0.63e300]), ([1.5e308] * 3, [1e308] * 2)]
+    return [TridiagonalHamiltonian(SpinSector(len(d) - 1), "al", d, o) for d, o in out]
+
+
+def test_float_range_matches_lapack():
+    # roots are bracketed on the scaled H, so an H of finite entries never
+    # reads nan; one whose eigenvalue overflows is refused
+    accepted = []
+    for H in _float_range_matrices():
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
+        if np.isfinite(ref).all():
+            accepted.append((H, ref))
+            continue
+        for solve in (eigenvalues_bisection, solve_spectrum):
+            with pytest.raises(ValueError, match="overflows double precision"):
+                solve(H)
+    assert 130 <= len(accepted) < 154
+    for (H, ref), evs in zip(accepted, eigenvalues_batch([H for H, _ in accepted])):
+        assert not np.isnan(evs).any()
+        assert np.max(np.abs(evs - ref)) <= 1e-10 * np.max(np.abs(ref)), (H.diag, H.off)
+        s = solve_spectrum(H)
+        assert evs.tobytes() == s.eigenvalues.tobytes()
+        assert completeness_check(s) <= 1e-9 * s.dim
+
+
+def test_overflowing_eigenvalue_refused():
+    # LAPACK's top eigenvalue here is inf; the bracket from the unscaled
+    # Gershgorin interval once gave [1.5e308, nan, nan]
+    H = TridiagonalHamiltonian(SpinSector(2), "al", [1.5e308] * 3, [1e308] * 2)
+    for solve in (lambda: eigenvalues_batch([H]), lambda: eigenvalues_batch([H], top=1),
+                  lambda: solve_spectrum(H)):
+        with pytest.raises(ValueError, match="eigenvalue overflows double precision"):
+            solve()
+    assert eigenvalues_batch([H], top=0)[0].size == 0
+
+
 def _sweeps(monkeypatch, solve, *args):
     """Kernel calls (of spectral._pivots) that solve(*args) makes, and the
     columns they sweep together."""
@@ -272,7 +341,7 @@ def test_batch_kernel_sweeps(monkeypatch):
     assert calls <= 15 and swept <= 21235
     # the four levels of gaps' two pairs: the first sweep, at full width,
     # then the top four roots of each parity block only, 3374 columns
-    _, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, slice(-4, None))
+    _, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, 4)
     assert swept <= 21235 // 5
 
 
@@ -414,6 +483,11 @@ def test_newton_settles_at_a_bracket_end(monkeypatch, model, two_j, gamma, tol):
     assert np.max(np.abs(eigenvalues_bisection(H, tol) - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def _top(evs, k):
+    """The top k of an ascending spectrum, as eigenvalues_batch's top keeps them."""
+    return evs[max(evs.size - k, 0) :]
+
+
 def _al_grid(two_j):
     return [build_qal_dimer(two_j, float(g)) for g in np.geomspace(0.5, 10.0, 16)]
 
@@ -430,18 +504,16 @@ def _assert_mirrored(lo, hi, dim):
 def test_chiral_fold_mirrors_al_spectra(two_j):
     # the fold solves the even block of an odd two_j, the top half of each
     # block of an even one, and mirrors the rest: minus a solved root,
-    # bitwise, in any selection of either end too
+    # bitwise, under top too
     Hs, dim = _al_grid(two_j), two_j + 1
     full = eigenvalues_batch(Hs)
     for H, evs in zip(Hs, full):
         _assert_mirrored(evs, evs, dim)
         assert evs.tobytes() == solve_spectrum(H).eigenvalues.tobytes()
     for k in (0, 1, 2, 4, 7, dim + 3):
-        bottom = eigenvalues_batch(Hs, select=slice(k))
-        top = eigenvalues_batch(Hs, select=slice(-k, None))
-        for evs, lo, hi in zip(full, bottom, top):
-            assert lo.tobytes() == evs[:k].tobytes() and hi.tobytes() == evs[-k:].tobytes()
-            _assert_mirrored(lo, hi, dim)
+        for evs, hi in zip(full, eigenvalues_batch(Hs, top=k)):
+            assert hi.tobytes() == _top(evs, k).tobytes()
+            _assert_mirrored(evs[:k], hi, dim)
 
 
 @pytest.mark.parametrize("two_j, gamma", [(101, 2.0), (100, 2.0), (41, 9.0), (40, 0.5),
@@ -496,8 +568,7 @@ def test_chiral_fold_of_hand_built_matrices(n, persymmetric):
     assert completeness_check(s) <= 1e-14
     assert df_orthonormality_check(s) <= 1e-12 * n
     for k in (0, 1, 2, 4, 7, n + 3):
-        for select in (slice(k), slice(-k, None)):
-            assert eigenvalues_batch([H], select=select)[0].tobytes() == evs[select].tobytes()
+        assert eigenvalues_batch([H], top=k)[0].tobytes() == _top(evs, k).tobytes()
 
 
 def test_chiral_fold_under_the_ritz_guard():
@@ -604,14 +675,13 @@ def test_batch_matches_per_matrix(tol):
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-15])
 def test_selected_roots_are_the_full_solves(tol):
-    # each selected root runs the same steps on its own column as in the full
-    # solve; slice(-0, None) is the whole spectrum, slice(0) none of it
+    # each kept root runs the same steps on its own column as in the full
+    # solve; top=0 keeps none of it
     Hs = _mixed_dimers()
     full = eigenvalues_batch(Hs, tol)
     for k in (0, 1, 2, 4, 7, max(H.dim for H in Hs) + 3):
-        for select in (slice(k), slice(-k, None)):
-            for evs, part in zip(full, eigenvalues_batch(Hs, tol, select)):
-                assert part.tobytes() == evs[select].tobytes(), select
+        for evs, part in zip(full, eigenvalues_batch(Hs, tol, top=k)):
+            assert part.tobytes() == _top(evs, k).tobytes(), k
 
 
 def test_selected_roots_on_random_grids():
@@ -629,17 +699,16 @@ def test_selected_roots_on_random_grids():
             H.off[rng.integers(0, two_j, 3)] = 0.0
         full = eigenvalues_batch(Hs)
         k = int(rng.choice([1, 2, 3, 4, 8, int(rng.integers(0, two_j + 4))]))
-        for select in (slice(k), slice(-k, None)):
-            for evs, part in zip(full, eigenvalues_batch(Hs, select=select)):
-                assert part.tobytes() == evs[select].tobytes(), (model, two_j, select)
-                compared += 1
-    assert compared == 2048
+        for evs, part in zip(full, eigenvalues_batch(Hs, top=k)):
+            assert part.tobytes() == _top(evs, k).tobytes(), (model, two_j, k)
+            compared += 1
+    assert compared == 1024
 
 
-@pytest.mark.parametrize("select", [slice(1, -1), slice(None, None, 2), slice(2, 5), 3])
-def test_unsupported_selection_rejected(select):
-    with pytest.raises(ValueError, match="select"):
-        eigenvalues_batch([build_qal_dimer(6, 1.0)], select=select)
+@pytest.mark.parametrize("top", [-1, 2.5, slice(-2, None), "2"])
+def test_invalid_top_rejected(top):
+    with pytest.raises(ValueError, match="top"):
+        eigenvalues_batch([build_qal_dimer(6, 1.0)], top=top)
 
 
 def test_batch_edge_cases():
