@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qnumbers import q_from_gamma, sym_qnum
+from .qnumbers import Q_ONE_THRESHOLD, q_from_gamma, sym_qnum
 
 MODELS = ("dnls", "al")
 
@@ -122,12 +122,11 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     if gamma < 0:
         warnings.warn("negative gamma: attractive convention", stacklevel=2)
     m = sector.m_values
-    off = np.array(
-        [epsilon * math.sqrt((two_j - k) * (k + 1)) for k in range(sector.dim - 1)]
-    )
+    k = np.arange(two_j)
     j = sector.j
     shift = -0.5 * gamma * j * j
     with np.errstate(over="ignore"):
+        off = epsilon * np.sqrt((two_j - k) * (k + 1))
         diag = 0.5 * gamma * m**2
     if not (np.isfinite(diag).all() and np.isfinite(off).all()):
         raise ValueError(
@@ -152,6 +151,22 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     )
 
 
+def _sym_qnums(n_max: int, q: float) -> list[float]:
+    """[0], [1], ..., [n_max] at q, each bitwise sym_qnum(n, q), with inf
+    where [n] overflows double precision: sym_qnum's power ratio in one
+    comprehension over the n whose powers q^-+n stay below e^700, and
+    sym_qnum itself past them and near q = 1."""
+    safe = 0 if abs(q - 1.0) < Q_ONE_THRESHOLD else int(700.0 / abs(math.log(q))) + 1
+    c = q - 1.0 / q
+    table = [(q**x - q**-x) / c for x in map(float, range(min(safe, n_max + 1)))]
+    for n in range(len(table), n_max + 1):
+        try:
+            table.append(sym_qnum(n, q))
+        except ValueError:  # [n] overflows
+            table.append(math.inf)
+    return table
+
+
 def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     """Integrable deformed dimer H = Jq+ + Jq- at q = 1/sqrt(1 + gamma/2).
 
@@ -169,12 +184,7 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     if two_j == 0:
         warnings.warn("two_j = 0 gives a degenerate 1x1 sector", stacklevel=2)
     dp = q_from_gamma(gamma)
-    qn = np.empty(two_j + 1)  # [0] .. [two_j]
-    for n in range(two_j + 1):
-        try:
-            qn[n] = sym_qnum(n, dp.q)
-        except ValueError:  # the q-number overflows
-            qn[n] = math.inf
+    qn = np.array(_sym_qnums(two_j, dp.q))
     with np.errstate(over="ignore"):
         off = np.sqrt(qn[two_j:0:-1] * qn[1:])
     bad = np.flatnonzero(~np.isfinite(off))

@@ -14,8 +14,9 @@ spectrum is well separated.  Blocks are also cut at zero couplings.
 
 All blocks are solved together, one column per root, and the blocks of many
 matrices share one stack (eigenvalues_batch): a whole gamma grid of the
-command line is solved in consecutive stacks under a fixed budget of table
-cells, each matrix with its own scaling, bracket and tol.  One first sweep
+command line is reduced and solved as one stack, each matrix with its own
+scaling, bracket and tol, and each kernel call is held to 2^17 cells of
+the stack by running it on consecutive runs of its columns.  One first sweep
 brackets every root by multisection: a block of m roots is counted at m
 evenly spaced shifts, and the counts, shared across the block, narrow each
 root's bracket (Lo, Philippe & Sameh, SIAM J. Sci. Stat. Comput. 8 (1987)
@@ -73,7 +74,7 @@ import mpmath as mp
 import numpy as np
 import scipy.linalg
 
-from .dimer import TridiagonalHamiltonian, gershgorin_bounds
+from .dimer import TridiagonalHamiltonian
 
 _EPS = float(np.finfo(float).eps)
 # Smallest pivot magnitude of the recurrence kernel; with entries scaled
@@ -83,9 +84,9 @@ _PIVMIN = float(np.finfo(float).tiny)
 # height: above every shift of the scaled problem, so their pivots stay
 # positive and are never counted.
 _PAD_DIAG = 8.0
-# Cells (stack height times columns) of one stacked solve: a list of
-# matrices is solved in consecutive stacks of at most this many cells, and
-# a matrix whose stack alone is larger is solved by itself.
+# Cells (stack height times columns) of one kernel call: a call over more
+# columns runs on consecutive runs of them (_in_parts); a twisted call's
+# table, which holds the stack and its mirror, has twice as many.
 _STACK_CELLS = 2**17
 # Rows of squared couplings that the kernel takes at its columns at a time.
 _ROWS = 16
@@ -222,141 +223,129 @@ def _row_sum(table):
 
 @dataclass(frozen=True)
 class _Reduction:
-    """H scaled by 2**-exp, folded into parity blocks and cut at zero couplings.
+    """Every H of a list scaled by 2**-exp, folded into parity blocks and cut
+    at zero couplings, the matrices' reduced rows laid end to end in list
+    order.
 
-    Reduced row i lifts to full row rows[i] with weight weights[i] and, where
-    mirror[i] is +-1, to full row dim - 1 - rows[i] with that sign.  off[i]
-    couples rows i and i + 1 and is zero at every segment end; diag and off
-    end with a padding row.  Segment s has sizes[s] rows from starts[s].
-    radius is the larger magnitude of the two ends of the scaled H's
-    Gershgorin interval, and bracket, where the search for every root of H
-    starts, is that interval widened by 1e-3 radius.  Where twin[i] >= 0,
-    row i's root is minus the root of row twin[i], which lies in a segment
-    of the same size, and its vector is that root's vector with every other
-    entry negated (the chiral fold); the solver solves only the rows whose
-    twin is -1, the padding row's included.  stacked marks the segments
-    the stacked solve holds: those of two or more rows whose roots are not
-    all mirrored from another segment's.
+    off[i] couples rows i and i + 1 and is zero at every segment end; diag
+    and off end with one padding row.  Segment s has sizes[s] rows from
+    starts[s] and belongs to matrix matrix[s]; its rows lift to rows lift[s]
+    .. lift[s] + sizes[s] - 1 of that matrix and, where mirror[s] is +-1,
+    also to their mirror images dim - 1 - row with that sign, each then
+    weighted by sqrt(1/2) unless it is its own mirror image.  Per matrix
+    (an array over the list), exp scales it, radius is the larger
+    magnitude of the two ends of the scaled H's Gershgorin interval, and
+    [lo, hi], where the search for every root of H starts, is that interval
+    widened by 1e-3 radius.  Where twin[i] >= 0, row i's root is minus the
+    root of row twin[i], which lies in a segment of the same size, and its
+    vector is that root's vector with every other entry negated (the chiral
+    fold); the solver solves only the rows whose twin is -1.  stacked marks
+    the segments the stacked solve holds: those of two or more rows whose
+    roots are not all mirrored from another segment's.
     """
 
     diag: np.ndarray
     off: np.ndarray
-    exp: int
-    radius: float
-    bracket: tuple[float, float]
-    rows: np.ndarray
-    weights: np.ndarray
-    mirror: np.ndarray
+    exp: np.ndarray
+    radius: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     starts: np.ndarray
     sizes: np.ndarray
+    matrix: np.ndarray
+    lift: np.ndarray
+    mirror: np.ndarray
     twin: np.ndarray
     stacked: np.ndarray
 
 
-def _scaled(H: TridiagonalHamiltonian):
-    """Diagonal and couplings of H times 2**-exp, which puts its largest entry
-    into [0.5, 1), and exp."""
-    top = max(float(np.max(np.abs(H.diag))), float(np.max(np.abs(H.off), initial=0.0)))
-    if not math.isfinite(top):
-        raise ValueError("Hamiltonian entries must be finite")
-    exp = math.frexp(top)[1]
-    return np.ldexp(H.diag, -exp), np.ldexp(H.off, -exp), exp
-
-
-def _reduce(H: TridiagonalHamiltonian) -> _Reduction:
-    """Exact reduction of H: scaled by _scaled, the even and odd blocks when H
-    equals its mirror image, and cuts at couplings that are zero or whose
-    square underflows.  A zero diagonal adds the chiral fold (see the module
+def _reduce(Hs) -> _Reduction:
+    """Exact reduction of every H in Hs, in whole-array steps over all of
+    their rows: each H scaled by the power of two that puts its largest
+    entry into [0.5, 1), folded into its even and odd blocks when it equals
+    its mirror image, and cut at couplings that are zero or whose square
+    underflows.  A zero diagonal adds the chiral fold (see the module
     docstring) as twin: each segment of two or more rows takes its bottom
     half of roots from its top half, except at the even dimension of a
     persymmetric H, where the odd block takes all of its roots from the even
     block.
     """
-    n = H.dim
-    d, o, exp = _scaled(H)
-    glo, ghi = gershgorin_bounds(d, o)
-    radius = max(-glo, ghi)
-    chiral = not d.any()
+    dims = np.array([H.dim for H in Hs])
+    base = np.append(0, np.cumsum(dims))
+    owner = np.repeat(np.arange(dims.size), dims)  # each row's matrix
+    i = np.arange(base[-1])
+    k, n = i - base[owner], dims[owner]  # the row in its matrix, and its dim
+    d = np.concatenate([H.diag for H in Hs])
+    o = np.zeros(i.size)  # o[i] couples rows i and i + 1, 0 at each matrix end
+    o[k < n - 1] = np.concatenate([H.off for H in Hs])
+    top = np.maximum.reduceat(np.maximum(np.abs(d), np.abs(o)), base[:-1])
+    if not np.isfinite(top).all():
+        raise ValueError("Hamiltonian entries must be finite")
+    exp = np.frexp(top)[1]
+    d, o = np.ldexp(d, -exp[owner]), np.ldexp(o, -exp[owner])
+    r = np.abs(o)
+    r[1:] += r[:-1].copy()
+    glo, ghi = np.minimum.reduceat(d - r, base[:-1]), np.maximum.reduceat(d + r, base[:-1])
+    radius = np.where(ghi > -glo, ghi, -glo)
+    chiral = ~np.logical_or.reduceat(d != 0.0, base[:-1])[owner]
+    rev = 2 * base[owner] + n - 1 - i  # the mirror image of row i
+    same = (d == d[rev]) & ((k == n - 1) | (o == o[np.maximum(rev - 1, 0)]))
+    folded = ((dims > 1) & np.logical_and.reduceat(same, base[:-1]))[owner]
+    # even block (u_k = u_{n-1-k}) on the half-ladder with the central
+    # coupling folded in, then the odd block (u_k = -u_{n-1-k})
     m = n // 2
-    rows, weights, mirror = np.arange(n), np.ones(n), np.zeros(n)
-    folded = n > 1 and np.array_equal(d, d[::-1]) and np.array_equal(o, o[::-1])
-    if folded:
-        # even block (u_k = u_{n-1-k}) on the half-ladder with the central
-        # coupling folded in, then the odd block (u_k = -u_{n-1-k})
-        rows = np.concatenate((np.arange(n - m), np.arange(m)))
-        weights = np.where(rows == n - 1 - rows, 1.0, math.sqrt(0.5))
-        mirror = np.repeat([1.0, -1.0], (n - m, m))
-        inner = o[: m - 1]
-        if n % 2 == 0:
-            d = np.concatenate((d[:m], d[:m]))
-            d[[m - 1, n - 1]] += [o[m - 1], -o[m - 1]]
-            o = np.concatenate((inner, [0.0], inner))
-        else:
-            d = np.concatenate((d[: m + 1], d[:m]))
-            o = np.concatenate((inner, [math.sqrt(2.0) * o[m - 1], 0.0], inner))
-    o = np.append(o, [0.0, 0.0])
+    odd = folded & (k >= n - m)
+    rows = np.where(odd, k - (n - m), k)
+    mirror = np.where(folded, np.where(odd, -1.0, 1.0), 0.0)
+    src = base[owner] + rows
+    d, oc = d[src], o[src]
+    centre = folded & (rows == m - 1)
+    even_n = centre & (n % 2 == 0)
+    d[even_n] += mirror[even_n] * oc[even_n]
+    o = np.where(folded & (rows >= m - 1), 0.0, oc)
+    odd_n = centre & ~odd & (n % 2 == 1)
+    o[odd_n] = math.sqrt(2.0) * oc[odd_n]
     o[o * o == 0.0] = 0.0
-    starts = np.append(0, np.flatnonzero(o[: n - 1] == 0.0) + 1)
-    sizes = np.diff(np.append(starts, n))
-    twin = np.full(n + 1, -1)
-    if chiral:
-        i = np.arange(n)
-        partner = np.repeat(2 * starts + sizes - 1, sizes) - i  # the row of -lam
-        if folded and n % 2 == 0:
-            twin[:n] = np.where((i >= m) & np.repeat(sizes > 1, sizes), partner - m, -1)
-        else:
-            twin[:n] = np.where(i < partner, partner, -1)
-    bracket = (glo - 1e-3 * radius, ghi + 1e-3 * radius)
+    starts = np.append(0, np.flatnonzero(o[:-1] == 0.0) + 1)
+    sizes = np.diff(np.append(starts, i.size))
+    partner = np.repeat(2 * starts + sizes - 1, sizes) - i  # the row of -lam
+    twin = np.where(folded & (n % 2 == 0),
+                    np.where(odd & np.repeat(sizes > 1, sizes), partner - m, -1),
+                    np.where(i < partner, partner, -1))
+    twin[~chiral] = -1
     stacked = (sizes > 1) & (twin[starts + sizes - 1] < 0)
-    return _Reduction(np.append(d, _PAD_DIAG), o, exp, radius, bracket, rows, weights,
-                      mirror, starts, sizes, twin, stacked)
+    return _Reduction(np.append(d, _PAD_DIAG), np.append(o, 0.0), exp, radius,
+                      glo - 1e-3 * radius, ghi + 1e-3 * radius, starts, sizes,
+                      owner[starts], rows[starts], mirror[starts], twin, stacked)
 
 
-def _stack(reds):
-    """The stacked segments of the reductions (_Reduction.stacked) side by
-    side, bottom-aligned.
+def _stack(red: _Reduction):
+    """The stacked segments of red (_Reduction.stacked) side by side,
+    bottom-aligned.
 
-    The reductions' rows are laid end to end, each keeping its padding row,
-    so row i of reds[r] is row i + sum of reds[:r]'s diag sizes.  Returns,
-    for each root in such a segment (root i of segment s is number
-    i - starts[s] in it): i in that layout, the segment's column in the
-    tables, and that number; then the stacked diagonal and couplings, one
-    column per segment, where off[k] couples stack rows k and k + 1 and the
-    rows above a short segment are padding.
+    Returns, for each root in such a segment (root i of segment s is number
+    i - starts[s] in it): its row i, the segment's column in the tables,
+    and that number; then the stacked diagonal and couplings, one column
+    per segment, where off[k] couples stack rows k and k + 1 and the rows
+    above a short segment are padding.
     """
-    base = np.cumsum([0] + [red.diag.size for red in reds])
-    stacked = np.concatenate([red.stacked for red in reds])
-    starts = np.concatenate([red.starts + b for red, b in zip(reds, base)])[stacked]
-    sizes = np.concatenate([red.sizes for red in reds])[stacked]
+    starts, sizes = red.starts[red.stacked], red.sizes[red.stacked]
     height = int(sizes.max(initial=1))
     rows = np.arange(height)[:, None] + (starts + sizes - height)
-    rows[rows < starts] = base[1] - 1
+    rows[rows < starts] = red.diag.size - 1
     seg = np.repeat(np.arange(sizes.size), sizes)
     idx = np.arange(seg.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    diag = np.concatenate([red.diag for red in reds])
-    off = np.concatenate([red.off for red in reds])
-    return starts[seg] + idx, seg, idx, diag[rows], off[rows]
+    return starts[seg] + idx, seg, idx, red.diag[rows], red.off[rows]
 
 
-def _cells(red: _Reduction) -> tuple[int, int]:
-    """Height and width of red's stack."""
-    sizes = red.sizes[red.stacked]
-    return int(sizes.max(initial=1)), int(sizes.sum())
-
-
-def _batches(reds):
-    """reds cut into consecutive runs whose stacks hold at most _STACK_CELLS
-    cells together; a reduction whose stack alone is larger runs by itself."""
-    run, height, width = [], 0, 0
-    for red in reds:
-        h, w = _cells(red)
-        if run and max(height, h) * (width + w) > _STACK_CELLS:
-            yield run
-            run, height, width = [], 0, 0
-        run.append(red)
-        height, width = max(height, h), width + w
-    if run:
-        yield run
+def _in_parts(step, height, cols):
+    """step(cols) on consecutive runs of the columns cols, as few as hold
+    each run's stack, height cells per column, to _STACK_CELLS cells, and
+    the runs' results joined."""
+    runs = -(-cols.size * height // _STACK_CELLS)
+    if runs <= 1:
+        return step(cols)
+    return np.concatenate([step(run) for run in np.array_split(cols, runs)])
 
 
 def _multisect(seg, idx, lo, hi, x, count):
@@ -398,8 +387,8 @@ def _narrow(lo, hi, tol):
 
 def _candidates(red: _Reduction, top) -> np.ndarray:
     """Which of red's rows hold a root that can be among the top roots of
-    H (all rows where top is None, never the padding row): the top c roots
-    of H lie among each segment's top c.  A mirrored candidate needs its
+    its H (all rows where top is None): the top c roots of H lie among each
+    segment's top c.  A mirrored candidate needs its
     twin solved: the twins of a chiral segment's top c are among its top c,
     and the odd block of an even dimension takes its top c from the even
     block's bottom c."""
@@ -408,22 +397,23 @@ def _candidates(red: _Reduction, top) -> np.ndarray:
     return idx >= np.repeat(red.sizes, red.sizes) - (n if top is None else top)
 
 
-def _roots(reds, tol: float, top=None) -> list[np.ndarray]:
-    """Roots of every segment of each reduction, in its scaled units and
-    ascending within a segment; with top, only the roots _candidates names,
-    in the same order.
+def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
+    """Roots of every segment of red, in its matrices' scaled units and
+    ascending within a segment, in row order; with top, only the roots of
+    the rows _candidates names, in the same order.
 
-    One stacked solve serves many matrices, a whole gamma grid of the
-    command line: the segments of all reductions in a run of _batches, which
-    holds at most _STACK_CELLS table cells, are solved together, one column
-    per root, each from the bracket of its own reduction with its own tol
-    and exp.  Every step runs the kernel at one shift per column and narrows
-    the column's bracket by the count of negative pivots there.
+    One stacked solve serves all matrices of red, a whole gamma grid of the
+    command line: the segments of every matrix are solved together, one
+    column per root, each from the bracket of its own matrix with its own
+    tol and exp.  Every step runs the kernel at one shift per column and
+    narrows the column's bracket by the count of negative pivots there; a
+    kernel call whose table would pass _STACK_CELLS cells runs on
+    consecutive runs of its columns (_in_parts), which changes no column.
 
     The first sweep counts the column of root i of a segment of m roots at
     lo + (i + 1)(hi - lo)/(m + 1), and _multisect brackets all of the
     segment's roots from these counts, which are shared within one segment
-    of one reduction only, so a matrix's roots are the same in any stack.
+    only, so a matrix's roots are the same in any stack.
     The columns not isolated there (idx roots below lo, idx + 1 below hi)
     are bisected, one sweep per step, until they are.  Then
     each isolated column takes safeguarded Newton steps on det(T - x) from
@@ -454,80 +444,89 @@ def _roots(reds, tol: float, top=None) -> list[np.ndarray]:
     those roots is bitwise the one the full solve returns.  Each mirrored
     root is then minus its twin's.
     """
-    roots = []
-    for run in _batches(reds):
-        base = np.cumsum([0] + [red.diag.size for red in run])
-        need = np.zeros(base[-1], dtype=bool)  # never a padding row
-        for red, b in zip(run, base):
-            need[b : b + red.diag.size - 1] = _candidates(red, top)
-        twin = np.concatenate([red.twin for red in run])
-        mirrored = twin >= 0
-        twin[mirrored] += np.repeat(base[:-1], np.diff(base))[mirrored]
-        want = need & ~mirrored
-        want[twin[need & mirrored]] = True
-        lam = np.concatenate([red.diag for red in run])  # one-row segments
-        cols, seg, idx, d, off = _stack(run)
-        d, o2 = _mirrored(d, off * off)
-        width = [_cells(red)[1] for red in run]
-        lo, hi = (np.repeat(b, width) for b in zip(*(red.bracket for red in run)))
-        tols = np.repeat([math.ldexp(tol, -max(red.exp, 0)) for red in run], width)
-        x = lo + (hi - lo) * ((idx + 1) / (np.bincount(seg)[seg] + 1))
-        count = np.count_nonzero(_pivots(d, seg, o2, x) <= 0.0, axis=0)
-        lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count)
-        x = 0.5 * (lo + hi)
-        done = _narrow(lo, hi, tols) | ~want[cols]
-        isolated = ~done & (n_lo == idx) & (n_hi == idx + 1)
-        act = np.flatnonzero(~(done | isolated))
-        newton = False
-        for _ in range(4096):
-            if not act.size:
-                if newton or not isolated.any():
-                    break
-                act, newton = np.flatnonzero(isolated), True
-            xa, i, tol_a = x[act], idx[act], tols[act]
-            if newton:
-                up, _, gamma = _twisted(d, seg[act], o2, xa, reuse_down=True)
-                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                    delta = 1.0 / _row_sum(np.reciprocal(gamma, out=gamma))
-                del gamma
-            else:
-                up = _pivots(d, seg[act], o2, xa)
-            count = np.count_nonzero(up <= 0.0, axis=0)
-            del up
-            below = count <= i
-            on_end = (xa == lo[act]) | (xa == hi[act])
-            la = lo[act] = np.where(below, xa, lo[act])
-            ha = hi[act] = np.where(below, hi[act], xa)
-            mid = 0.5 * (la + ha)
-            done = _narrow(la, ha, tol_a)
-            if newton:
-                step = xa + delta
-                small = np.abs(delta) <= np.maximum(tol_a, 4.0 * _EPS * np.abs(xa))
-                with np.errstate(invalid="ignore"):
-                    over = np.maximum(la - step, step - ha)
-                    fits = small | (over < np.where(on_end, 0.0, 1e-3 * np.abs(delta)))
-                    # an end whose step points out through that same end
-                    settle = on_end & np.where(below, step < la, step > ha)
-                x[act] = np.where(settle, xa, np.where(fits, np.clip(step, la, ha), mid))
-                done |= small | settle
-            else:
-                x[act] = mid
-                n_lo[act] = np.where(below, count, n_lo[act])
-                n_hi[act] = np.where(below, n_hi[act], count)
-                isolated[act] = ~done & (n_lo[act] == i) & (n_hi[act] == i + 1)
-                done |= isolated[act]
-            act = act[~done]
-        lam[cols] = x
-        lam[mirrored] = -lam[twin[mirrored]]
-        roots += np.split(lam[need], np.cumsum(need)[base[1:-1] - 1])
-    return roots
+    need = _candidates(red, top)
+    mirrored = red.twin >= 0
+    want = need & ~mirrored
+    want[red.twin[need & mirrored]] = True
+    stacked = np.repeat(red.stacked, red.sizes)  # the rows of the stack's columns
+    seg, idx, d, off = _stack(red)[1:]
+    d, o2 = _mirrored(d, off * off)
+    del off
+    height = d.shape[0]
+    owner = red.matrix[red.stacked]  # of each stacked segment
+    tols = np.ldexp(tol, -np.maximum(red.exp, 0))[owner]
+
+    def sweep(act):
+        return np.count_nonzero(_pivots(d, seg[act], o2, x[act]) <= 0.0, axis=0)
+
+    def advance(act):
+        """One step of the columns act, in place; returns which are not done."""
+        xa, sa = x[act], seg[act]
+        if newton:
+            up, _, gamma = _twisted(d, sa, o2, xa, reuse_down=True)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                delta = 1.0 / _row_sum(np.reciprocal(gamma, out=gamma))
+            del gamma
+        else:
+            up = _pivots(d, sa, o2, xa)
+        count = np.count_nonzero(up <= 0.0, axis=0)
+        del up
+        i, tol_a = act - first[sa], tols[sa]
+        below = count <= i
+        on_end = (xa == lo[act]) | (xa == hi[act])
+        la = lo[act] = np.where(below, xa, lo[act])
+        ha = hi[act] = np.where(below, hi[act], xa)
+        mid = 0.5 * (la + ha)
+        done = _narrow(la, ha, tol_a)
+        if newton:
+            step = xa + delta
+            small = np.abs(delta) <= np.maximum(tol_a, 4.0 * _EPS * np.abs(xa))
+            with np.errstate(invalid="ignore"):
+                over = np.maximum(la - step, step - ha)
+                fits = small | (over < np.where(on_end, 0.0, 1e-3 * np.abs(delta)))
+                # an end whose step points out through that same end
+                settle = on_end & np.where(below, step < la, step > ha)
+            x[act] = np.where(settle, xa, np.where(fits, np.clip(step, la, ha), mid))
+            done |= small | settle
+        else:
+            x[act] = mid
+            lo_ok[act] = np.where(below, count == i, lo_ok[act])
+            hi_ok[act] = np.where(below, hi_ok[act], count == i + 1)
+            isolated[act] = ~done & lo_ok[act] & hi_ok[act]
+            done |= isolated[act]
+        return ~done
+
+    m = np.bincount(seg)
+    first = np.cumsum(m) - m  # each segment's column of root 0
+    lo, hi = red.lo[owner][seg], red.hi[owner][seg]
+    x = lo + (hi - lo) * ((idx + 1) / (m[seg] + 1))
+    lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x,
+                                    _in_parts(sweep, height, np.arange(seg.size)))
+    # whether the count at each bracket end isolates the column's root
+    lo_ok, hi_ok = n_lo == idx, n_hi == idx + 1
+    del n_lo, n_hi, idx
+    x = 0.5 * (lo + hi)
+    done = _narrow(lo, hi, tols[seg]) | ~want[stacked]
+    isolated = ~done & lo_ok & hi_ok
+    act = np.flatnonzero(~(done | isolated))
+    newton = False
+    for _ in range(4096):
+        if not act.size:
+            if newton or not isolated.any():
+                break
+            act, newton = np.flatnonzero(isolated), True
+        act = act[_in_parts(advance, height, act)]
+    lam = red.diag[:-1].copy()  # one-row segments
+    lam[stacked] = x
+    lam[mirrored] = -lam[red.twin[mirrored]]
+    return lam[need]
 
 
-def _unscaled(lam, red: _Reduction) -> np.ndarray:
-    """Roots in red's scaled units times 2**red.exp, refused where one
-    overflows double precision."""
+def _unscaled(lam, exp) -> np.ndarray:
+    """Roots in scaled units times 2**exp, refused where one overflows
+    double precision."""
     with np.errstate(over="ignore"):
-        lam = np.ldexp(lam, red.exp)
+        lam = np.ldexp(lam, exp)
     if not np.isfinite(lam).all():
         raise ValueError("an eigenvalue overflows double precision")
     return lam
@@ -535,7 +534,7 @@ def _unscaled(lam, red: _Reduction) -> np.ndarray:
 
 def eigenvalues_batch(Hs, tol: float = 1e-12, top=None) -> list[np.ndarray]:
     """The eigenvalues_bisection eigenvalues of every H in Hs, in one stacked
-    solve per run of matrices under a fixed cell budget.
+    solve, each kernel call held to a fixed budget of table cells.
 
     Each H keeps its own scaling, bracket and tol, and every column of the
     stack is computed on its own, so its array is bitwise what
@@ -549,11 +548,17 @@ def eigenvalues_batch(Hs, tol: float = 1e-12, top=None) -> list[np.ndarray]:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if top is not None and not (isinstance(top, (int, np.integer)) and top >= 0):
         raise ValueError(f"top must be a count >= 0, got {top!r}")
-    reds = [_reduce(H) for H in Hs]
-    out = [np.sort(lam) for lam in _roots(reds, tol, top)]
-    if top is not None:
-        out = [lam[max(lam.size - top, 0) :] for lam in out]
-    return [_unscaled(lam, red) for lam, red in zip(out, reds)]
+    Hs = list(Hs)
+    if not Hs:
+        return []
+    red = _reduce(Hs)
+    kept = np.minimum(red.sizes, red.diag.size if top is None else top)
+    ends = np.cumsum(np.bincount(red.matrix, kept)).astype(int)  # of each H's roots
+    out = []
+    for lam, exp in zip(np.split(_roots(red, tol, top), ends[:-1]), red.exp):
+        lam = np.sort(lam)
+        out.append(_unscaled(lam if top is None else lam[max(lam.size - top, 0) :], exp))
+    return out
 
 
 def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.ndarray:
@@ -589,7 +594,7 @@ def _twisted_vectors(red: _Reduction, lam):
     _PIVMIN of zero leaves a subnormal pivot whose ratio overflows, is formed
     again from pivots under the clamp rule of _pivots.
     """
-    cols, seg, _, d, off = _stack([red])
+    cols, seg, _, d, off = _stack(red)
     solved = red.twin[cols] < 0
     cols, seg = cols[solved], seg[solved]
     d, o2 = _mirrored(d, off * off)
@@ -650,19 +655,19 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
     """
     if not 0.0 < tol <= SOLVE_TOL_MAX:
         raise ValueError(f"tol must be in (0, {SOLVE_TOL_MAX:g}] for eigenvectors, got {tol}")
-    red = _reduce(H)
+    red = _reduce([H])
     n = H.dim
-    lam = _roots([red], tol)[0]
+    lam = _roots(red, tol)
     order = np.argsort(lam, kind="stable")
-    eigenvalues = _unscaled(lam[order], red)
+    eigenvalues = _unscaled(lam[order], red.exp[0])
     cols, z = _twisted_vectors(red, lam)
     at = np.zeros(n, dtype=int)
     at[cols] = np.arange(cols.size)  # z's column of each solved row
     column = np.argsort(order)
-    gap = 1e-6 * red.radius
+    gap = 1e-6 * red.radius[0]
     methods = np.full(n, "recurrence", dtype=object)
     vectors = np.zeros((n, n))
-    for first, size in zip(red.starts, red.sizes):
+    for first, size, row, sign in zip(red.starts, red.sizes, red.lift, red.mirror):
         seg = slice(first, first + size)
         block = np.ones((1, 1))
         if size > 1:
@@ -676,12 +681,13 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
                 run = np.append(run, False) | np.insert(run, 0, False)
                 block[:, run] = _ritz(red, first, size, block[:, ~run])
                 methods[seg][run] = "ritz"
-        block *= red.weights[seg, None]  # a copy of z's columns, so in place
+        if sign:
+            rows = np.arange(row, row + size)[:, None]
+            block *= np.where(rows == n - 1 - rows, 1.0, math.sqrt(0.5))  # z's copy, in place
         block = _lead_positive(block)
-        row = red.rows[first]
         vectors[row : row + size, column[seg]] = block
-        if red.mirror[first]:
-            vectors[n - row - size : n - row, column[seg]] = red.mirror[first] * block[::-1]
+        if sign:
+            vectors[n - row - size : n - row, column[seg]] = sign * block[::-1]
     return Spectrum(
         hamiltonian=H,
         eigenvalues=eigenvalues,
@@ -740,8 +746,8 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
     the minor polynomials there.
     """
     H = spectrum.hamiltonian
-    red = _reduce(H)
-    lam = _roots([red], 1e-12)[0]
+    red = _reduce([H])
+    lam = _roots(red, 1e-12)
     worst = 0.0
     for first, size in zip(red.starts, red.sizes):
         d = red.diag[first : first + size]

@@ -18,6 +18,7 @@ from qdimer import (
     q_from_gamma,
     sym_qnum,
 )
+from qdimer.dimer import _sym_qnums
 
 
 def test_spin_sector():
@@ -215,6 +216,52 @@ def test_al_couplings_from_one_qnumber_table(two_j, gamma):
     q = q_from_gamma(gamma).q
     expect = [math.sqrt(sym_qnum(two_j - k, q) * sym_qnum(k + 1, q)) for k in range(two_j)]
     assert np.array_equal(build_qal_dimer(two_j, gamma).off, expect)
+
+
+def _sym_qnum_or_inf(n, q):
+    try:
+        return sym_qnum(n, q)
+    except ValueError:
+        return math.inf
+
+
+@pytest.mark.parametrize("q", [0.25, 0.2496, 0.5, 1.0 - 1e-9, 1.0 - 2e-8, 0.999, 1.0, 1.5, 4.0])
+def test_qnumber_table_is_sym_qnum(q):
+    # the comprehension of the power ratio and the sym_qnum calls past
+    # e^700 and near q = 1 give bitwise the scalar q-numbers, inf where
+    # they overflow
+    assert _sym_qnums(600, q) == [_sym_qnum_or_inf(n, q) for n in range(601)]
+    assert _sym_qnums(0, q) == [0.0]
+
+
+def test_qnumber_table_on_random_bases():
+    rng = np.random.default_rng(5)
+    for q in np.exp(rng.uniform(-3.0, 3.0, 200)).tolist():
+        n_max = int(rng.integers(0, 700))
+        assert _sym_qnums(n_max, q) == [_sym_qnum_or_inf(n, q) for n in range(n_max + 1)]
+
+
+def test_couplings_match_scalar_loops():
+    # the numpy coupling expressions give bitwise the scalar formulas, up
+    # to the AL refusal edge at two_j 512 (gamma 30 builds, 30.1 is refused
+    # for its physical levels, its couplings still finite)
+    for two_j in (1, 2, 40, 101, 300, 511, 512):
+        for gamma in (0.0, 1e-9, 0.5, 4.0, 9.0, 30.0):
+            q = q_from_gamma(gamma).q
+            qn = [sym_qnum(n, q) for n in range(two_j + 1)]
+            expect = np.sqrt(np.array(qn[two_j:0:-1]) * qn[1:])
+            if np.isfinite(expect).all():
+                assert build_qal_dimer(two_j, gamma).off.tobytes() == expect.tobytes()
+            else:
+                with pytest.raises(ValueError, match="al coupling"):
+                    build_qal_dimer(two_j, gamma)
+            for eps in (1.0, -0.3, 7e-5):
+                expect = [eps * math.sqrt((two_j - k) * (k + 1)) for k in range(two_j)]
+                assert build_qdnls_dimer(two_j, gamma, eps).off.tobytes() == np.array(expect).tobytes()
+    q = q_from_gamma(30.1).q
+    assert math.isfinite(sym_qnum(512, q) * sym_qnum(1, q))
+    with pytest.raises(ValueError, match="al physical levels"):
+        build_qal_dimer(512, 30.1)
 
 
 @pytest.mark.parametrize("gamma, epsilon", [(1e308, 1.0), (2.0, 1e308)])

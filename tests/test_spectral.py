@@ -30,7 +30,6 @@ from qdimer import (
 )
 from qdimer import spectral
 from qdimer.spectral import (
-    _batches,
     _df_gram_float,
     _df_gram_mp,
     _mirrored,
@@ -41,10 +40,16 @@ from qdimer.spectral import (
     _reduce,
     _roots,
     _row_sum,
-    _scaled,
     _stack,
     _twisted,
 )
+
+
+def _scaled(H):
+    """Diagonal and couplings of H times 2**-exp, which puts its largest entry
+    into [0.5, 1), as _reduce scales it, and exp."""
+    exp = math.frexp(max(np.max(np.abs(H.diag)), np.max(np.abs(H.off), initial=0.0)))[1]
+    return np.ldexp(H.diag, -exp), np.ldexp(H.off, -exp), exp
 
 
 def _radius(H):
@@ -343,6 +348,11 @@ def test_batch_kernel_sweeps(monkeypatch):
     # then the top four roots of each parity block only, 3374 columns
     _, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, 4)
     assert swept <= 21235 // 5
+    # at two_j 200 the first sweep's 3216 columns take three calls under
+    # the cell budget, and the 128 selected columns one call per step: 11
+    # calls, where consecutive stacks of whole solves took 26
+    Hs = [build_dimer("dnls", 200, g) for g in np.geomspace(0.5, 10.0, 16)]
+    assert _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, 4)[0] <= 11
 
 
 def _random_stack(rng):
@@ -359,7 +369,7 @@ def _random_stack(rng):
     d = rng.uniform(-1, 1, 6)
     Hs.append(TridiagonalHamiltonian(SpinSector(5), "dnls", np.concatenate((d[:3], d[2::-1])),
                                      [0.3, 0.5, 0.7, 0.5, 0.3]))
-    _, seg, _, d, off = _stack([_reduce(H) for H in Hs])
+    _, seg, _, d, off = _stack(_reduce(Hs))
     lam = rng.uniform(-1.0, 1.0, seg.size)
     lam[0] = d[d[:, 0] != spectral._PAD_DIAG, 0][0]
     return seg, d, off * off, lam
@@ -438,9 +448,9 @@ def test_multisect_brackets_from_counts():
 def test_multisect_brackets_hold_their_roots(model, two_j, gamma):
     # kernel counts at the shifts _roots takes: each bracket holds its root,
     # with the true number of roots below either end
-    red = _reduce(build_dimer(model, two_j, gamma))
-    cols, seg, idx, d, off = _stack([red])
-    lo, hi = np.full(seg.size, red.bracket[0]), np.full(seg.size, red.bracket[1])
+    red = _reduce([build_dimer(model, two_j, gamma)])
+    cols, seg, idx, d, off = _stack(red)
+    lo, hi = np.full(seg.size, red.lo[0]), np.full(seg.size, red.hi[0])
     x = lo + (hi - lo) * ((idx + 1) / (np.bincount(seg)[seg] + 1))
     count = np.count_nonzero(_pivots(d, seg, off * off, x) <= 0.0, axis=0)
     assert (np.diff(count)[np.diff(seg) == 0] >= 0).all()
@@ -553,7 +563,7 @@ def _zero_diagonal(n, persymmetric):
 @pytest.mark.parametrize("persymmetric", [True, False])
 def test_chiral_fold_of_hand_built_matrices(n, persymmetric):
     H = _zero_diagonal(n, persymmetric)
-    red = _reduce(H)
+    red = _reduce([H])
     assert (red.twin >= 0).sum() == (n // 2 if persymmetric and n % 2 == 0 else
                                      sum(size // 2 for size in red.sizes))
     s = solve_spectrum(H)
@@ -584,14 +594,12 @@ def test_chiral_fold_under_the_ritz_guard():
 
 def test_chiral_fold_halves_the_al_sweeps(monkeypatch):
     # the 16-step grid at two_j 101 stacks the even blocks only: 9666
-    # columns where both blocks took 19334; at two_j 131 it fits one stack,
-    # 13 calls where two stacks took 24; an even two_j bisects and finishes
+    # columns where both blocks took 19334; at two_j 131, 13 calls where
+    # two stacks of both blocks took 24; an even two_j bisects and finishes
     # the top half of each block: 1740 columns where all took 3223
     calls, swept = _sweeps(monkeypatch, eigenvalues_batch, _al_grid(101))
     assert calls <= 13 and swept <= 19334 // 2 + 100
-    Hs = _al_grid(131)
-    assert len(list(_batches([_reduce(H) for H in Hs]))) == 1
-    assert _sweeps(monkeypatch, eigenvalues_batch, Hs)[0] <= 14
+    assert _sweeps(monkeypatch, eigenvalues_batch, _al_grid(131))[0] <= 14
     _, swept = _sweeps(monkeypatch, solve_spectrum, build_qal_dimer(240, 9.0))
     assert swept <= 1800
 
@@ -666,7 +674,8 @@ def test_batch_matches_per_matrix(tol):
     # every matrix keeps its own scaling, bracket and tol inside the stack
     Hs = _mixed_dimers()
     assert len(Hs) == 54
-    assert len(list(_batches([_reduce(H) for H in Hs]))) > 1  # crosses the cell budget
+    _, seg, _, d, _ = _stack(_reduce(Hs))
+    assert seg.size * d.shape[0] > spectral._STACK_CELLS  # the first sweep is split
     batch = eigenvalues_batch(Hs, tol)
     assert len(batch) == len(Hs)
     for H, evs in zip(Hs, batch):
@@ -739,17 +748,57 @@ def test_solve_spectrum_rejects_loose_tol():
     assert np.max(np.abs(loose - dense_oracle(H).eigenvalues)) < 1e-3 * (1.0 + _radius(H))
 
 
-def test_batch_memory_is_bounded():
-    # a 64-step grid at dim 201 stacks to about 23 MB of tables in one piece;
-    # the cell budget cuts it into stacks of about 1 MB each
-    Hs = [build_qdnls_dimer(200, float(g)) for g in np.geomspace(0.5, 10.0, 64)]
+def _batch_peak(Hs):
+    """tracemalloc peak of eigenvalues_batch(Hs), in bytes."""
     tracemalloc.start()
     try:
         eigenvalues_batch(Hs)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20
+
+
+def test_batch_memory_is_bounded():
+    # a 64-step grid at dim 201 stacks to about 23 MB of kernel tables in
+    # one piece; the cell budget cuts every kernel call to about 1 MB (2 MB
+    # for a twisted call), and the whole grid's per-column state is small
+    Hs = [build_qdnls_dimer(200, float(g)) for g in np.geomspace(0.5, 10.0, 64)]
+    assert _batch_peak(Hs) < 4 * 2**20
+
+
+def test_split_calls_hold_no_earlier_table():
+    # a 40-step grid at dim 251 makes ten calls per full-width step; the
+    # peak, 3.43 MB, is within 10% of the 3.20 MB that consecutive stacks of
+    # whole solves took, which a run that kept an earlier call's table
+    # alive (7.58 MB) was not
+    Hs = [build_qdnls_dimer(250, float(g)) for g in np.geomspace(0.5, 10.0, 40)]
+    assert _batch_peak(Hs) <= 1.1 * 3.20e6
+
+
+def test_split_calls_are_bitwise(monkeypatch):
+    # a budget of 600 cells splits every kernel call of these stacks into
+    # runs of at most 20 columns; no root or vector moves
+    grids = [_mixed_dimers(), _al_grid(101),
+             [build_dimer("dnls", 60, g) for g in np.geomspace(0.5, 10.0, 16)]]
+    solved = [build_qal_dimer(41, 9.0), build_qal_dimer(40, 2.0), build_qdnls_dimer(60, 8.0),
+              _nudged_dimer()]
+
+    def run():
+        out = [[evs.tobytes() for evs in eigenvalues_batch(Hs, top=k)]
+               for Hs in grids for k in (None, 0, 1, 4, max(H.dim for H in Hs) + 3)]
+        for H in solved:
+            s = solve_spectrum(H)
+            out.append([s.eigenvalues.tobytes(), s.vectors.tobytes(), s.vector_method])
+        return out
+
+    calls = []
+    kernel = spectral._pivots
+    monkeypatch.setattr(spectral, "_pivots", lambda *args: calls.append(1) or kernel(*args))
+    whole, unsplit = run(), len(calls)
+    monkeypatch.setattr(spectral, "_STACK_CELLS", 600)
+    assert run() == whole
+    assert len(calls) - unsplit > 10 * unsplit
+    assert eigenvalues_batch([]) == []
 
 
 def test_solve_memory_is_bounded():
@@ -802,8 +851,8 @@ def test_df_orthonormality_forced_precision():
     H = s.hamiltonian
     d, o, _ = _scaled(H)
     assert _df_gram_mp(d, o, 40) < 1e-10
-    red = _reduce(H)
-    lam = _roots([red], 1e-12)[0]
+    red = _reduce([H])
+    lam = _roots(red, 1e-12)
     blocks = [
         _df_gram_float(red.diag[a : a + n], red.off[a : a + n - 1], lam[a : a + n])[0]
         for a, n in zip(red.starts, red.sizes)
@@ -828,8 +877,8 @@ def test_df_orthonormality_collapsed_cluster():
     s = solve_spectrum(H)
     assert df_orthonormality_check(s) < 1e-9 * s.dim
     # the block roots the check uses are the solver's eigenvalues
-    red = _reduce(H)
-    assert np.array_equal(np.sort(np.ldexp(_roots([red], 1e-12)[0], red.exp)), s.eigenvalues)
+    red = _reduce([H])
+    assert np.array_equal(np.sort(np.ldexp(_roots(red, 1e-12), red.exp[0])), s.eigenvalues)
 
 
 def test_mp_eigenvalues_resolve_collapsed_cluster():
@@ -850,8 +899,8 @@ def test_mp_eigenvalues_resolve_collapsed_cluster():
 def _mp_blocks(H):
     """The blocks of H that df_orthonormality_check takes to mpmath, with the
     digits it picks there."""
-    red = _reduce(H)
-    lam = _roots([red], 1e-12)[0]
+    red = _reduce([H])
+    lam = _roots(red, 1e-12)
     for a, n in zip(red.starts, red.sizes):
         d, o = red.diag[a : a + n], red.off[a : a + n - 1]
         residual, decades = _df_gram_float(d, o, lam[a : a + n])
