@@ -260,10 +260,11 @@ def _verify_spectral(checks, two_j_max, cases):
     structure_ok = True
     for two_j in range(1, 13):
         for gamma in (0.5, 2.0, 8.0):
-            spec = solve_spectrum(build_dimer("al", two_j, gamma))
-            rep = parity_structure_check(spec)
-            worst = max(worst, rep.max_pair_residual)
-            structure_ok &= rep.zero_count == rep.expected_zero_count
+            H = build_dimer("al", two_j, gamma)
+            for spec in (solve_spectrum(H), dense_oracle(H)):
+                rep = parity_structure_check(spec)
+                worst = max(worst, rep.max_pair_residual)
+                structure_ok &= rep.zero_count == rep.expected_zero_count
     checks.add("spectral.parity_antisymmetry", worst, 1e-10)
     checks.add("spectral.parity_zero_structure", 0.0 if structure_ok else 1.0, 0.0)
 

@@ -100,10 +100,29 @@ def gershgorin_bounds(diag, off) -> tuple[float, float]:
         return float(np.min(diag - r)), float(np.max(diag + r))
 
 
-def _check_finite(**values):
-    for name, x in values.items():
+def _dimer(model, two_j, entries, levels, **inputs) -> TridiagonalHamiltonian:
+    """The model's sector Hamiltonian at finite inputs (gamma, epsilon).
+    entries(sector, where) gives its diag, off, params, energy_scale and
+    energy_shift, refusing entries that overflow; where() is the "two_j=...,
+    gamma=..." text that ends every refusal.  With [lo, hi] the Gershgorin
+    interval, |energy_scale| max(-lo, hi) + |energy_shift| bounds the physical
+    levels (levels formatted with params): a ValueError where it overflows."""
+    for name, x in inputs.items():
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x}")
+    sector = SpinSector(two_j)
+    if two_j == 0:
+        warnings.warn("two_j = 0 gives a degenerate 1x1 sector", stacklevel=3)
+
+    def where():
+        return ", ".join(f"{name}={x}" for name, x in dict(two_j=two_j, **inputs).items())
+
+    diag, off, params, scale, shift = entries(sector, where)
+    lo, hi = gershgorin_bounds(diag, off)
+    if not math.isfinite(abs(scale) * max(-lo, hi) + abs(shift)):
+        levels = levels.format(**params)
+        raise ValueError(f"{model} physical levels {levels} overflow double precision ({where()})")
+    return TridiagonalHamiltonian(sector, model, diag, off, params, scale, shift)
 
 
 def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:
@@ -115,40 +134,19 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     Raises ValueError where an entry, or a physical level's Gershgorin
     bound, overflows double precision.
     """
-    _check_finite(gamma=gamma, epsilon=epsilon)
-    sector = SpinSector(two_j)
-    if two_j == 0:
-        warnings.warn("two_j = 0 gives a degenerate 1x1 sector", stacklevel=2)
-    if gamma < 0:
-        warnings.warn("negative gamma: attractive convention", stacklevel=2)
-    m = sector.m_values
-    k = np.arange(two_j)
-    j = sector.j
-    shift = -0.5 * gamma * j * j
-    with np.errstate(over="ignore"):
-        off = epsilon * np.sqrt((two_j - k) * (k + 1))
-        diag = 0.5 * gamma * m**2
-    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-        raise ValueError(
-            f"dnls entries overflow double precision (two_j={two_j}, gamma={gamma}, "
-            f"epsilon={epsilon})"
-        )
-    lo, hi = gershgorin_bounds(diag, off)
-    # the Gershgorin radius plus |shift| bounds the physical levels
-    if not math.isfinite(max(-lo, hi) + abs(shift)):
-        raise ValueError(
-            f"dnls physical levels -lambda - (gamma/2) j^2 overflow double precision "
-            f"(two_j={two_j}, gamma={gamma}, epsilon={epsilon})"
-        )
-    return TridiagonalHamiltonian(
-        sector=sector,
-        model="dnls",
-        diag=diag,
-        off=off,
-        params={"gamma": float(gamma), "epsilon": float(epsilon), "chain_gamma": 0.5 * gamma},
-        energy_scale=-1.0,
-        energy_shift=shift,
-    )
+    def entries(sector, where):
+        if gamma < 0:
+            warnings.warn("negative gamma: attractive convention", stacklevel=4)
+        k = np.arange(two_j)
+        with np.errstate(over="ignore"):
+            off = epsilon * np.sqrt((two_j - k) * (k + 1))
+            diag = 0.5 * gamma * sector.m_values**2
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise ValueError(f"dnls entries overflow double precision ({where()})")
+        params = {"gamma": float(gamma), "epsilon": float(epsilon), "chain_gamma": 0.5 * gamma}
+        return diag, off, params, -1.0, -0.5 * gamma * sector.j * sector.j
+
+    return _dimer("dnls", two_j, entries, "-lambda - (gamma/2) j^2", gamma=gamma, epsilon=epsilon)
 
 
 def _sym_qnums(n_max: int, q: float) -> list[float]:
@@ -179,39 +177,20 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     a coupling, or a physical level's Gershgorin bound, overflows double
     precision.
     """
-    _check_finite(gamma=gamma)
-    sector = SpinSector(two_j)
-    if two_j == 0:
-        warnings.warn("two_j = 0 gives a degenerate 1x1 sector", stacklevel=2)
-    dp = q_from_gamma(gamma)
-    qn = np.array(_sym_qnums(two_j, dp.q))
-    with np.errstate(over="ignore"):
-        off = np.sqrt(qn[two_j:0:-1] * qn[1:])
-    bad = np.flatnonzero(~np.isfinite(off))
-    if bad.size:
-        k = int(bad[0])
-        raise ValueError(
-            f"al coupling off[{k}] = sqrt([{two_j - k}] [{k + 1}]) at q={dp.q:.17g} "
-            f"overflows double precision (two_j={two_j}, gamma={gamma})"
-        )
-    j = sector.j
-    scale = -(dp.q ** (0.5 - j))
-    diag = np.zeros(sector.dim)
-    # |scale| times the Gershgorin radius plus the shift bounds the levels
-    if not math.isfinite(abs(scale) * gershgorin_bounds(diag, off)[1] + 2.0 * two_j):
-        raise ValueError(
-            f"al physical levels -q^(1/2 - j) lambda + 2 M at q={dp.q:.17g} "
-            f"overflow double precision (two_j={two_j}, gamma={gamma})"
-        )
-    return TridiagonalHamiltonian(
-        sector=sector,
-        model="al",
-        diag=diag,
-        off=off,
-        params={"gamma": float(gamma), "q": dp.q},
-        energy_scale=scale,
-        energy_shift=2.0 * two_j,
-    )
+    def entries(sector, where):
+        q = q_from_gamma(gamma).q
+        qn = np.array(_sym_qnums(two_j, q))
+        with np.errstate(over="ignore"):
+            off = np.sqrt(qn[two_j:0:-1] * qn[1:])
+        bad = np.flatnonzero(~np.isfinite(off))
+        if bad.size:
+            k = int(bad[0])
+            raise ValueError(f"al coupling off[{k}] = sqrt([{two_j - k}] [{k + 1}]) at "
+                             f"q={q:.17g} overflows double precision ({where()})")
+        scale = -(q ** (0.5 - sector.j))
+        return np.zeros(sector.dim), off, {"gamma": float(gamma), "q": q}, scale, 2.0 * two_j
+
+    return _dimer("al", two_j, entries, "-q^(1/2 - j) lambda + 2 M at q={q:.17g}", gamma=gamma)
 
 
 def build_dimer(model: str, two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:

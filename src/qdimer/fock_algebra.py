@@ -234,11 +234,6 @@ def al_hop_operator(basis: FockSectorBasis, i: int, j: int, gamma: float) -> Sec
     return _hop(basis, i, j, np.array(qnums))
 
 
-def _sym_qnums(basis, q):
-    """[n] for n = 0..M+1, one scalar call per occupation number."""
-    return np.array([sym_qnum(n, q) for n in range(basis.total_quanta + 2)])
-
-
 def _hop(basis, i, j, qnums):
     """Hop from site j to site i with elements sqrt(qnums[n_i + 1] qnums[n_j])."""
     _site_range_check(basis, i, j)
@@ -329,7 +324,7 @@ def _boson_numbers(basis):
 
 def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
     """q-boson realization of su_q(n) with symmetric q-number matrix elements."""
-    e, f, h = _chevalley(basis, _sym_qnums(basis, q))
+    e, f, h = _chevalley(basis, _qnum_map(np.arange(basis.total_quanta + 2), q))
     k = tuple(SectorOperator.diagonal(basis, q**x.amp) for x in h)
     return ChevalleyGenerators(n=basis.n_sites, q=float(q), basis=basis, e=e, f=f, h=h, k=k)
 
@@ -361,7 +356,7 @@ def _comm(a, b):
 def _qnum_map(x, q):
     """sym_qnum over the array x, one scalar call per distinct value."""
     values, where = np.unique(x, return_inverse=True)
-    return np.array([sym_qnum(v, q) for v in values])[where]
+    return np.array([sym_qnum(v, q) for v in values.tolist()])[where]
 
 
 def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 # Below this distance from q = 1 the defining ratios are evaluated by their
 # analytic limits ([x] -> x, {n} -> n) to avoid 0/0 loss of significance.
 Q_ONE_THRESHOLD = 1e-8
@@ -35,6 +37,13 @@ def q_from_gamma(gamma: float) -> DeformationParameter:
     return DeformationParameter(gamma=float(gamma), q=q, s=math.log(q))
 
 
+def _scalar(x):
+    """x as a Python number where it is a numpy scalar, whose powers return
+    inf with a RuntimeWarning where Python's raise OverflowError; any other
+    number, an mpmath mpf included, as it is."""
+    return x.item() if isinstance(x, np.generic) else x
+
+
 def sym_qnum(x: float, q: float) -> float:
     """Symmetric q-number [x] = (q^x - q^-x) / (q - q^-1); [x] -> x as q -> 1.
 
@@ -43,11 +52,12 @@ def sym_qnum(x: float, q: float) -> float:
     p = min(q, 1/q), since [x] is odd in x and unchanged by q -> 1/q.
     Raises ValueError where [x] itself overflows double precision.
     """
+    q = _scalar(q)  # x enters the powers as float(x)
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         return float(x)
-    try:  # float powers raise OverflowError, numpy scalar ones would return inf
+    try:
         return (q ** float(x) - q ** -float(x)) / (q - 1.0 / q)
     except OverflowError:
         pass
@@ -71,6 +81,7 @@ def basic_qnum(n: int, gamma: float) -> float:
     out, {n} = g^(n-1) (g - g^(1-n)) / (gamma/2) with g = 1 + gamma/2.
     Raises ValueError where {n} itself overflows double precision.
     """
+    n, gamma = _scalar(n), _scalar(gamma)
     if n < 0 or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     if not gamma >= 0.0:

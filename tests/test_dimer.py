@@ -15,6 +15,7 @@ from qdimer import (
     build_qdnls_dimer,
     dense_oracle,
     eigenvalues_bisection,
+    gershgorin_bounds,
     q_from_gamma,
     sym_qnum,
 )
@@ -284,3 +285,50 @@ def test_dnls_level_overflow_rejected(gamma):
             build_qdnls_dimer(4, gamma)
     H = build_qdnls_dimer(4, 4e307)
     assert np.isfinite(H.to_physical(eigenvalues_bisection(H))).all()
+
+
+REFUSALS = ("gamma must be finite", "epsilon must be finite", "dnls entries overflow", "al coupling off[",
+            "dnls physical levels", "al physical levels", "gamma must be >= 0", "two_j must be",
+            "epsilon applies")
+
+
+def _coupling(rng, model, two_j):
+    """gamma or epsilon of either sign: small, anywhere up to 1e308, or near
+    the model's overflow edge (dnls levels gamma j^2 ~ 2e308, al couplings
+    [two_j] ~ q^(1 - two_j) ~ 1e308)."""
+    kind = rng.integers(3)
+    if kind == 2 and model == "al":
+        return 2.0 * math.expm1(min(700.0, 1418.0 / max(two_j - 1, 1))) * rng.uniform(0.97, 1.03)
+    sign = rng.choice([-1.0, 1.0])
+    if kind == 2:
+        return sign * min(1.7e308, float(rng.uniform(1.0, 4.0)) * (1e308 / max(1.0, two_j * two_j / 4.0)))
+    return sign * 10.0 ** rng.uniform(-3.0, 3.0 if kind == 0 else 308.25)
+
+
+def test_builders_build_finite_levels_or_refuse():
+    # on random inputs a build has finite entries and a finite bound
+    # |scale| max(-lo, hi) + |shift| on its physical levels; anything else is
+    # one of the documented ValueErrors, never an OverflowError or a
+    # RuntimeWarning
+    rng = np.random.default_rng(2021)
+    seen = set()
+    for _ in range(1000):
+        model = ("dnls", "al")[rng.integers(2)]
+        two_j = int(rng.integers(0, 601))
+        gamma = float(_coupling(rng, model, two_j))
+        epsilon = 1.0 if model == "al" and rng.random() < 0.7 else float(_coupling(rng, "dnls", two_j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("ignore", UserWarning)  # two_j = 0, negative gamma
+            try:
+                H = build_dimer(model, two_j, gamma, epsilon)
+            except ValueError as e:
+                assert str(e).startswith(REFUSALS), str(e)
+                seen.add(next(p for p in REFUSALS if str(e).startswith(p)))
+                continue
+        assert np.isfinite(H.diag).all() and np.isfinite(H.off).all()
+        lo, hi = gershgorin_bounds(H.diag, H.off)
+        assert math.isfinite(abs(H.energy_scale) * max(-lo, hi) + abs(H.energy_shift))
+        seen.add("built")
+    assert seen >= {"built", "dnls entries overflow", "al coupling off[", "dnls physical levels",
+                    "al physical levels", "gamma must be >= 0", "epsilon applies"}

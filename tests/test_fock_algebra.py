@@ -31,12 +31,12 @@ from qdimer import (
     verify_number_reconstruction,
     verify_serre,
 )
-from qdimer.fock_algebra import _hop, _root_vectors, _sym_qnums
+from qdimer.fock_algebra import _hop, _qnum_map, _root_vectors
 
 
 def _q_hop(basis, i, j, q):
     """q-boson hop with matrix elements sqrt([n_i + 1] [n_j])."""
-    return _hop(basis, i, j, _sym_qnums(basis, q))
+    return _hop(basis, i, j, _qnum_map(np.arange(basis.total_quanta + 2), q))
 
 
 def _states(basis):

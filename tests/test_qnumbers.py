@@ -1,6 +1,7 @@
 """Checks of the q-number arithmetic against closed forms and mpmath."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -9,8 +10,10 @@ import pytest
 from qdimer import (
     DeformationParameter,
     basic_qnum,
+    build_sector_basis,
     q_binomial,
     q_from_gamma,
+    suq_n_generators,
     sym_qnum,
 )
 
@@ -126,6 +129,44 @@ def test_qnumbers_past_an_overflowing_power():
         for value, ref in ((sym_qnum(512, 0.25), sym), (sym_qnum(-512, 4.0), -sym),
                            (basic_qnum(256, 30.0), basic)):
             assert abs(value - ref) <= 4 * eps * abs(ref)
+
+
+def _outcome(f, *args):
+    """f(*args) as ("value", its bytes and type) or ("error", the message),
+    failing on any warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = f(*args)
+        except ValueError as e:
+            return "error", str(e)
+    return "value", np.float64(value).tobytes(), type(value)
+
+
+def test_qnumbers_at_numpy_scalars():
+    # numpy scalar powers overflow to inf with a RuntimeWarning where float
+    # powers raise OverflowError, so a numpy argument must give the q-number
+    # of the Python scalar of the same value, the overflow refusals included
+    cases = [(sym_qnum, x, q, (np.float64, np.int64))
+             for x in (0, 1, 7, 511, 512, 513, 600, -512) for q in (0.25, 0.5, 0.9, 1.0, 1.0 + 1e-9, 4.0)]
+    cases += [(basic_qnum, n, g, (np.int64,)) for n in (0, 1, 9, 255, 256, 441, 442)
+              for g in (0.0, 1e-9, 2.0, 8.0, 30.0)]
+    for f, x, y, x_types in cases:
+        for to in (np.float64, np.float32, np.int64):
+            assert _outcome(f, x, to(y)) == _outcome(f, x, to(y).item())
+        for to in x_types:
+            assert _outcome(f, to(x), y) == _outcome(f, to(x).item(), y)
+    sym, basic = np.float64(4.793848359632842e307), np.float64(1.1984620899082106e307)
+    assert _outcome(sym_qnum, 512, np.float64(0.25)) == ("value", sym.tobytes(), float)
+    assert _outcome(basic_qnum, 256, np.float64(30.0)) == ("value", basic.tobytes(), float)
+    assert _outcome(basic_qnum, np.int64(256), 30.0) == ("value", basic.tobytes(), float)
+    assert _outcome(sym_qnum, 513, np.float64(0.25))[0] == "error"
+    assert _outcome(basic_qnum, 442, np.float64(8.0))[0] == "error"
+    with pytest.raises(ValueError, match=r"^q-number \[513\] at q=0.25 overflows"):
+        suq_n_generators(build_sector_basis(2, 600), np.float64(0.25))
+    # an mpmath argument stays an mpf
+    assert isinstance(sym_qnum(600, mp.mpf(0.25)), mp.mpf)
+    assert isinstance(basic_qnum(442, mp.mpf(8)), mp.mpf)
 
 
 def test_q_binomial_frozen_value():
