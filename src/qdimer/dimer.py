@@ -15,6 +15,7 @@ on the returned object so absolute energies can be reconstructed.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -100,6 +101,15 @@ def gershgorin_bounds(diag, off) -> tuple[float, float]:
         return float(np.min(diag - r)), float(np.max(diag + r))
 
 
+def _warn(message: str):
+    """A UserWarning at the first caller outside this module, whether it
+    called a builder or build_dimer."""
+    frame, level = sys._getframe(1), 2
+    while frame.f_globals.get("__name__") == __name__:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, stacklevel=level)
+
+
 def _dimer(model, two_j, entries, levels, **inputs) -> TridiagonalHamiltonian:
     """The model's sector Hamiltonian at finite inputs (gamma, epsilon).
     entries(sector, where) gives its diag, off, params, energy_scale and
@@ -112,7 +122,7 @@ def _dimer(model, two_j, entries, levels, **inputs) -> TridiagonalHamiltonian:
             raise ValueError(f"{name} must be finite, got {x}")
     sector = SpinSector(two_j)
     if two_j == 0:
-        warnings.warn("two_j = 0 gives a degenerate 1x1 sector", stacklevel=3)
+        _warn("two_j = 0 gives a degenerate 1x1 sector")
 
     def where():
         return ", ".join(f"{name}={x}" for name, x in dict(two_j=two_j, **inputs).items())
@@ -136,7 +146,7 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     """
     def entries(sector, where):
         if gamma < 0:
-            warnings.warn("negative gamma: attractive convention", stacklevel=4)
+            _warn("negative gamma: attractive convention")
         k = np.arange(two_j)
         with np.errstate(over="ignore"):
             off = epsilon * np.sqrt((two_j - k) * (k + 1))

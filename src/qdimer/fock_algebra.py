@@ -31,11 +31,14 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .qnumbers import Q_ONE_THRESHOLD, basic_qnum, q_binomial, sym_qnum
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Largest admitted sector, 1e6 states.  A sector operator stores 8 bytes of
 # amp per state, 8 MB at the guard, where one dense operator would take
@@ -200,6 +203,8 @@ class SectorOperator:
 def _csr(ops) -> sparse.csr_array:
     """One csr array holding the entries of shifts, on one basis, that share
     no entry."""
+    from scipy import sparse
+
     live = [np.flatnonzero(op.dst >= 0) for op in ops]
     data = np.concatenate([op.amp[c] for op, c in zip(ops, live)])
     rows = np.concatenate([op.dst[c] for op, c in zip(ops, live)])

@@ -19,9 +19,9 @@ chain, alongside the exactly conserved Cartan charges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .fock_algebra import (
     FockSectorBasis,
@@ -42,6 +42,9 @@ from .fock_algebra import (
     verify_serre,
 )
 from .qnumbers import q_from_gamma
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 def _qdnls_terms(basis, gamma, epsilon):

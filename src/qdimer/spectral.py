@@ -70,9 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import mpmath as mp
 import numpy as np
-import scipy.linalg
 
 from .dimer import TridiagonalHamiltonian
 
@@ -133,41 +131,45 @@ def _pivots(d, seg, o2, lam, clamp=False):
     q_0 = d_0 - lam and q_k = (d_k - lam) - o2_{k-1} / q_{k-1}.  The pivots
     <= 0 count the eigenvalues below lam, and pivots stay bounded, so nothing
     is rescaled.  seg must ascend, so the diagonal is gathered by repeating
-    each segment's column; o2 is taken at the columns _ROWS rows at a time,
-    so no table of it is held.  The tables may hold segments that seg does
-    not name: _twisted passes the stack and its mirror side by side
-    (_mirrored, 2 nseg columns) with seg followed by seg + nseg and its w
-    shifts twice, so one call runs its 2w columns down and up.  A zero
-    pivot first runs through IEEE infinities; the columns where any appear
-    are swept again with pivots below _PIVMIN set to -_PIVMIN (LAPACK's
-    dstebz rule); clamp applies that rule from the first sweep.  Every
-    column's pivots thus depend on its own segment and shift alone, in a
-    batch as on its own.
+    each segment's column; o2 is taken at the columns _ROWS rows at a time
+    into one scratch block, so no table of it is held.  The row loop runs
+    over views of the table's and the block's rows made once per sweep,
+    with two in-place operations per row: t = o2_{k-1}, t /= q_{k-1},
+    q_k -= t.  The tables may hold segments that seg does not name: _twisted
+    passes the stack and its mirror side by side (_mirrored, 2 nseg columns)
+    with seg followed by seg + nseg and its w shifts twice, so one call runs
+    its 2w columns down and up.  A zero pivot first runs through IEEE
+    infinities; when the table is not all finite, the columns where they
+    appear are swept again with pivots below _PIVMIN set to -_PIVMIN
+    (LAPACK's dstebz rule); clamp applies that rule from the first sweep.
+    Every column's pivots thus depend on its own segment and shift alone, in
+    a batch as on its own.
     """
     if (seg[1:] < seg[:-1]).any():
         raise ValueError("segments of the kernel's columns must ascend")
 
     def sweep(seg, lam, clamp):
-        q = np.repeat(d, np.bincount(seg, minlength=d.shape[1]), axis=1)
+        q = d.repeat(np.bincount(seg, minlength=d.shape[1]), axis=1)
         q -= lam
         if clamp:
-            q[0][np.abs(q[0]) < _PIVMIN] = -_PIVMIN
-        t = np.empty_like(lam)
+            np.copyto(q[0], -_PIVMIN, where=np.abs(q[0]) < _PIVMIN)
+        rows = list(q)
         block = np.empty((_ROWS, lam.size))
+        ratios = list(block)  # o2_{k-1}, then o2_{k-1} / q_{k-1}, in place
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for k in range(0, q.shape[0] - 1, _ROWS):
-                rows = block[: min(_ROWS, q.shape[0] - 1 - k)]
-                np.take(o2[k : k + rows.shape[0]], seg, axis=1, out=rows, mode="clip")
-                for o2k, prev, cur in zip(rows, q[k:], q[k + 1 :]):
-                    np.divide(o2k, prev, out=t)
-                    np.subtract(cur, t, out=cur)
+            for k in range(0, len(rows) - 1, _ROWS):
+                n = min(_ROWS, len(rows) - 1 - k)
+                o2[k : k + n].take(seg, axis=1, out=block[:n], mode="clip")
+                for t, prev, cur in zip(ratios[:n], rows[k : k + n], rows[k + 1 : k + 1 + n]):
+                    t /= prev
+                    cur -= t
                     if clamp:
-                        cur[np.abs(cur) < _PIVMIN] = -_PIVMIN
+                        np.copyto(cur, -_PIVMIN, where=np.abs(cur) < _PIVMIN)
         return q
 
     q = sweep(seg, lam, clamp)
-    redo = np.flatnonzero(~np.isfinite(q).all(axis=0))
-    if redo.size:
+    if not np.isfinite(q).all():
+        redo = np.flatnonzero(~np.isfinite(q).all(axis=0))
         q[:, redo] = sweep(seg[redo], lam[redo], True)
     return q
 
@@ -190,10 +192,13 @@ def _twisted(d, seg, o2, lam, reuse_down=False, clamp=False):
     2w-wide table, and the twisted pivots gamma_k = q+_k - o2_k / q-_{k+1}
     = q+_k + q-_k - (d_k - lam) (Dhillon & Parlett), formed the second way,
     in down's place when reuse_down is set; gamma is inf on the padding
-    rows.  The diagonal is subtracted _ROWS rows at a time, so no table of
-    it is held.  1 / gamma_k is entry (k, k) of (T - lam)^-1.  At an exact
-    eigenvalue the pivots of -_PIVMIN can push gamma_k past the float range;
-    +-inf then stands for a diagonal entry of 0.
+    rows.  The diagonal is taken at the columns _ROWS rows at a time into
+    one scratch block, so no table of it is held.  The stack is
+    bottom-aligned (_stack), so a column's padding rows come first, and inf
+    is written only in the blocks down to the first one whose last row is
+    padding in no column.  1 / gamma_k is entry (k, k) of (T - lam)^-1.  At
+    an exact eigenvalue the pivots of -_PIVMIN can push gamma_k past the
+    float range; +-inf then stands for a diagonal entry of 0.
     """
     w, nseg = seg.size, d.shape[1] // 2
     q = _pivots(d, np.concatenate((seg, seg + nseg)), o2, np.concatenate((lam, lam)), clamp)
@@ -201,13 +206,28 @@ def _twisted(d, seg, o2, lam, reuse_down=False, clamp=False):
     with np.errstate(over="ignore"):
         gamma = np.add(up, down, out=down if reuse_down else None)
     gamma += lam
-    counts = np.bincount(seg, minlength=nseg)
+    block = np.empty((_ROWS, w))
+    padded = True
     for k in range(0, gamma.shape[0], _ROWS):
-        dc = np.repeat(d[k : k + _ROWS, :nseg], counts, axis=1)
         rows = gamma[k : k + _ROWS]
+        dc = block[: rows.shape[0]]
+        d[k : k + _ROWS].take(seg, axis=1, out=dc, mode="clip")
         rows -= dc
-        rows[dc == _PAD_DIAG] = np.inf
+        if padded:
+            pad = dc == _PAD_DIAG
+            np.copyto(rows, np.inf, where=pad)
+            padded = pad[-1].any()
     return up, down, gamma
+
+
+def _negatives(q):
+    """The pivots <= 0 in each column of q, the Sturm counts: one uint8 sum
+    over each run of up to 255 rows, which no count can overflow."""
+    neg = (q <= 0.0).view(np.uint8)
+    count = np.add.reduce(neg[:255], axis=0, dtype=np.uint8).astype(np.intp)
+    for k in range(255, neg.shape[0], 255):
+        count += np.add.reduce(neg[k : k + 255], axis=0, dtype=np.uint8)
+    return count
 
 
 def _row_sum(table):
@@ -457,7 +477,7 @@ def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
     tols = np.ldexp(tol, -np.maximum(red.exp, 0))[owner]
 
     def sweep(act):
-        return np.count_nonzero(_pivots(d, seg[act], o2, x[act]) <= 0.0, axis=0)
+        return _negatives(_pivots(d, seg[act], o2, x[act]))
 
     def advance(act):
         """One step of the columns act, in place; returns which are not done."""
@@ -469,7 +489,7 @@ def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
             del gamma
         else:
             up = _pivots(d, sa, o2, xa)
-        count = np.count_nonzero(up <= 0.0, axis=0)
+        count = _negatives(up)
         del up
         i, tol_a = act - first[sa], tols[sa]
         below = count <= i
@@ -607,9 +627,9 @@ def _twisted_vectors(red: _Reduction, lam):
         o = np.repeat(-off[:-1], np.bincount(seg, minlength=off.shape[1]), axis=1)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             np.divide(o, up[:-1], out=up[:-1])
-            up[k >= r] = 1.0
+            np.copyto(up, 1.0, where=k >= r)
             np.divide(o, down[1:], out=down[1:])
-            down[k <= r] = 1.0
+            np.copyto(down, 1.0, where=k <= r)
             del o
             # a table of its own, so z keeps no view of the 2w-wide one alive
             z = np.cumprod(up[::-1], axis=0)[::-1]
@@ -707,6 +727,8 @@ def _lead_positive(v):
 
 def dense_oracle(H: TridiagonalHamiltonian) -> Spectrum:
     """Independent eigensystem from the library tridiagonal QR/QL solver."""
+    import scipy.linalg
+
     w, v = scipy.linalg.eigh_tridiagonal(H.diag, H.off)
     order = np.argsort(w)
     w = w[order]
@@ -780,6 +802,8 @@ def _mp_minors(d, off2, lam):
     """Minor polynomials p_0 .. p_dim at lam in mpmath, and the count of sign
     agreements between consecutive ones (a zero taking the sign opposite to
     its predecessor), which is the number of eigenvalues below lam."""
+    import mpmath as mp
+
     p_prev, p = mp.mpf(0), mp.mpf(1)
     minors = [p]
     s_prev, count = 1, 0
@@ -797,6 +821,8 @@ def _mp_eigenvalues(d, off, dps):
     """All roots of the tridiagonal (d, off), ascending, from mpmath's
     symmetric QL eigensolver (eigsy) in working precision dps.  A QL sweep
     that does not converge raises RuntimeError."""
+    import mpmath as mp
+
     with mp.workdps(dps):
         A = mp.diag([mp.mpf(x) for x in d])
         for k, o in enumerate(off):
@@ -809,6 +835,8 @@ def _df_gram_mp(d, off, digits: int):
     (d, off) in mpmath at the given digits, on its roots from
     _mp_eigenvalues at the same precision: one minor loop per root gives
     its column."""
+    import mpmath as mp
+
     roots = _mp_eigenvalues(d, off, digits)
     dim = len(roots)
     with mp.workdps(digits):

@@ -2,7 +2,10 @@
 and exit codes."""
 
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
+import qdimer
 from qdimer import build_dimer, cli, eigenvalues_bisection
 from qdimer.cli import main
 
@@ -456,3 +460,14 @@ def test_readme_examples_run(capsys):
     (code,) = [text for info, text in _readme_blocks() if info == "python"]
     exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_import_loads_neither_scipy_nor_mpmath():
+    # the command line starts without them: scipy and mpmath are imported
+    # where the dense oracle, the sparse matrices and the mp referee use them
+    src = str(Path(qdimer.__file__).resolve().parents[1])
+    code = "import sys, qdimer.cli; print(sorted({m.split('.')[0] for m in sys.modules}))"
+    env = dict(os.environ, PYTHONPATH=src)
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True).stdout
+    assert "'qdimer'" in loaded and "'scipy'" not in loaded and "'mpmath'" not in loaded

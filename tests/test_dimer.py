@@ -143,6 +143,18 @@ def test_negative_gamma_dnls_warns():
     assert H.diag[0] == -1.0
 
 
+def test_warnings_point_at_the_caller():
+    # through build_dimer as through a direct builder call, each warning
+    # names the calling line here, not a line inside the library
+    for call in (lambda: build_dimer("al", 0, 1.0), lambda: build_dimer("dnls", 2, -1.0),
+                 lambda: build_dimer("dnls", 0, -1.0), lambda: build_qal_dimer(0, 1.0),
+                 lambda: build_qdnls_dimer(2, -1.0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert caught and all(w.filename == __file__ for w in caught)
+
+
 def test_to_dense_symmetric():
     H = build_dimer("al", 5, 4.0)
     m = H.to_dense()

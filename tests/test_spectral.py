@@ -36,6 +36,7 @@ from qdimer.spectral import (
     _mp_eigenvalues,
     _mp_minors,
     _multisect,
+    _negatives,
     _pivots,
     _reduce,
     _roots,
@@ -400,6 +401,58 @@ def test_twisted_is_two_kernel_runs(monkeypatch):
             else:
                 assert np.array_equal(parts[1], down)
             assert np.array_equal(parts[0], up) and np.array_equal(parts[2], gamma)
+
+
+def _scalar_pivots(d, o2, lam, clamp):
+    """One column of the kernel's recurrence in float64 scalars, row by row:
+    q_0 = d_0 - lam, q_k = (d_k - lam) - o2_{k-1} / q_{k-1}, a pivot below
+    _PIVMIN in magnitude set to -_PIVMIN under clamp, and the whole column
+    swept again under clamp when a pivot is not finite."""
+    q = []
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(d.size):
+            x = d[k] - lam
+            if k:
+                x = x - o2[k - 1] / q[-1]
+            if clamp and abs(x) < spectral._PIVMIN:
+                x = -spectral._PIVMIN
+            q.append(x)
+    q = np.array(q)
+    return q if clamp or np.isfinite(q).all() else _scalar_pivots(d, o2, lam, True)
+
+
+def test_kernel_matches_scalar_recurrence():
+    # a ragged stack, whose short segments leave padding rows over more than
+    # one _ROWS block, at random shifts; column 0's first real pivot is
+    # exactly 0, so its first sweep runs into infinities and is redone
+    rng = np.random.default_rng(29)
+    Hs = [TridiagonalHamiltonian(SpinSector(n - 1), "dnls", rng.uniform(-1, 1, n),
+                                 rng.uniform(0.1, 1.0, n - 1)) for n in (3, 45, 20, 2, 37)]
+    _, seg, _, d, off = _stack(_reduce(Hs))
+    o2 = off * off
+    pad = np.take(d, seg, axis=1) == spectral._PAD_DIAG
+    assert pad[spectral._ROWS :].any() and not pad.all(axis=0).any()
+    lam = rng.uniform(-1.0, 1.0, seg.size)
+    lam[0] = d[~pad[:, 0], 0][0]
+    dm, o2m = _mirrored(d, o2)
+    for clamp in (False, True):
+        up = np.column_stack([_scalar_pivots(d[:, s], o2[:, s], x, clamp)
+                              for s, x in zip(seg, lam)])
+        down = np.column_stack([_scalar_pivots(d[::-1, s], o2[-2::-1, s], x, clamp)[::-1]
+                                for s, x in zip(seg, lam)])
+        assert (up[:, 0] == -spectral._PIVMIN).any()  # the clamped sweep ran
+        q =_pivots(d, seg, o2, lam, clamp)
+        assert np.array_equal(q, up)
+        assert np.array_equal(_negatives(q), np.count_nonzero(up <= 0.0, axis=0))
+        ups, downs, gamma = _twisted(dm, seg, o2m, lam, clamp=clamp)
+        assert np.array_equal(ups, up) and np.array_equal(downs, down)
+        with np.errstate(over="ignore"):
+            ref = up + down + lam - np.take(d, seg, axis=1)
+        assert np.array_equal(gamma == np.inf, pad)
+        assert np.array_equal(gamma[~pad], ref[~pad])
+    # a Sturm count past 255 rows, the most one uint8 sum holds
+    q = rng.uniform(-1.0, 0.5, (600, 5))
+    assert np.array_equal(_negatives(q), np.count_nonzero(q <= 0.0, axis=0))
 
 
 @pytest.mark.parametrize("width", [1, 2, 7, 300, 2000])
