@@ -19,6 +19,7 @@ for one it cannot handle; main turns either into a usage error (exit 2).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -314,7 +315,11 @@ def _add_grid(p):
     p.add_argument("--scale", choices=("linear", "log"), default="log")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The qdimer parser, built once per process: parsing leaves it as it
+    is, and each subcommand's cmd_* function looks the library's names up
+    when it runs."""
     parser = argparse.ArgumentParser(
         prog="qdimer",
         description="Dimer spectra, symmetry checks, and CSV sweeps",

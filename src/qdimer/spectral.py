@@ -51,9 +51,17 @@ spectrum of even dimension antisymmetric bitwise.
 
 A caller that needs only the top roots of each spectrum (the command
 line's lowest physical levels are the top of H) passes their number as
-top.  The first sweep still counts every root, as a block's shared counts
-need its full width; then only the roots that can be among the top ones are
-bisected and finished, each bitwise as in the full solve.
+top, and pays for those roots only.  A block's wanted roots form a run at
+its top, and at the bottom of the even block whose odd partner mirrors it;
+the first sweep counts only a window of 2c multisection points next to a
+run of c roots, at the full sweep's shifts, and a block whose window falls
+short (a wanted root's bracket end lies among the points not counted) has
+its other points counted in one more sweep.  Only the wanted roots are
+then bisected and finished.  Where the counts rise with the shift, as they
+did on every dimer tried, each is bitwise the full solve's root; a block
+whose counts fall only outside its windows keeps its whole bracket in the
+full solve but not here, and its top roots may then differ in the last
+bits.
 
 The orthonormality check runs per parity block of the same reduction, on the
 block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
@@ -368,34 +376,36 @@ def _in_parts(step, height, cols):
     return np.concatenate([step(run) for run in np.array_split(cols, runs)])
 
 
-def _multisect(seg, idx, lo, hi, x, count):
-    """Brackets of the roots of the stack's segments from one Sturm count per
-    root, shared across each segment (multisection).
+def _multisect(seg, idx, lo, hi, x, count, at=None, m=None):
+    """Brackets of roots of the stack's segments from Sturm counts at points
+    shared across each segment (multisection).
 
-    Column j is root idx[j] of segment seg[j], whose columns are adjacent
-    with idx ascending from 0; lo and hi bracket the segment's m roots, and
-    count[j] roots lie below x[j], with x ascending in the segment.  The
-    segment's points [lo, x..., hi] carry the counts [0, count..., m], and
-    root i takes the highest point whose count is <= i as its lower end and
-    the next point, the lowest whose count is >= i + 1, as its upper end.
-    Returns lo, hi and the counts n_lo, n_hi at both.  Floating-point counts
-    need not rise with the shift (Demmel, Dhillon & Ren, ETNA 3 (1995) 116),
-    so a segment whose counts fall somewhere keeps its brackets, with counts
-    0 and m.
+    Root j is root idx[j] of segment seg[j], seg ascending; lo[j] and hi[j]
+    bracket all m[j] roots of that segment.  Point p lies in segment at[p],
+    at ascending, and count[p] roots lie below x[p], with x ascending in the
+    segment.  By default every root of each segment is named and has its
+    point: at is seg and m counts the roots seg names, as in the full first
+    sweep.  The segment's points [lo, x..., hi] carry the counts
+    [0, count..., m], and root i takes the highest point whose count is
+    <= i as its lower end and the next point, the lowest whose count is
+    >= i + 1, as its upper end.  Returns lo, hi and the counts n_lo, n_hi at
+    both.  Floating-point counts need not rise with the shift (Demmel,
+    Dhillon & Ren, ETNA 3 (1995) 116), so a segment whose points' counts
+    fall somewhere keeps its brackets, with counts 0 and m.
     """
-    m = np.bincount(seg)[seg]
-    start = np.arange(seg.size) - idx
-    rises = np.ones(seg.size, dtype=bool)
-    rises[1:] = (np.diff(count) >= 0) | (idx[1:] == 0)
-    keep = np.bincount(seg, ~rises)[seg] > 0
-    # the counts offset by start + seg ascend over the whole stack, as
-    # segment s then spans [start + s, start + s + m] and the next one
-    # starts above it; the running max only touches segments kept anyway
-    offset = start + seg
-    up = np.searchsorted(np.maximum.accumulate(count + offset), offset + idx, side="right")
-    below = (up > start) & ~keep
-    above = (up < start + m) & ~keep
-    k = np.minimum(up, seg.size - 1)
+    if at is None:
+        at, m = seg, np.bincount(seg)[seg]
+    rises = np.ones(at.size, dtype=bool)
+    rises[1:] = (np.diff(count) >= 0) | (at[1:] != at[:-1])
+    keep = np.isin(seg, at[~rises])
+    # the counts offset by span * segment ascend over all points, as no
+    # count passes span; the running max only touches segments kept anyway
+    span = max(int(m.max(initial=0)), int(count.max(initial=0))) + 1
+    up = np.searchsorted(np.maximum.accumulate(count + span * at), span * seg + idx,
+                         side="right")
+    below = (up > np.searchsorted(at, seg)) & ~keep
+    above = (up < np.searchsorted(at, seg, side="right")) & ~keep
+    k = np.minimum(up, at.size - 1)
     return (np.where(below, x[up - 1], lo), np.where(above, x[k], hi),
             np.where(below, count[up - 1], 0), np.where(above, count[k], m))
 
@@ -430,12 +440,24 @@ def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
     kernel call whose table would pass _STACK_CELLS cells runs on
     consecutive runs of its columns (_in_parts), which changes no column.
 
-    The first sweep counts the column of root i of a segment of m roots at
-    lo + (i + 1)(hi - lo)/(m + 1), and _multisect brackets all of the
-    segment's roots from these counts, which are shared within one segment
-    only, so a matrix's roots are the same in any stack.
-    The columns not isolated there (idx roots below lo, idx + 1 below hi)
-    are bisected, one sweep per step, until they are.  Then
+    The wanted roots are the candidates and the twins that the mirrored
+    candidates need (the chiral fold), so a stacked segment of m roots has
+    at most one run of them at each end: c at the top, and at the even
+    dimension of a persymmetric H also c at the bottom of the even block,
+    whose odd block takes its top roots from there.  The multisection point
+    j of the segment lies at lo + (j + 1)(hi - lo)/(m + 1), and the first
+    sweep counts the 2c highest points for a top run and the 2c lowest for
+    a bottom run; without top, every root is wanted (or mirrored, in the
+    bottom half of a chiral segment) and every point is counted.  A window
+    falls short when its innermost count is above m - c (top run) or below
+    c (bottom run) while the point beyond it is not counted: a wanted root's
+    bracket end then lies among the points not counted, and the segment's
+    remaining points are counted in one more sweep.  _multisect brackets
+    the wanted roots from the counted points, whose counts are shared
+    within one segment only, so a matrix's roots are the same in any stack;
+    with rising counts each bracket is the full sweep's.
+    The wanted roots not isolated there (idx roots below lo, idx + 1 below
+    hi) are bisected, one sweep per step, until they are.  Then
     each isolated column takes safeguarded Newton steps on det(T - x) from
     its midpoint: one _twisted call runs the kernel down and up at x and
     gives the twisted pivots gamma_k, and delta = 1 / sum_k 1 / gamma_k,
@@ -456,32 +478,50 @@ def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
     other, so x is the root to working accuracy and the step, some 8-21
     eps |x| there, is its rounding floor, which the 4 eps |x| stop misses.
 
-    The chiral fold and top enter after the first sweep: that
-    sweep still counts every root of a stacked segment, since its counts
-    bracket all of the segment's roots together, and then only the columns
-    whose twin is -1 and whose root is a candidate or a candidate's twin are
-    bisected and finished.  As no step depends on another column, each of
-    those roots is bitwise the one the full solve returns.  Each mirrored
-    root is then minus its twin's.
+    As no step depends on another column, each wanted root is bitwise the
+    one the full solve returns whenever its bracket is.  That holds where
+    the counts rise with the shift.  Counts that fall keep a segment's
+    whole bracket (_multisect), and that rule sees only the counted points,
+    so a top root can differ in bits from the full solve's only when a
+    segment's counts fall outside its windows; falling counts were never
+    seen on 400 stressed dimers.  Each mirrored root is then minus its
+    twin's.
     """
     need = _candidates(red, top)
     mirrored = red.twin >= 0
     want = need & ~mirrored
     want[red.twin[need & mirrored]] = True
-    stacked = np.repeat(red.stacked, red.sizes)  # the rows of the stack's columns
-    seg, idx, d, off = _stack(red)[1:]
+    rows, seg, idx, d, off = _stack(red)
     d, o2 = _mirrored(d, off * off)
     del off
     height = d.shape[0]
     owner = red.matrix[red.stacked]  # of each stacked segment
     tols = np.ldexp(tol, -np.maximum(red.exp, 0))[owner]
+    lo_s, hi_s = red.lo[owner], red.hi[owner]
+    m = np.bincount(seg)  # each segment's roots, and its multisection points
+    wanted = want[rows]
+    del rows
+    # the window of points next to each run of wanted roots: the 2c highest
+    # for a top run of c, the 2c lowest for a bottom run of c, each segment
+    # counted from top_in up and from bot_in down
+    first = np.cumsum(m) - m  # each segment's column of root 0
+    c_top = m - 1 - np.maximum.reduceat(np.where(wanted, -1, idx), first)
+    c_bot = np.minimum.reduceat(np.where(wanted, m[seg], idx), first)
+    top_in, bot_in = m - 2 * c_top, 2 * c_bot - 1
+    counted = (idx >= top_in[seg]) | (idx <= bot_in[seg])
+    del first
 
-    def sweep(act):
-        return _negatives(_pivots(d, seg[act], o2, x[act]))
+    def sweep(points):
+        """The multisection points of these columns and their Sturm counts,
+        in one sweep."""
+        s = seg[points]
+        x = lo_s[s] + (hi_s[s] - lo_s[s]) * ((idx[points] + 1) / (m[s] + 1))
+        return x, _in_parts(lambda j: _negatives(_pivots(d, s[j], o2, x[j])), height,
+                            np.arange(points.size))
 
     def advance(act):
-        """One step of the columns act, in place; returns which are not done."""
-        xa, sa = x[act], seg[act]
+        """One step of the roots act, in place; returns which are not done."""
+        xa, sa = x[act], seg_r[act]
         if newton:
             up, _, gamma = _twisted(d, sa, o2, xa, reuse_down=True)
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -491,7 +531,7 @@ def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
             up = _pivots(d, sa, o2, xa)
         count = _negatives(up)
         del up
-        i, tol_a = act - first[sa], tols[sa]
+        i, tol_a = idx_r[act], tols[sa]
         below = count <= i
         on_end = (xa == lo[act]) | (xa == hi[act])
         la = lo[act] = np.where(below, xa, lo[act])
@@ -516,17 +556,31 @@ def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
             done |= isolated[act]
         return ~done
 
-    m = np.bincount(seg)
-    first = np.cumsum(m) - m  # each segment's column of root 0
-    lo, hi = red.lo[owner][seg], red.hi[owner][seg]
-    x = lo + (hi - lo) * ((idx + 1) / (m[seg] + 1))
-    lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x,
-                                    _in_parts(sweep, height, np.arange(seg.size)))
+    points = np.flatnonzero(counted)
+    x, count = sweep(points)
+    # a window falls short where its innermost count leaves a wanted root's
+    # bracket end among the points not counted: the segment's other points
+    # are counted in one more sweep
+    j, s = idx[points], seg[points]
+    short = (((j == top_in[s]) & (j > bot_in[s] + 1) & (count > (m - c_top)[s]))
+             | ((j == bot_in[s]) & (j < top_in[s] - 1) & (count < c_bot[s])))
+    if short.any():
+        more = np.flatnonzero(np.isin(seg, s[short]) & ~counted)
+        order = np.argsort(np.concatenate((points, more)), kind="stable")
+        x, count = (np.concatenate(pair)[order] for pair in zip((x, count), sweep(more)))
+        points = np.concatenate((points, more))[order]
+    del counted, j, s
+    # the wanted roots, one column each from here on, each with its number
+    # in its segment, in 32 bits to keep the per-column state small
+    roots = np.flatnonzero(wanted)
+    seg_r, idx_r = seg[roots], idx[roots].astype(np.int32)
+    lo, hi, n_lo, n_hi = _multisect(seg_r, idx_r, lo_s[seg_r], hi_s[seg_r], x, count,
+                                    seg[points], m[seg_r])
     # whether the count at each bracket end isolates the column's root
-    lo_ok, hi_ok = n_lo == idx, n_hi == idx + 1
-    del n_lo, n_hi, idx
+    lo_ok, hi_ok = n_lo == idx_r, n_hi == idx_r + 1
+    del n_lo, n_hi, x, count, points, roots, wanted, seg, idx
     x = 0.5 * (lo + hi)
-    done = _narrow(lo, hi, tols[seg]) | ~want[stacked]
+    done = _narrow(lo, hi, tols[seg_r])
     isolated = ~done & lo_ok & hi_ok
     act = np.flatnonzero(~(done | isolated))
     newton = False
@@ -537,7 +591,7 @@ def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
             act, newton = np.flatnonzero(isolated), True
         act = act[_in_parts(advance, height, act)]
     lam = red.diag[:-1].copy()  # one-row segments
-    lam[stacked] = x
+    lam[red.starts[red.stacked][seg_r] + idx_r] = x
     lam[mirrored] = -lam[red.twin[mirrored]]
     return lam[need]
 
@@ -559,14 +613,19 @@ def eigenvalues_batch(Hs, tol: float = 1e-12, top=None) -> list[np.ndarray]:
     Each H keeps its own scaling, bracket and tol, and every column of the
     stack is computed on its own, so its array is bitwise what
     eigenvalues_bisection(H, tol) returns.  top, a count k >= 0, keeps the
-    highest k roots of each H, ascending: bitwise the last k of the full
-    solve's, the whole spectrum when k >= dim and none at k = 0; only the
-    roots that can be among them are bisected and finished.  Raises
+    highest k roots of each H, ascending, the whole spectrum when k >= dim
+    and none at k = 0: the first sweep counts a window of 2c multisection
+    points next to each block's c wanted roots, once more over the block's
+    other points where the window falls short, and only the roots that can
+    be among the top k are bisected and finished.  Each is bitwise the full
+    solve's, unless a block's Sturm counts fall with the shift outside its
+    windows, which no dimer tried has shown (see _roots).  Raises
     ValueError where a returned eigenvalue overflows double precision.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if top is not None and not (isinstance(top, (int, np.integer)) and top >= 0):
+    if top is not None and (isinstance(top, bool)
+                            or not (isinstance(top, (int, np.integer)) and top >= 0)):
         raise ValueError(f"top must be a count >= 0, got {top!r}")
     Hs = list(Hs)
     if not Hs:

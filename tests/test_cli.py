@@ -1,6 +1,7 @@
 """Command line interface: CSV shape, frozen small spectra, determinism,
 and exit codes."""
 
+import argparse
 import math
 import os
 import re
@@ -471,3 +472,29 @@ def test_import_loads_neither_scipy_nor_mpmath():
     loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True).stdout
     assert "'qdimer'" in loaded and "'scipy'" not in loaded and "'mpmath'" not in loaded
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    # main builds its argparse tree (one parser and five subcommands) once
+    # per process, where it once built all six on every call; the cmd_*
+    # functions look the library's names up when they run, so a name
+    # patched on cli after an earlier main() still takes effect
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    argv = ["sweep", "--two-j", "4", "--steps", "3"]
+    _, out = run(capsys, argv)
+    assert len(built) in (0, 6)
+    built.clear()
+    assert run(capsys, argv)[1] == out
+    assert built == []
+    monkeypatch.setattr(cli, "eigenvalues_batch", lambda Hs, tol, top=None:
+                        [np.full(H.dim, 7.0) for H in Hs])
+    _, rows = parse_rows(run(capsys, argv)[1])
+    assert all(r[3:] == ["7"] * 5 for r in rows) and len(rows) == 3
+    assert built == []

@@ -345,15 +345,63 @@ def test_batch_kernel_sweeps(monkeypatch):
     Hs = [build_dimer("dnls", 100, g) for g in np.geomspace(0.5, 10.0, 16)]
     calls, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs)
     assert calls <= 15 and swept <= 21235
-    # the four levels of gaps' two pairs: the first sweep, at full width,
-    # then the top four roots of each parity block only, 3374 columns
+    # the four levels of gaps' two pairs: the first sweep counts the eight
+    # highest points of each parity block, then the top four roots of each
+    # block only, 2014 columns where a full-width first sweep made 3374
     _, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, 4)
     assert swept <= 21235 // 5
-    # at two_j 200 the first sweep's 3216 columns take three calls under
-    # the cell budget, and the 128 selected columns one call per step: 11
-    # calls, where consecutive stacks of whole solves took 26
+    assert swept <= 2100
+    # at two_j 200 the windowed first sweep takes one call, and the 128
+    # selected columns one call per step: 9 calls over 2002 columns, where
+    # a full-width first sweep took three calls under the cell budget (11
+    # calls, 4962 columns) and consecutive stacks of whole solves took 26
     Hs = [build_dimer("dnls", 200, g) for g in np.geomspace(0.5, 10.0, 16)]
-    assert _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, 4)[0] <= 11
+    calls, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, 4)
+    assert calls <= 11
+    assert calls <= 9 and swept <= 2100
+
+
+def _first_phase_calls(monkeypatch, Hs, top):
+    """Kernel calls that eigenvalues_batch(Hs, top=top) makes before its
+    multisection brackets, and its roots."""
+    calls, at = [], []
+    kernel, multisect = spectral._pivots, spectral._multisect
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "_pivots", lambda *args: calls.append(1) or kernel(*args))
+        patch.setattr(spectral, "_multisect",
+                      lambda *args: at.append(len(calls)) or multisect(*args))
+        roots = eigenvalues_batch(Hs, top=top)
+    return at[0], roots
+
+
+def test_short_window_takes_one_more_sweep(monkeypatch):
+    # the top root sits near 1000, far above the other 39 in [-2, 2], so
+    # each multisection point below it counts 39 roots: the 2c highest
+    # points of top 2, 3 and 5 leave the lowest wanted root's lower end
+    # among the points not counted, and the segment's other points are
+    # counted in one more sweep, which keeps every root bitwise
+    diag = np.zeros(40)
+    diag[-1] = 1000.0
+    H = TridiagonalHamiltonian(SpinSector(39), "dnls", diag, np.ones(39))
+    full = eigenvalues_batch([H])[0]
+    one, roots = _first_phase_calls(monkeypatch, [H], 1)
+    assert roots[0].tobytes() == _top(full, 1).tobytes()
+    for k in (2, 3, 5):
+        calls, roots = _first_phase_calls(monkeypatch, [H], k)
+        assert calls == one + 1, k
+        assert roots[0].tobytes() == _top(full, k).tobytes(), k
+
+
+@pytest.mark.parametrize("two_j", [101, 103])
+def test_windows_at_both_ends(two_j):
+    # at even dim the odd block of an AL dimer takes its top roots from the
+    # even block's bottom ones, so the even block counts a window at each
+    # end of its multisection points
+    Hs = _al_grid(two_j)
+    full = eigenvalues_batch(Hs)
+    for k in (1, 2, 4, 8):
+        for evs, part in zip(full, eigenvalues_batch(Hs, top=k)):
+            assert part.tobytes() == _top(evs, k).tobytes(), k
 
 
 def _random_stack(rng):
@@ -767,7 +815,7 @@ def test_selected_roots_on_random_grids():
     assert compared == 1024
 
 
-@pytest.mark.parametrize("top", [-1, 2.5, slice(-2, None), "2"])
+@pytest.mark.parametrize("top", [-1, 2.5, slice(-2, None), "2", True, np.True_])
 def test_invalid_top_rejected(top):
     with pytest.raises(ValueError, match="top"):
         eigenvalues_batch([build_qal_dimer(6, 1.0)], top=top)
