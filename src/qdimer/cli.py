@@ -205,22 +205,15 @@ class _Checks:
 
 
 def _verify_algebra(checks, m_max):
+    q = q_from_gamma(2.0).q
     for n_sites in (2, 3):
         basis = build_sector_basis(n_sites, m_max)
-        dim = basis.dim
-        gens = su_n_generators(basis)
-        rep = verify_chevalley(gens)
-        checks.add(f"algebra.chevalley.su{n_sites}.M{m_max}", rep.max_residual, 1e-12 * dim)
-        rep = verify_serre(gens)
-        if not rep.vacuous:
-            checks.add(f"algebra.serre.su{n_sites}.M{m_max}", rep.max_residual, 1e-12 * dim)
-        q = q_from_gamma(2.0).q
-        qgens = suq_n_generators(basis, q)
-        rep = verify_chevalley(qgens)
-        checks.add(f"algebra.chevalley.suq{n_sites}.M{m_max}", rep.max_residual, 1e-12 * dim)
-        rep = verify_serre(qgens)
-        if not rep.vacuous:
-            checks.add(f"algebra.serre.suq{n_sites}.M{m_max}", rep.max_residual, 1e-12 * dim)
+        gens, tol = su_n_generators(basis), 1e-12 * basis.dim
+        for name, g in (("su", gens), ("suq", suq_n_generators(basis, q))):
+            checks.add(f"algebra.chevalley.{name}{n_sites}.M{m_max}", verify_chevalley(g).max_residual, tol)
+            rep = verify_serre(g)
+            if not rep.vacuous:
+                checks.add(f"algebra.serre.{name}{n_sites}.M{m_max}", rep.max_residual, tol)
         qone = suq_n_generators(basis, 1.0)
         worst = 0.0
         for a, b in zip(gens.e + gens.f + gens.h, qone.e + qone.f + qone.h):

@@ -33,8 +33,9 @@ class SpinSector:
     two_j: int
 
     def __post_init__(self):
-        if self.two_j < 0 or int(self.two_j) != self.two_j:
-            raise ValueError(f"two_j must be a nonnegative integer, got {self.two_j}")
+        two_j = self.two_j
+        if isinstance(two_j, bool) or not isinstance(two_j, (int, np.integer)) or two_j < 0:
+            raise ValueError(f"two_j must be a nonnegative integer, got {two_j}")
 
     @property
     def j(self) -> float:

@@ -40,13 +40,7 @@ from .qnumbers import Q_ONE_THRESHOLD, basic_qnum, q_binomial, sym_qnum
 if TYPE_CHECKING:
     from scipy import sparse
 
-# Largest admitted sector, 1e6 states.  A sector operator stores 8 bytes of
-# amp per state, 8 MB at the guard, where one dense operator would take
-# 8 * dim^2 bytes = 8 TB; its csr `matrix`, once formed, adds at most 24
-# bytes per state.  The basis keeps one int64 occupation row per state,
-# 8 bytes per site (tracemalloc: 24.0 MB for three sites at M 1412 and
-# 31.1 MB for four at M 178, both just under the guard), plus one 8-byte
-# target row per state for each shift in use.
+# Largest admitted sector, 1e6 states (memory: see FockSectorBasis).
 MAX_SECTOR_DIM = 1_000_000
 
 
@@ -55,35 +49,49 @@ class FockSectorBasis:
 
     `occupations` is a (dim, n_sites) int64 array whose row k is state k,
     (n_1, ..., n_sites) with sum(n) = total_quanta; the rows are in
-    ascending lexicographic order so the layout is reproducible.  Sectors
-    above MAX_SECTOR_DIM = 1e6 states are refused: the basis takes 8 bytes
-    per state and site (24 MB on three sites at the guard) and a sector
-    operator 8 bytes of amplitude per state (8 MB), where a dense one would
-    take 8 TB.  The basis keeps one int64 target row per state for each
-    occupation shift in use (8 MB per shift at the guard).
+    ascending lexicographic order so the layout is reproducible.
+
+    Sectors above MAX_SECTOR_DIM = 1e6 states are refused before anything
+    is allocated.  The basis keeps 8 bytes per state and site, plus the
+    rank table of positions(), 8 bytes per site and quanta count 0..M.  A
+    build also holds the stars-and-bars table, 8 bytes per state and bar;
+    on two sites itertools.combinations holds a tuple of the M + 1 slots.
+    Near the guard (tracemalloc, retained / build peak): 32.0 / 48.0 MB on
+    two sites at M 999999, 24.0 / 40.0 MB on three at M 1412 and
+    31.1 / 54.4 MB on four at M 178.  Each occupation shift in use adds an
+    int64 target row per state (8 MB at the guard), and a sector operator
+    8 bytes of amplitude per state, where a dense one would take
+    8 dim^2 bytes = 8 TB; its csr `matrix` adds at most 24 bytes per state.
     """
 
     def __init__(self, n_sites: int, total_quanta: int):
-        if n_sites < 1:
-            raise ValueError(f"n_sites must be >= 1, got {n_sites}")
-        if total_quanta < 0:
-            raise ValueError(f"total_quanta must be >= 0, got {total_quanta}")
-        dim = math.comb(total_quanta + n_sites - 1, n_sites - 1)
+        for name, x, least in (("n_sites", n_sites, 1), ("total_quanta", total_quanta, 0)):
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
+        slots = total_quanta + n_sites - 1
+        dim = math.comb(slots, n_sites - 1)
         if dim > MAX_SECTOR_DIM:
-            raise ValueError(
-                f"sector dimension {dim} exceeds the size guard {MAX_SECTOR_DIM}"
-            )
+            raise ValueError(f"sector dimension {dim} exceeds the size guard {MAX_SECTOR_DIM}")
         self.n_sites = n_sites
         self.total_quanta = total_quanta
         self.dim = dim
-        states = itertools.chain.from_iterable(_compositions(n_sites, total_quanta))
-        self.occupations = np.fromiter(states, dtype=np.int64, count=dim * n_sites).reshape(dim, n_sites)
-        # C(r + m - 1, m - 1) states of r quanta on m sites, for positions()
-        self._counts = np.array(
-            [[math.comb(r + m - 1, m - 1) for m in range(1, n_sites + 1)]
-             for r in range(total_quanta + 1)],
-            dtype=np.int64,
-        )
+        # stars and bars: a state puts n_sites - 1 bars among the slots, and
+        # site k holds the stars between bars k - 1 and k; the bar sets come
+        # in lexicographic order, so the states do too
+        bars = itertools.chain.from_iterable(itertools.combinations(range(slots), n_sites - 1))
+        bars = np.fromiter(bars, dtype=np.int64, count=dim * (n_sites - 1)).reshape(dim, -1)
+        self.occupations = occ = np.empty((dim, n_sites), dtype=np.int64)
+        occ[:, :-1] = bars
+        del bars  # the differences below need no copy of them
+        occ[:, -1] = slots
+        for k in range(n_sites - 1, 0, -1):
+            occ[:, k] -= occ[:, k - 1]
+        occ[:, 1:] -= 1
+        # C(r + m - 1, m - 1) states of r quanta on m sites, for positions():
+        # column m - 1 sums column m - 2 over r (Pascal's rule)
+        self._counts = np.ones((total_quanta + 1, n_sites), dtype=np.int64)
+        for m in range(1, n_sites):
+            np.cumsum(self._counts[:, m - 1], out=self._counts[:, m])
         self._targets = {}  # delta -> target rows, see _targets
 
     def positions(self, occupations: np.ndarray) -> np.ndarray:
@@ -110,22 +118,11 @@ class FockSectorBasis:
         )
 
 
-def _compositions(n_sites, total):
-    """Occupation tuples of total quanta on n_sites, in lexicographic order."""
-    if n_sites == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(n_sites - 1, total - first):
-            yield (first,) + rest
-
-
 def build_sector_basis(n_sites: int, total_quanta: int) -> FockSectorBasis:
     """Enumerate the fixed-quanta occupation basis; dim = C(M+n-1, n-1).
 
     The states are the rows of `occupations`, in lexicographic order.
-    Refuses sectors above MAX_SECTOR_DIM = 1e6 states (8 bytes of basis per
-    state and site, 8 MB of amplitudes per sector operator).
+    Refuses sectors above MAX_SECTOR_DIM = 1e6 states.
     """
     return FockSectorBasis(n_sites, total_quanta)
 
@@ -276,10 +273,8 @@ def cartan_matrix(n: int) -> np.ndarray:
     """A_{n-1} Cartan matrix: 2 on the diagonal, -1 on adjacent off-diagonals."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    a = 2 * np.eye(n - 1, dtype=int)
-    for i in range(n - 2):
-        a[i, i + 1] = a[i + 1, i] = -1
-    return a
+    return (2 * np.eye(n - 1, dtype=int) - np.eye(n - 1, k=1, dtype=int)
+            - np.eye(n - 1, k=-1, dtype=int))
 
 
 @dataclass
@@ -601,11 +596,8 @@ def omega_matrix(n: int) -> np.ndarray:
     differences N_i - N_{i+1} and the total number."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    om = np.zeros((n, n))
-    for i in range(n - 1):
-        om[i, i] = 1.0
-        om[i, i + 1] = -1.0
-    om[n - 1, :] = 1.0
+    om = np.eye(n) - np.eye(n, k=1)
+    om[-1] = 1.0
     return om
 
 

@@ -376,16 +376,14 @@ def _in_parts(step, height, cols):
     return np.concatenate([step(run) for run in np.array_split(cols, runs)])
 
 
-def _multisect(seg, idx, lo, hi, x, count, at=None, m=None):
+def _multisect(seg, idx, lo, hi, x, count, at, m):
     """Brackets of roots of the stack's segments from Sturm counts at points
     shared across each segment (multisection).
 
     Root j is root idx[j] of segment seg[j], seg ascending; lo[j] and hi[j]
     bracket all m[j] roots of that segment.  Point p lies in segment at[p],
     at ascending, and count[p] roots lie below x[p], with x ascending in the
-    segment.  By default every root of each segment is named and has its
-    point: at is seg and m counts the roots seg names, as in the full first
-    sweep.  The segment's points [lo, x..., hi] carry the counts
+    segment.  The segment's points [lo, x..., hi] carry the counts
     [0, count..., m], and root i takes the highest point whose count is
     <= i as its lower end and the next point, the lowest whose count is
     >= i + 1, as its upper end.  Returns lo, hi and the counts n_lo, n_hi at
@@ -393,8 +391,6 @@ def _multisect(seg, idx, lo, hi, x, count, at=None, m=None):
     Dhillon & Ren, ETNA 3 (1995) 116), so a segment whose points' counts
     fall somewhere keeps its brackets, with counts 0 and m.
     """
-    if at is None:
-        at, m = seg, np.bincount(seg)[seg]
     rises = np.ones(at.size, dtype=bool)
     rises[1:] = (np.diff(count) >= 0) | (at[1:] != at[:-1])
     keep = np.isin(seg, at[~rises])

@@ -31,6 +31,24 @@ def test_spin_sector():
         SpinSector(-1)
 
 
+@pytest.mark.parametrize("two_j", [2.0, np.float64(3.0), True, np.True_, "3"])
+def test_sector_size_must_be_an_integer(two_j):
+    # an integral float or a bool is not a sector size: refused like -1,
+    # not taken as 2j or ended in a numpy cast error
+    with pytest.raises(ValueError, match="two_j must be a nonnegative integer"):
+        SpinSector(two_j)
+    for model in ("dnls", "al"):
+        with pytest.raises(ValueError, match="two_j must be a nonnegative integer"):
+            build_dimer(model, two_j, 1.0)
+
+
+def test_numpy_integer_sector_sizes_build():
+    for two_j in (np.int64(3), np.int32(3), np.uint8(3)):
+        for model in ("dnls", "al"):
+            H = build_dimer(model, two_j, 1.0)
+            assert H.dim == 4 and np.array_equal(H.off, build_dimer(model, 3, 1.0).off)
+
+
 def test_qdnls_matrix_elements():
     H = build_qdnls_dimer(3, 2.0)
     # diag (gamma/2) m^2 at m = -1.5 .. 1.5

@@ -2,7 +2,9 @@
 operators on small occupation-number sectors."""
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,14 +53,6 @@ def test_basis_enumeration():
     basis = build_sector_basis(3, 2)
     assert _states(basis) == ((0, 0, 2), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 0), (2, 0, 0))
     assert basis.dim == 6
-    for n_sites in (2, 3, 4):
-        for total in range(6):
-            b = build_sector_basis(n_sites, total)
-            assert b.dim == math.comb(total + n_sites - 1, n_sites - 1)
-            assert b.occupations.shape == (b.dim, n_sites) and b.occupations.dtype == np.int64
-            assert list(_states(b)) == sorted(_states(b))
-            assert all(sum(s) == total for s in _states(b))
-            assert np.array_equal(b.positions(b.occupations), np.arange(b.dim))
 
 
 def test_basis_validation():
@@ -71,6 +65,57 @@ def test_basis_validation():
         build_sector_basis(3, 1999)
     assert MAX_SECTOR_DIM == 1_000_000
     assert _states(build_sector_basis(1, 3)) == ((3,),)
+    assert build_sector_basis(np.int64(3), np.int32(2)).dim == 6
+
+
+@pytest.mark.parametrize("n_sites, total_quanta, name", [
+    (True, 3, "n_sites"), (2.0, 3, "n_sites"), (np.float64(2.0), 3, "n_sites"),
+    (2, True, "total_quanta"), (2, 3.0, "total_quanta"), (2, np.True_, "total_quanta"),
+])
+def test_sector_sizes_must_be_integers(n_sites, total_quanta, name):
+    # bools and integral floats are refused, not built as a 1- or 2-state
+    # sector or ended in numpy's reshape
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        build_sector_basis(n_sites, total_quanta)
+
+
+SECTOR_TABLES = ([(1, m) for m in (*range(13), 1000)]
+                 + [(n, m) for n in range(2, 7) for m in range(7)]
+                 + [(10, 6), (20, 3), (40, 2), (63, 1)])
+
+
+@pytest.mark.parametrize("n_sites, total", SECTOR_TABLES)
+def test_sector_tables(n_sites, total):
+    b = build_sector_basis(n_sites, total)
+    occ = b.occupations
+    assert b.dim == math.comb(total + n_sites - 1, n_sites - 1)
+    assert occ.shape == (b.dim, n_sites) and occ.dtype == np.int64
+    if (total + 1) ** n_sites <= 200_000:
+        ref = sorted(s for s in itertools.product(range(total + 1), repeat=n_sites) if sum(s) == total)
+        assert _states(b) == tuple(ref)
+    # dim rows of states, each one's first change from the last upwards:
+    # every state, in lexicographic order
+    assert (occ >= 0).all() and (occ.sum(axis=1) == total).all()
+    step = np.diff(occ, axis=0)
+    first = np.argmax(step != 0, axis=1)
+    assert (step[np.arange(len(step)), first] > 0).all()
+    assert b._counts.tolist() == [[math.comb(r + m - 1, m - 1) for m in range(1, n_sites + 1)]
+                                  for r in range(total + 1)]
+    assert np.array_equal(b.positions(occ), np.arange(b.dim))
+
+
+def test_guard_sector_build_peak():
+    # two sites at the guard: 16 MB of occupations and 16 MB of rank table
+    # are kept, and the build peaks near 48 MB
+    tracemalloc.start()
+    try:
+        b = build_sector_basis(2, 999_999)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert b.dim == 1_000_000 and peak < 64 * 2**20
+    assert b.occupations[[0, 1, -1]].tolist() == [[0, 999_999], [1, 999_998], [999_999, 0]]
+    assert np.array_equal(b.positions(b.occupations), np.arange(b.dim))
 
 
 def test_sector_operator_shape_check():

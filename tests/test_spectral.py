@@ -532,7 +532,7 @@ def test_multisect_brackets_from_counts():
     hi = np.array([4.0, 4.0, 4.0, 1.0, 1.0, 8.0, 8.0])
     x = np.array([1.0, 2.0, 3.0, -0.5, 0.5, 6.0, 7.0])
     count = np.array([1, 1, 3, 2, 1, 1, 2])
-    lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count)
+    lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count, at=seg, m=np.bincount(seg)[seg])
     # points [0, 1, 2, 3, 4] with counts [0, 1, 1, 3, 3]: root 0 is isolated
     # in (0, 1], roots 1 and 2 share (2, 3]
     assert lo[:3].tolist() == [0.0, 2.0, 2.0] and hi[:3].tolist() == [1.0, 3.0, 3.0]
@@ -555,7 +555,7 @@ def test_multisect_brackets_hold_their_roots(model, two_j, gamma):
     x = lo + (hi - lo) * ((idx + 1) / (np.bincount(seg)[seg] + 1))
     count = np.count_nonzero(_pivots(d, seg, off * off, x) <= 0.0, axis=0)
     assert (np.diff(count)[np.diff(seg) == 0] >= 0).all()
-    lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count)
+    lo, hi, n_lo, n_hi = _multisect(seg, idx, lo, hi, x, count, at=seg, m=np.bincount(seg)[seg])
     ref = [scipy.linalg.eigvalsh_tridiagonal(red.diag[a : a + b], red.off[a : a + b - 1])
            for a, b in zip(red.starts, red.sizes) if b > 1]
     for ends, counts in ((lo, n_lo), (hi, n_hi)):
