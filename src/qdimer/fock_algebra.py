@@ -53,14 +53,14 @@ class FockSectorBasis:
 
     Sectors above MAX_SECTOR_DIM = 1e6 states are refused before anything
     is allocated.  The basis keeps 8 bytes per state and site, plus the
-    rank table of positions(), 8 bytes per site and quanta count 0..M.  A
-    build also holds the stars-and-bars table, 8 bytes per state and bar;
-    on two sites itertools.combinations holds a tuple of the M + 1 slots.
-    Near the guard (tracemalloc, retained / build peak): 32.0 / 48.0 MB on
-    two sites at M 999999, 24.0 / 40.0 MB on three at M 1412 and
-    31.1 / 54.4 MB on four at M 178.  Each occupation shift in use adds an
-    int64 target row per state (8 MB at the guard), and a sector operator
-    8 bytes of amplitude per state, where a dense one would take
+    rank table of positions(), 8 bytes per site but one and quanta count
+    0..M.  A build also holds the stars-and-bars table, 8 bytes per state
+    and bar; on two sites itertools.combinations holds a tuple of the M + 1
+    slots.  Near the guard (tracemalloc, retained / build peak): 24.0 /
+    48.0 MB on two sites at M 999999, 24.0 / 40.0 MB on three at M 1412
+    and 31.1 / 54.4 MB on four at M 178.  Each occupation shift in use adds
+    an int64 target row per state (8 MB at the guard), and a sector
+    operator 8 bytes of amplitude per state, where a dense one would take
     8 dim^2 bytes = 8 TB; its csr `matrix` adds at most 24 bytes per state.
     """
 
@@ -87,10 +87,12 @@ class FockSectorBasis:
         for k in range(n_sites - 1, 0, -1):
             occ[:, k] -= occ[:, k - 1]
         occ[:, 1:] -= 1
-        # C(r + m - 1, m - 1) states of r quanta on m sites, for positions():
-        # column m - 1 sums column m - 2 over r (Pascal's rule)
-        self._counts = np.ones((total_quanta + 1, n_sites), dtype=np.int64)
-        for m in range(1, n_sites):
+        # C(r + m - 1, m - 1) states of r quanta on m >= 2 sites, for
+        # positions(): column m - 2 is r + 1 on two sites and sums column
+        # m - 3 over r on more (Pascal's rule)
+        self._counts = np.empty((total_quanta + 1, n_sites - 1), dtype=np.int64)
+        self._counts[:, :1] = np.arange(1, total_quanta + 2)[:, None]
+        for m in range(1, n_sites - 1):
             np.cumsum(self._counts[:, m - 1], out=self._counts[:, m])
         self._targets = {}  # delta -> target rows, see _targets
 
@@ -106,7 +108,7 @@ class FockSectorBasis:
         pos = np.zeros(len(occupations), dtype=np.int64)
         left = np.full(len(occupations), total, dtype=np.int64)
         for k in range(n - 1):
-            col = n - k - 1
+            col = n - k - 2  # the n - k sites from k on
             pos += count[left, col] - count[left - occupations[:, k], col]
             left -= occupations[:, k]
         return pos

@@ -113,6 +113,7 @@ def conservation_suite(n_sites: int, total_quanta: int, gamma: float, epsilon: f
     amplitudes of the chain's terms; C_2 and C_4 come from one G and one
     G G formed on shift amplitudes (fock_algebra._casimir_diagonals)."""
     basis = build_sector_basis(n_sites, total_quanta)
+    q = q_from_gamma(gamma).q  # refuses a gamma that is negative or not finite
     dim = basis.dim
     report = ConservationReport(
         context=f"n{n_sites}.M{total_quanta}.g{gamma:g}", pairs=[]
@@ -127,7 +128,6 @@ def conservation_suite(n_sites: int, total_quanta: int, gamma: float, epsilon: f
     report.add("dnls_total_number", _commutator_norm(H, total_number), 0.0)
 
     Hq = _qal_terms(basis, gamma)
-    q = q_from_gamma(gamma).q
     qgens = suq_n_generators(basis, q)
     if n_sites == 2:
         report.add("al_cq", _commutator_norm(Hq, suq2_casimir(qgens, q).amp), 1e-10 * dim)

@@ -30,9 +30,11 @@ class DeformationParameter:
 
 
 def q_from_gamma(gamma: float) -> DeformationParameter:
-    """Map the nonlinearity strength gamma >= 0 to q = 1/sqrt(1 + gamma/2)."""
+    """Map the finite nonlinearity strength gamma >= 0 to q = 1/sqrt(1 + gamma/2)."""
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if gamma == math.inf:
+        raise ValueError(f"gamma must be finite, got {gamma}")
     q = 1.0 / math.sqrt(1.0 + 0.5 * gamma)
     return DeformationParameter(gamma=float(gamma), q=q, s=math.log(q))
 
@@ -50,11 +52,16 @@ def sym_qnum(x: float, q: float) -> float:
     Where a power overflows, the same ratio is taken with the large power
     factored out, [x] = sign(x) p^(1-|x|) (1 - p^(2|x|)) / (1 - p^2) with
     p = min(q, 1/q), since [x] is odd in x and unchanged by q -> 1/q.
-    Raises ValueError where [x] itself overflows double precision.
+    Raises ValueError where x or q is not finite, or where [x] itself
+    overflows double precision.
     """
     q = _scalar(q)  # x enters the powers as float(x)
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
+    if q == math.inf:
+        raise ValueError(f"q must be finite, got {q}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         return float(x)
     try:
@@ -79,13 +86,16 @@ def basic_qnum(n: int, gamma: float) -> float:
     exactly the commutation rule [b, b'] = 1 + (gamma/2) b'b.  Where the
     power overflows, the same ratio is taken with the large power factored
     out, {n} = g^(n-1) (g - g^(1-n)) / (gamma/2) with g = 1 + gamma/2.
-    Raises ValueError where {n} itself overflows double precision.
+    Raises ValueError where gamma is not finite, or where {n} itself
+    overflows double precision.
     """
     n, gamma = _scalar(n), _scalar(gamma)
-    if n < 0 or int(n) != n:
+    if not 0 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if gamma == math.inf:
+        raise ValueError(f"gamma must be finite, got {gamma}")
     half = 0.5 * gamma
     if half < Q_ONE_THRESHOLD:
         return float(n)
@@ -106,7 +116,7 @@ def basic_qnum(n: int, gamma: float) -> float:
 
 def q_binomial(m: int, n: int, q: float) -> float:
     """q-binomial [m]! / ([n]! [m-n]!), evaluated as a product of ratios."""
-    if m < 0 or n < 0 or n > m or int(m) != m or int(n) != n:
+    if not 0 <= n <= m < math.inf or int(m) != m or int(n) != n:
         raise ValueError(f"need 0 <= n <= m, got m={m}, n={n}")
     n = min(int(n), int(m) - int(n))
     out = 1.0

@@ -64,13 +64,14 @@ full solve but not here, and its top roots may then differ in the last
 bits.
 
 The orthonormality check runs per parity block of the same reduction, on the
-block's roots.  It builds the recurrence columns c_k = p_k(x)/eps_k of the
-minor polynomials p_{k+1}(x) = (x - d_k) p_k(x) - o_{k-1}^2 p_{k-1}(x) from
-the same pivots, since p_{k+1}/p_k = -q_k, in double precision first.  A
-block that fails there gets one mpmath pass, at 30 digits plus the decades
-its columns span, an independent referee: mpmath's symmetric QL eigensolver
-(eigsy) gives the block's roots at those digits, and one scalar loop over
-the minor polynomials at each root gives its Gram column.
+block's roots, with the block's twisted vectors: up to sign and norm they
+are the recurrence columns c_k = p_k(x)/eps_k of the minor polynomials
+p_{k+1}(x) = (x - d_k) p_k(x) - o_{k-1}^2 p_{k-1}(x), each ratio taken in
+its stable direction.  A block that fails in double precision gets one
+mpmath pass, at 30 digits plus the decades its forward columns span, an
+independent referee: mpmath's symmetric QL eigensolver (eigsy) gives the
+block's roots at those digits, and one scalar loop over the minor
+polynomials at each root gives its Gram column.
 """
 
 from __future__ import annotations
@@ -655,19 +656,21 @@ def eigenvalues_bisection(H: TridiagonalHamiltonian, tol: float = 1e-12) -> np.n
     return eigenvalues_batch([H], tol)[0]
 
 
-def _twisted_vectors(red: _Reduction, lam):
-    """The stack's solved columns (twin -1) and their unit eigenvectors,
-    bottom-aligned as in _stack and zero on the padding rows.
+def _twisted_vectors(red: _Reduction, lam) -> list:
+    """Unit eigenvectors of each segment of red at its roots lam, one block
+    per segment, a column per root.
 
     One kernel call over the stack and its mirror (_twisted) gives the
-    twisted factorizations of T - lam (Dhillon & Parlett),
-    gamma_k = q+_k - o_k^2 / q-_{k+1}.  At r = argmin |gamma_k| the vector
-    with z_r = 1 that it yields is the eigenvector: z_k = -o_k z_{k+1} / q+_k
-    above r, -o_{k-1} z_{k-1} / q-_k below.  The norm adds the squares in
-    row order (_row_sum), so a column's vector is the same at any width.  A
-    column that comes out with a non-finite entry, as where a root within
+    twisted factorizations of T - lam at the solved roots (twin -1)
+    (Dhillon & Parlett), gamma_k = q+_k - o_k^2 / q-_{k+1}.  At
+    r = argmin |gamma_k| the vector with z_r = 1 that it yields is the
+    eigenvector: z_k = -o_k z_{k+1} / q+_k above r, -o_{k-1} z_{k-1} / q-_k
+    below, each ratio in its stable direction.  The norm adds the squares
+    in row order (_row_sum), so a column's vector is the same at any width.
+    A column that comes out with a non-finite entry, as where a root within
     _PIVMIN of zero leaves a subnormal pivot whose ratio overflows, is formed
-    again from pivots under the clamp rule of _pivots.
+    again from pivots under the clamp rule of _pivots.  A mirrored root's
+    column is its twin's with every other entry negated (the chiral fold).
     """
     cols, seg, _, d, off = _stack(red)
     solved = red.twin[cols] < 0
@@ -697,7 +700,17 @@ def _twisted_vectors(red: _Reduction, lam):
     if redo.size:
         z[:, redo] = vectors(seg[redo], x[redo], True)
     z /= np.sqrt(_row_sum(z * z))
-    return cols, z
+    mirrored = red.twin >= 0
+    at = np.zeros(mirrored.size, dtype=int)
+    at[cols] = np.arange(cols.size)  # z's column of each solved row
+    at = at[np.where(mirrored, red.twin, np.arange(mirrored.size))]  # and of each row
+    blocks = []
+    for first, size in zip(red.starts, red.sizes):
+        rows = slice(first, first + size)
+        block = z[-size:, at[rows]] if size > 1 else np.ones((1, 1))
+        block[1::2, mirrored[rows]] *= -1.0
+        blocks.append(block)
+    return blocks
 
 
 def _ritz(red: _Reduction, first: int, size: int, resolved) -> np.ndarray:
@@ -735,30 +748,22 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
     lam = _roots(red, tol)
     order = np.argsort(lam, kind="stable")
     eigenvalues = _unscaled(lam[order], red.exp[0])
-    cols, z = _twisted_vectors(red, lam)
-    at = np.zeros(n, dtype=int)
-    at[cols] = np.arange(cols.size)  # z's column of each solved row
+    blocks = _twisted_vectors(red, lam)  # before the n x n table, to keep the peak low
     column = np.argsort(order)
     gap = 1e-6 * red.radius[0]
     methods = np.full(n, "recurrence", dtype=object)
+    methods[red.twin >= 0] = "chiral"
     vectors = np.zeros((n, n))
-    for first, size, row, sign in zip(red.starts, red.sizes, red.lift, red.mirror):
+    for first, size, row, sign, block in zip(red.starts, red.sizes, red.lift, red.mirror, blocks):
         seg = slice(first, first + size)
-        block = np.ones((1, 1))
-        if size > 1:
-            twin = red.twin[seg]
-            mirrored = twin >= 0
-            block = z[-size:, at[np.where(mirrored, twin, np.arange(first, first + size))]]
-            block[1::2, mirrored] *= -1.0
-            methods[seg][mirrored] = "chiral"
-            run = np.diff(lam[seg]) <= gap
-            if run.any():
-                run = np.append(run, False) | np.insert(run, 0, False)
-                block[:, run] = _ritz(red, first, size, block[:, ~run])
-                methods[seg][run] = "ritz"
+        run = np.diff(lam[seg]) <= gap
+        if run.any():
+            run = np.append(run, False) | np.insert(run, 0, False)
+            block[:, run] = _ritz(red, first, size, block[:, ~run])
+            methods[seg][run] = "ritz"
         if sign:
             rows = np.arange(row, row + size)[:, None]
-            block *= np.where(rows == n - 1 - rows, 1.0, math.sqrt(0.5))  # z's copy, in place
+            block *= np.where(rows == n - 1 - rows, 1.0, math.sqrt(0.5))
         block = _lead_positive(block)
         vectors[row : row + size, column[seg]] = block
         if sign:
@@ -810,47 +815,40 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
     family over the roots.  The check runs on the solver's own reduction:
     each parity block of _reduce, cut at zero couplings, on its roots from
     _roots, which are bitwise the eigenvalues solve_spectrum returns at its
-    default tol.  Mirror-even and mirror-odd columns are exactly orthogonal,
+    default tol, with its columns from _twisted_vectors, those of the minors
+    up to sign.  Mirror-even and mirror-odd columns are exactly orthogonal,
     so the lift to H is orthogonal and the block Grams are the Gram of H in
     exact arithmetic.  Returns the largest max |Gram - I| over the blocks.
 
-    Each block is checked in double precision.  A block whose residual
-    exceeds 1e-12 * dim is checked once more in mpmath, at 30 digits plus
-    the decades its recurrence columns span.  That pass takes the roots of
-    the block exactly as _reduce stores it, whose folded corner entry is one
-    rounding away from H, from mpmath's symmetric eigensolver (eigsy) at the
-    same digits, independent of the float roots, and builds the columns from
-    the minor polynomials there.
+    A block whose float residual exceeds 1e-12 * dim, as where close roots
+    of a block that is not persymmetric give coinciding vectors, is checked
+    once more in mpmath, at 30 digits plus the decades its forward columns
+    span (_decades).  That pass takes the roots of the block exactly as
+    _reduce stores it, whose folded corner entry is one rounding away from
+    H, from mpmath's symmetric eigensolver (eigsy) at the same digits,
+    independent of the float roots, and builds the columns from the minor
+    polynomials there.
     """
     H = spectrum.hamiltonian
     red = _reduce([H])
     lam = _roots(red, 1e-12)
     worst = 0.0
-    for first, size in zip(red.starts, red.sizes):
-        d = red.diag[first : first + size]
-        o = red.off[first : first + size - 1]
-        residual, decades = _df_gram_float(d, o, lam[first : first + size])
+    for first, size, c in zip(red.starts, red.sizes, _twisted_vectors(red, lam)):
+        residual = float(np.max(np.abs(c.T @ c - np.eye(size))))
         if residual > 1e-12 * H.dim:
-            residual = _df_gram_mp(d, o, 30 + math.ceil(decades))
+            d, o = red.diag[first : first + size], red.off[first : first + size - 1]
+            residual = _df_gram_mp(d, o, 30 + math.ceil(_decades(d, o, lam[first : first + size])))
         worst = max(worst, residual)
     return worst
 
 
-def _df_gram_float(d, o, lam):
-    """Gram residual of the recurrence columns of the tridiagonal (d, o) at
-    its roots lam, and the decades the columns span, from one kernel sweep
-    over all roots: p_{k+1}/p_k = -q_k, so the column ratios
-    c_{k+1}/c_k = -q_k/o_k, accumulated in the log domain."""
+def _decades(d, o, lam) -> float:
+    """Most decades that a forward column p_k(lam)/eps_k of the tridiagonal
+    (d, o) spans at its roots lam: p_{k+1}/p_k = -q_k, so |c_{k+1}/c_k| = |q_k/o_k|."""
     q = _pivots(d[:, None], np.zeros(lam.size, dtype=int), (o * o)[:, None], lam)[:-1]
     log_c = np.zeros((d.size, lam.size))
     np.cumsum(np.log(np.abs(q)) - np.log(np.abs(o))[:, None], axis=0, out=log_c[1:])
-    sign = np.ones_like(log_c)
-    np.cumprod(-np.sign(q) * np.sign(o)[:, None], axis=0, out=sign[1:])
-    top = log_c.max(axis=0)
-    c = sign * np.exp(log_c - top)
-    c /= np.linalg.norm(c, axis=0)
-    decades = float(np.max(top - log_c.min(axis=0))) / math.log(10.0)
-    return float(np.max(np.abs(c.T @ c - np.eye(lam.size)))), decades
+    return float(np.max(log_c.max(axis=0) - log_c.min(axis=0))) / math.log(10.0)
 
 
 def _mp_minors(d, off2, lam):

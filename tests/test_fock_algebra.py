@@ -99,13 +99,13 @@ def test_sector_tables(n_sites, total):
     step = np.diff(occ, axis=0)
     first = np.argmax(step != 0, axis=1)
     assert (step[np.arange(len(step)), first] > 0).all()
-    assert b._counts.tolist() == [[math.comb(r + m - 1, m - 1) for m in range(1, n_sites + 1)]
+    assert b._counts.tolist() == [[math.comb(r + m - 1, m - 1) for m in range(2, n_sites + 1)]
                                   for r in range(total + 1)]
     assert np.array_equal(b.positions(occ), np.arange(b.dim))
 
 
 def test_guard_sector_build_peak():
-    # two sites at the guard: 16 MB of occupations and 16 MB of rank table
+    # two sites at the guard: 16 MB of occupations and 8 MB of rank table
     # are kept, and the build peaks near 48 MB
     tracemalloc.start()
     try:

@@ -9,8 +9,12 @@ import pytest
 
 from qdimer import (
     DeformationParameter,
+    al_hop_operator,
+    al_oscillator_ops,
     basic_qnum,
+    build_qal_chain,
     build_sector_basis,
+    conservation_suite,
     q_binomial,
     q_from_gamma,
     suq_n_generators,
@@ -116,6 +120,32 @@ def test_qnumber_overflow_is_a_value_error():
     with pytest.raises(ValueError, match=r"^q-number \{442\} at q=0.44721359549995793 \(gamma=8.0\) "
                                          r"overflows double precision$"):
         basic_qnum(442, 8.0)
+
+
+def test_non_finite_deformation_is_refused():
+    # an infinite or nan gamma, q or x is refused by name, not taken into
+    # math.log (a "math domain error") or returned as inf or nan
+    inf, nan = math.inf, math.nan
+    b = build_sector_basis(2, 3)
+    cases = ((q_from_gamma, (inf,), "gamma must be finite"),
+             (basic_qnum, (2, inf), "gamma must be finite"),
+             (basic_qnum, (inf, 2.0), "n must be a nonnegative integer"),
+             (sym_qnum, (2, inf), "q must be finite"),
+             (sym_qnum, (inf, 0.5), "x must be finite"),
+             (sym_qnum, (nan, 0.5), "x must be finite"),
+             (sym_qnum, (np.float64(2.0), np.float64(inf)), "q must be finite"),
+             (q_binomial, (3, 1, inf), "q must be finite"),
+             (q_binomial, (inf, 1, 0.5), "need 0 <= n <= m"),
+             (conservation_suite, (2, 3, inf), "gamma must be finite"),
+             (al_hop_operator, (b, 1, 2, inf), "gamma must be finite"),
+             (al_oscillator_ops, (5, inf), "gamma must be finite"),
+             (suq_n_generators, (b, inf), "q must be finite"),
+             (build_qal_chain, (b, inf), "gamma must be finite"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, args, text in cases:
+            with pytest.raises(ValueError, match=f"^{text}"):
+                f(*args)
 
 
 def test_qnumbers_past_an_overflowing_power():

@@ -30,7 +30,7 @@ from qdimer import (
 )
 from qdimer import spectral
 from qdimer.spectral import (
-    _df_gram_float,
+    _decades,
     _df_gram_mp,
     _mirrored,
     _mp_eigenvalues,
@@ -43,6 +43,7 @@ from qdimer.spectral import (
     _row_sum,
     _stack,
     _twisted,
+    _twisted_vectors,
 )
 
 
@@ -938,8 +939,8 @@ def test_df_orthonormality_small():
     s = solve_spectrum(build_qdnls_dimer(6, 2.0))
     assert df_orthonormality_check(s) < 1e-10
     # on the linear dimer a forward recurrence over all of H runs past the
-    # decay region of the eigenvectors (5.8e-6/dim at two_j 80); the parity
-    # blocks stop at the mirror
+    # decay region of the eigenvectors (5.8e-6/dim at two_j 80); the check
+    # takes each ratio of its columns in the stable direction
     for two_j in (60, 80, 120):
         s = solve_spectrum(build_qdnls_dimer(two_j, 0.0))
         assert df_orthonormality_check(s) <= 1e-9 * s.dim, two_j
@@ -953,15 +954,24 @@ def test_df_orthonormality_forced_precision():
     d, o, _ = _scaled(H)
     assert _df_gram_mp(d, o, 40) < 1e-10
     red = _reduce([H])
-    lam = _roots(red, 1e-12)
-    blocks = [
-        _df_gram_float(red.diag[a : a + n], red.off[a : a + n - 1], lam[a : a + n])[0]
-        for a, n in zip(red.starts, red.sizes)
-    ]
+    blocks = [np.max(np.abs(c.T @ c - np.eye(c.shape[1])))
+              for c in _twisted_vectors(red, _roots(red, 1e-12))]
     auto = df_orthonormality_check(s)
     assert max(blocks) <= 1e-12 * s.dim
     assert auto == max(blocks)
     assert auto < 1e-10
+
+
+@pytest.mark.parametrize("model, two_j, gamma", [("dnls", 400, 8.0), ("al", 240, 9.0)])
+def test_df_orthonormality_stays_in_float(monkeypatch, model, two_j, gamma):
+    # the twisted columns pass the float bound on large dimers, so no block
+    # reaches the mp referee
+    def refuse(*args):
+        raise AssertionError("a block reached the mp referee")
+
+    monkeypatch.setattr(spectral, "_df_gram_mp", refuse)
+    s = solve_spectrum(build_dimer(model, two_j, gamma))
+    assert df_orthonormality_check(s) <= 1e-12 * s.dim
 
 
 def test_df_orthonormality_zero_couplings():
@@ -998,22 +1008,21 @@ def test_mp_eigenvalues_resolve_collapsed_cluster():
 
 
 def _mp_blocks(H):
-    """The blocks of H that df_orthonormality_check takes to mpmath, with the
-    digits it picks there."""
+    """Every block of H of two or more rows, with the digits that
+    df_orthonormality_check takes it to mpmath at."""
     red = _reduce([H])
     lam = _roots(red, 1e-12)
     for a, n in zip(red.starts, red.sizes):
-        d, o = red.diag[a : a + n], red.off[a : a + n - 1]
-        residual, decades = _df_gram_float(d, o, lam[a : a + n])
-        if residual > 1e-12 * H.dim:
-            yield d, o, 30 + math.ceil(decades)
+        if n > 1:
+            d, o = red.diag[a : a + n], red.off[a : a + n - 1]
+            yield d, o, 30 + math.ceil(_decades(d, o, lam[a : a + n]))
 
 
 @pytest.mark.parametrize("H", [build_qdnls_dimer(30, 8.0), _nudged_dimer()],
                          ids=["dnls30-g8", "nudged"])
 def test_mp_roots_confirmed_by_sturm_counts(H):
-    # every mp root of an escalated block lies alone in root -+ 10^(6 - dps)
-    # by the Sturm counts of the mp minor loop
+    # every mp root of a block, at the digits the referee takes it to, lies
+    # alone in root -+ 10^(6 - dps) by the Sturm counts of the mp minor loop
     blocks = list(_mp_blocks(H))
     assert blocks
     for d, o, dps in blocks:

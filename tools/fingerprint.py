@@ -11,7 +11,9 @@ It calls the public API only (the names `qdimer` exports and the command
 line's `qdimer.cli.main`), so it runs on older trees too.  A call that
 raises is hashed as its exception type and message; refusals of invalid
 input have a group of their own, so a changed error text shows there
-alone.  Arrays are hashed with their dtype and shape, floats exactly.
+alone, and so do the residuals of the spectral checks (`checks`), so the
+`spectra` group holds the solvers' outputs only.  Arrays are hashed with
+their dtype and shape, floats exactly.
 It takes about 2 s on a 2-core host.
 """
 
@@ -118,6 +120,13 @@ def refusals(g):
     for top in (True, -1, 2.5):
         g.add(attempt(qdimer.eigenvalues_batch, [H], 1e-12, top))
     g.add(attempt(qdimer.solve_spectrum, H, 1e-6))
+    inf, nan = float("inf"), float("nan")
+    for f, args in ((qdimer.q_from_gamma, (inf,)), (qdimer.q_from_gamma, (nan,)),
+                    (qdimer.basic_qnum, (2, inf)), (qdimer.basic_qnum, (inf, 2.0)),
+                    (qdimer.sym_qnum, (2, inf)), (qdimer.sym_qnum, (inf, 0.5)),
+                    (qdimer.sym_qnum, (nan, 0.5)), (qdimer.q_binomial, (3, 1, inf)),
+                    (qdimer.conservation_suite, (2, 3, inf))):
+        g.add(attempt(f, *args))
 
 
 def batch(g):
@@ -139,9 +148,13 @@ def spectra(g):
     for H in Hs:
         s = qdimer.solve_spectrum(H)
         g.add(s.eigenvalues, s.vectors, s.norm_constants, s.vector_method)
-    small = qdimer.build_dimer("dnls", 12, 3.0)
-    s, d = qdimer.solve_spectrum(small), qdimer.dense_oracle(small)
-    g.add(d.eigenvalues, d.vectors, qdimer.completeness_check(s), qdimer.df_orthonormality_check(s))
+    d = qdimer.dense_oracle(qdimer.build_dimer("dnls", 12, 3.0))
+    g.add(d.eigenvalues, d.vectors)
+
+
+def checks(g):
+    s = qdimer.solve_spectrum(qdimer.build_dimer("dnls", 12, 3.0))
+    g.add(qdimer.completeness_check(s), qdimer.df_orthonormality_check(s))
     for two_j in (11, 12):
         s = qdimer.solve_spectrum(qdimer.build_dimer("al", two_j, 3.0))
         g.add(vars(qdimer.parity_structure_check(s)))
@@ -211,8 +224,8 @@ def main():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for name, fill in (("builders", builders), ("refusals", refusals), ("batch", batch),
-                           ("spectra", spectra), ("fock", fock), ("algebra", algebra),
-                           ("cli", cli)):
+                           ("spectra", spectra), ("checks", checks), ("fock", fock),
+                           ("algebra", algebra), ("cli", cli)):
             g = Group(name)
             fill(g)
             print(g.line(), flush=True)
