@@ -39,7 +39,7 @@ from .fock_algebra import (
     verify_serre,
 )
 from .invariants import conservation_suite
-from .qnumbers import basic_qnum, q_from_gamma
+from .qnumbers import q_from_gamma
 from .spectral import (
     dense_oracle,
     eigenvalues_batch,

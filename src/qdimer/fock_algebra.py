@@ -27,7 +27,6 @@ the same numbers the dense products give.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -42,6 +41,8 @@ if TYPE_CHECKING:
 
 # Largest admitted sector, 1e6 states (memory: see FockSectorBasis).
 MAX_SECTOR_DIM = 1_000_000
+# States a sector build decodes per pass, so that no temporary spans the sector.
+_RUN = 2**16
 
 
 class FockSectorBasis:
@@ -54,46 +55,46 @@ class FockSectorBasis:
     Sectors above MAX_SECTOR_DIM = 1e6 states are refused before anything
     is allocated.  The basis keeps 8 bytes per state and site, plus the
     rank table of positions(), 8 bytes per site but one and quanta count
-    0..M.  A build also holds the stars-and-bars table, 8 bytes per state
-    and bar; on two sites itertools.combinations holds a tuple of the M + 1
-    slots.  Near the guard (tracemalloc, retained / build peak): 24.0 /
-    48.0 MB on two sites at M 999999, 24.0 / 40.0 MB on three at M 1412
-    and 31.1 / 54.4 MB on four at M 178.  Each occupation shift in use adds
-    an int64 target row per state (8 MB at the guard), and a sector
-    operator 8 bytes of amplitude per state, where a dense one would take
-    8 dim^2 bytes = 8 TB; its csr `matrix` adds at most 24 bytes per state.
+    0..M, from which the build decodes the states in runs of _RUN, so its
+    other temporaries stay near 3 MB.  Near the guard (tracemalloc,
+    retained / build peak): 24.0 / 26.6 MB on two sites at M 999999, 24.0 /
+    26.6 MB on three at M 1412 and 31.1 / 33.7 MB on four at M 178.  Each
+    occupation shift in use adds an int64 target row per state (8 MB at the
+    guard), and a sector operator 8 bytes of amplitude per state, where a
+    dense one would take 8 dim^2 bytes = 8 TB; its csr `matrix` adds at most
+    24 bytes per state.
     """
 
     def __init__(self, n_sites: int, total_quanta: int):
         for name, x, least in (("n_sites", n_sites, 1), ("total_quanta", total_quanta, 0)):
             if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
-        slots = total_quanta + n_sites - 1
-        dim = math.comb(slots, n_sites - 1)
+        dim = math.comb(total_quanta + n_sites - 1, n_sites - 1)
         if dim > MAX_SECTOR_DIM:
             raise ValueError(f"sector dimension {dim} exceeds the size guard {MAX_SECTOR_DIM}")
         self.n_sites = n_sites
         self.total_quanta = total_quanta
         self.dim = dim
-        # stars and bars: a state puts n_sites - 1 bars among the slots, and
-        # site k holds the stars between bars k - 1 and k; the bar sets come
-        # in lexicographic order, so the states do too
-        bars = itertools.chain.from_iterable(itertools.combinations(range(slots), n_sites - 1))
-        bars = np.fromiter(bars, dtype=np.int64, count=dim * (n_sites - 1)).reshape(dim, -1)
-        self.occupations = occ = np.empty((dim, n_sites), dtype=np.int64)
-        occ[:, :-1] = bars
-        del bars  # the differences below need no copy of them
-        occ[:, -1] = slots
-        for k in range(n_sites - 1, 0, -1):
-            occ[:, k] -= occ[:, k - 1]
-        occ[:, 1:] -= 1
-        # C(r + m - 1, m - 1) states of r quanta on m >= 2 sites, for
-        # positions(): column m - 2 is r + 1 on two sites and sums column
-        # m - 3 over r on more (Pascal's rule)
-        self._counts = np.empty((total_quanta + 1, n_sites - 1), dtype=np.int64)
-        self._counts[:, :1] = np.arange(1, total_quanta + 2)[:, None]
+        # C(r + m - 1, m - 1) states of r quanta on m >= 2 sites, by Pascal's
+        # rule: column m - 2 is r + 1 on two sites and sums column m - 3 over r
+        self._counts = count = np.empty((total_quanta + 1, n_sites - 1), dtype=np.int64)
+        count[:, :1] = np.arange(1, total_quanta + 2)[:, None]
         for m in range(1, n_sites - 1):
-            np.cumsum(self._counts[:, m - 1], out=self._counts[:, m])
+            np.cumsum(count[:, m - 1], out=count[:, m])
+        # positions() backwards, _RUN states a pass: of the col[r] states with
+        # r quanta on the sites from k on, the last col[t] give site k >= r - t
+        self.occupations = occ = np.empty((dim, n_sites), dtype=np.int64)
+        for run in range(0, dim, _RUN):
+            rows = occ[run:run + _RUN]
+            pos = np.arange(run, run + len(rows))
+            left = np.full(len(rows), total_quanta, dtype=np.int64)
+            for k in range(n_sites - 1):
+                col = count[:, n_sites - k - 2]
+                rest = col[left] - pos  # the states from this one to the last
+                t = np.searchsorted(col, rest)
+                rows[:, k] = left - t
+                pos, left = col[t] - rest, t
+            rows[:, -1] = left
         self._targets = {}  # delta -> target rows, see _targets
 
     def positions(self, occupations: np.ndarray) -> np.ndarray:
@@ -247,9 +248,9 @@ def _hop(basis, i, j, qnums):
     delta[i - 1], delta[j - 1] = 1, -1
     delta = tuple(delta)
     cols = np.flatnonzero(_targets(basis, delta) >= 0)
-    src = basis.occupations[cols]
+    occ = basis.occupations
     amp = np.zeros(basis.dim)
-    amp[cols] = np.sqrt(qnums[src[:, i - 1] + 1] * qnums[src[:, j - 1]])
+    amp[cols] = np.sqrt(qnums[occ[cols, i - 1] + 1] * qnums[occ[cols, j - 1]])
     return SectorOperator(basis, delta, amp)
 
 

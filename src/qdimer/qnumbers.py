@@ -53,14 +53,18 @@ def sym_qnum(x: float, q: float) -> float:
     factored out, [x] = sign(x) p^(1-|x|) (1 - p^(2|x|)) / (1 - p^2) with
     p = min(q, 1/q), since [x] is odd in x and unchanged by q -> 1/q.
     Raises ValueError where x or q is not finite, or where [x] itself
-    overflows double precision.
+    overflows double precision, as it does wherever x does.
     """
     q = _scalar(q)  # x enters the powers as float(x)
     if not q > 0.0:
         raise ValueError(f"q must be > 0, got {q}")
     if q == math.inf:
         raise ValueError(f"q must be finite, got {q}")
-    if not math.isfinite(x):
+    try:
+        finite = math.isfinite(x)
+    except OverflowError:  # an integer past double range, and |[x]| >= |x| for |x| >= 1
+        raise ValueError(f"q-number [{x}] at q={float(q):.17g} overflows double precision") from None
+    if not finite:
         raise ValueError(f"x must be finite, got {x}")
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
         return float(x)
@@ -97,29 +101,34 @@ def basic_qnum(n: int, gamma: float) -> float:
     if gamma == math.inf:
         raise ValueError(f"gamma must be finite, got {gamma}")
     half = 0.5 * gamma
-    if half < Q_ONE_THRESHOLD:
-        return float(n)
-    base = 1.0 + half
     try:
-        return (base ** n - 1.0) / half
-    except OverflowError:
-        pass
-    try:
-        value = base ** (n - 1) * ((base - base ** (1 - n)) / half)
+        if half < Q_ONE_THRESHOLD:
+            value = float(n)
+        else:
+            base = 1.0 + half
+            try:
+                value = (base ** n - 1.0) / half
+            except OverflowError:
+                value = base ** (n - 1) * ((base - base ** (1 - n)) / half)
     except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    if value == math.inf:  # float overflow; an mpf value stays finite
         q = q_from_gamma(gamma).q
         raise ValueError(f"q-number {{{n}}} at q={q:.17g} (gamma={gamma}) overflows double precision")
     return value
 
 
 def q_binomial(m: int, n: int, q: float) -> float:
-    """q-binomial [m]! / ([n]! [m-n]!), evaluated as a product of ratios."""
+    """q-binomial [m]! / ([n]! [m-n]!), evaluated as a product of ratios.
+
+    Raises ValueError where it overflows double precision.
+    """
     if not 0 <= n <= m < math.inf or int(m) != m or int(n) != n:
         raise ValueError(f"need 0 <= n <= m, got m={m}, n={n}")
-    n = min(int(n), int(m) - int(n))
+    k = min(int(n), int(m) - int(n))
     out = 1.0
-    for i in range(1, n + 1):
-        out *= sym_qnum(m - n + i, q) / sym_qnum(i, q)
+    for i in range(1, k + 1):
+        out *= sym_qnum(m - k + i, q) / sym_qnum(i, q)
+    if out == math.inf:
+        raise ValueError(f"q-binomial [{m} over {n}] at q={float(q):.17g} overflows double precision")
     return out

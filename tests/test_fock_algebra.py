@@ -81,7 +81,9 @@ def test_sector_sizes_must_be_integers(n_sites, total_quanta, name):
 
 SECTOR_TABLES = ([(1, m) for m in (*range(13), 1000)]
                  + [(n, m) for n in range(2, 7) for m in range(7)]
-                 + [(10, 6), (20, 3), (40, 2), (63, 1)])
+                 + [(10, 6), (20, 3), (40, 2), (63, 1)]
+                 # several runs of the build's state decoding each
+                 + [(2, 200_000), (3, 600), (4, 100)])
 
 
 @pytest.mark.parametrize("n_sites, total", SECTOR_TABLES)
@@ -105,17 +107,22 @@ def test_sector_tables(n_sites, total):
 
 
 def test_guard_sector_build_peak():
-    # two sites at the guard: 16 MB of occupations and 8 MB of rank table
-    # are kept, and the build peaks near 48 MB
-    tracemalloc.start()
-    try:
-        b = build_sector_basis(2, 999_999)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert b.dim == 1_000_000 and peak < 64 * 2**20
-    assert b.occupations[[0, 1, -1]].tolist() == [[0, 999_999], [1, 999_998], [999_999, 0]]
-    assert np.array_equal(b.positions(b.occupations), np.arange(b.dim))
+    # near the guard a build keeps the occupations and the rank table and
+    # peaks 2.5 MiB above them (26.6 MB at 2 sites, M 999999, 24 MB kept);
+    # a build that held a table of the whole sector besides would not pass
+    for n_sites, total in ((2, 999_999), (3, 1412), (4, 178)):
+        tracemalloc.start()
+        try:
+            b = build_sector_basis(n_sites, total)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert b.dim > 970_000 and peak < b.occupations.nbytes + b._counts.nbytes + 4 * 2**20
+        edge = [0] * (n_sites - 2)
+        assert b.occupations[[0, 1, -1]].tolist() == [edge + [0, total], edge + [1, total - 1],
+                                                      [total] + [0] * (n_sites - 1)]
+        assert np.array_equal(b.positions(b.occupations), np.arange(b.dim))
+        del b
 
 
 def test_sector_operator_shape_check():

@@ -122,6 +122,31 @@ def test_qnumber_overflow_is_a_value_error():
         basic_qnum(442, 8.0)
 
 
+def test_counts_past_double_range_are_refused():
+    # 10^400 is past double range, and so is every q-number of it: each is a
+    # ValueError naming the q-number, not an OverflowError; a q-binomial or
+    # a basic q-number that overflows only in its last division is one too,
+    # not inf
+    big = 10**400
+    cases = ((basic_qnum, (big, 0.0), r"q-number \{10{400}\} at q=1 \(gamma=0.0\)"),
+             (basic_qnum, (big, 2.0), r"q-number \{10{400}\} at q=0.70710678118654746 \(gamma=2.0\)"),
+             (basic_qnum, (69_300_000_000, 2e-8), r"q-number \{69300000000\} at q=0.99999999500000003 "
+                                                   r"\(gamma=2e-08\)"),
+             (sym_qnum, (big, 0.5), r"q-number \[10{400}\] at q=0.5"),
+             (sym_qnum, (-big, 1.0), r"q-number \[-10{400}\] at q=1"),
+             (sym_qnum, (big, mp.mpf(0.5)), r"q-number \[10{400}\] at q=0.5"),
+             (q_binomial, (big, 1, 0.5), r"q-number \[10{400}\] at q=0.5"),
+             (q_binomial, (2000, 1000, 1.0), r"q-binomial \[2000 over 1000\] at q=1"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for f, args, text in cases:
+            with pytest.raises(ValueError, match=f"^{text} overflows double precision$"):
+                f(*args)
+        # exact counts that need no such q-number stay
+        assert q_binomial(big, 0, 0.5) == q_binomial(big, big, 0.5) == 1.0
+        assert math.isfinite(q_binomial(1000, 500, 1.0)) and math.isfinite(basic_qnum(10**300, 0.0))
+
+
 def test_non_finite_deformation_is_refused():
     # an infinite or nan gamma, q or x is refused by name, not taken into
     # math.log (a "math domain error") or returned as inf or nan

@@ -125,7 +125,9 @@ def refusals(g):
                     (qdimer.basic_qnum, (2, inf)), (qdimer.basic_qnum, (inf, 2.0)),
                     (qdimer.sym_qnum, (2, inf)), (qdimer.sym_qnum, (inf, 0.5)),
                     (qdimer.sym_qnum, (nan, 0.5)), (qdimer.q_binomial, (3, 1, inf)),
-                    (qdimer.conservation_suite, (2, 3, inf))):
+                    (qdimer.conservation_suite, (2, 3, inf)), (qdimer.basic_qnum, (10**400, 0.0)),
+                    (qdimer.basic_qnum, (69_300_000_000, 2e-8)), (qdimer.sym_qnum, (10**400, 0.5)),
+                    (qdimer.q_binomial, (10**400, 1, 0.5)), (qdimer.q_binomial, (2000, 1000, 1.0))):
         g.add(attempt(f, *args))
 
 
@@ -163,6 +165,7 @@ def checks(g):
 def fock(g):
     sectors = [(n, m) for n in range(1, 7) for m in range(9)]
     sectors += [(2, 5000), (3, 300), (4, 40), (10, 6), (20, 3), (40, 2), (63, 1)]
+    sectors.append((3, 400))  # past one run of the build's state decoding
     for n, m in sectors:
         b = qdimer.build_sector_basis(n, m)
         g.add(b.dim, b.occupations, b.positions(b.occupations))
