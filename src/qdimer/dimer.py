@@ -56,9 +56,9 @@ class TridiagonalHamiltonian:
 
     diag[k] and off[k] couple the m = -j + k ladder; eigenvalues of the
     physical two-site chain are energy_scale * lambda + energy_shift.
+    The sector, 2j = dim - 1, is read from the length of diag.
     """
 
-    sector: SpinSector
     model: str
     diag: np.ndarray
     off: np.ndarray
@@ -69,16 +69,15 @@ class TridiagonalHamiltonian:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
-        self.diag = np.asarray(self.diag, dtype=float)
-        self.off = np.asarray(self.off, dtype=float)
-        if self.diag.shape != (self.sector.dim,):
-            raise ValueError("diagonal length must equal the sector dimension")
-        if self.off.shape != (max(self.sector.dim - 1, 0),):
-            raise ValueError("off-diagonal length must be dim - 1")
+        self.diag, self.off = _tridiagonal(self.diag, self.off)
 
     @property
     def dim(self) -> int:
-        return self.sector.dim
+        return self.diag.size
+
+    @property
+    def sector(self) -> SpinSector:
+        return SpinSector(self.dim - 1)
 
     def to_dense(self) -> np.ndarray:
         m = np.diag(self.diag)
@@ -91,15 +90,36 @@ class TridiagonalHamiltonian:
         return self.energy_scale * np.asarray(eigenvalues, dtype=float) + self.energy_shift
 
 
+def _tridiagonal(diag, off):
+    """diag and off as float arrays, refusing a diag that is not a non-empty
+    vector and an off that has not one entry fewer."""
+    diag, off = np.asarray(diag, dtype=float), np.asarray(off, dtype=float)
+    if diag.ndim != 1 or not diag.size:
+        raise ValueError(f"diagonal must be a non-empty vector, got shape {diag.shape}")
+    if off.shape != (diag.size - 1,):
+        raise ValueError("off-diagonal length must be dim - 1")
+    return diag, off
+
+
 def gershgorin_bounds(diag, off) -> tuple[float, float]:
     """Inclusive interval holding every eigenvalue of the symmetric
     tridiagonal matrix with diagonal diag and couplings off; an end past the
-    float range is -inf or inf."""
-    r = np.zeros(len(diag))
+    float range is -inf or inf.  Refuses the shapes TridiagonalHamiltonian
+    refuses."""
+    diag, off = _tridiagonal(diag, off)
+    lo, hi = _gershgorin(diag, np.append(off, 0.0), [0])
+    return float(lo[0]), float(hi[0])
+
+
+def _gershgorin(d, o, starts):
+    """Gershgorin intervals (lo, hi) of the tridiagonal matrices stacked in
+    the rows of d, matrix m from row starts[m] on: o[i] couples rows i and
+    i + 1 and is zero at each matrix's last row, so row i's radius is
+    |o[i - 1]| + |o[i]|.  An end past the float range is -inf or inf."""
+    r = np.abs(o)
     with np.errstate(over="ignore"):
-        r[:-1] += np.abs(off)
-        r[1:] += np.abs(off)
-        return float(np.min(diag - r)), float(np.max(diag + r))
+        r[1:] += r[:-1].copy()
+        return np.minimum.reduceat(d - r, starts), np.maximum.reduceat(d + r, starts)
 
 
 def _warn(message: str):
@@ -133,7 +153,7 @@ def _dimer(model, two_j, entries, levels, **inputs) -> TridiagonalHamiltonian:
     if not math.isfinite(abs(scale) * max(-lo, hi) + abs(shift)):
         levels = levels.format(**params)
         raise ValueError(f"{model} physical levels {levels} overflow double precision ({where()})")
-    return TridiagonalHamiltonian(sector, model, diag, off, params, scale, shift)
+    return TridiagonalHamiltonian(model, diag, off, params, scale, shift)
 
 
 def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:

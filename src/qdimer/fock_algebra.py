@@ -41,7 +41,8 @@ if TYPE_CHECKING:
 
 # Largest admitted sector, 1e6 states (memory: see FockSectorBasis).
 MAX_SECTOR_DIM = 1_000_000
-# States a sector build decodes per pass, so that no temporary spans the sector.
+# States that a sector build decodes, and that _targets moves, per pass, so
+# that no temporary spans the sector.
 _RUN = 2**16
 
 
@@ -60,7 +61,8 @@ class FockSectorBasis:
     retained / build peak): 24.0 / 26.6 MB on two sites at M 999999, 24.0 /
     26.6 MB on three at M 1412 and 31.1 / 33.7 MB on four at M 178.  Each
     occupation shift in use adds an int64 target row per state (8 MB at the
-    guard), and a sector operator 8 bytes of amplitude per state, where a
+    guard, formed in runs of _RUN with under 7 MB of temporaries), and a
+    sector operator 8 bytes of amplitude per state, where a
     dense one would take 8 dim^2 bytes = 8 TB; its csr `matrix` adds at most
     24 bytes per state.
     """
@@ -259,10 +261,12 @@ def _targets(basis, delta):
     the sector; computed once per delta and basis."""
     dst = basis._targets.get(delta)
     if dst is None:
-        moved = basis.occupations + np.array(delta, dtype=np.int64)
-        inside = np.all(moved >= 0, axis=1)
+        shift = np.array(delta, dtype=np.int64)
         dst = np.full(basis.dim, -1, dtype=np.int64)
-        dst[inside] = basis.positions(moved[inside])
+        for run in range(0, basis.dim, _RUN):
+            moved = basis.occupations[run:run + _RUN] + shift
+            inside = np.all(moved >= 0, axis=1)
+            dst[run:run + _RUN][inside] = basis.positions(moved[inside])
         basis._targets[delta] = dst
     return dst
 
@@ -286,16 +290,19 @@ class ChevalleyGenerators:
 
     For q != 1 the group-like k_i = q^h_i is also populated.  Every operator
     is a SectorOperator: e_i and f_i are shifts by the hop's occupation
-    change, h and k are diagonal.
+    change, h and k are diagonal.  n is the basis's site count.
     """
 
-    n: int
     q: float
     basis: FockSectorBasis
     e: tuple
     f: tuple
     h: tuple
     k: tuple | None = None
+
+    @property
+    def n(self) -> int:
+        return self.basis.n_sites
 
     @property
     def rank(self) -> int:
@@ -317,7 +324,7 @@ def _chevalley(basis, qnums):
 def su_n_generators(basis: FockSectorBasis) -> ChevalleyGenerators:
     """Boson realization e_i = a_i' a_{i+1}, f_i = e_i', h_i = (N_i - N_{i+1})/2."""
     e, f, h = _chevalley(basis, _boson_numbers(basis))
-    return ChevalleyGenerators(n=basis.n_sites, q=1.0, basis=basis, e=e, f=f, h=h)
+    return ChevalleyGenerators(q=1.0, basis=basis, e=e, f=f, h=h)
 
 
 def _boson_numbers(basis):
@@ -329,7 +336,7 @@ def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
     """q-boson realization of su_q(n) with symmetric q-number matrix elements."""
     e, f, h = _chevalley(basis, _qnum_map(np.arange(basis.total_quanta + 2), q))
     k = tuple(SectorOperator.diagonal(basis, q**x.amp) for x in h)
-    return ChevalleyGenerators(n=basis.n_sites, q=float(q), basis=basis, e=e, f=f, h=h, k=k)
+    return ChevalleyGenerators(q=float(q), basis=basis, e=e, f=f, h=h, k=k)
 
 
 @dataclass
@@ -532,8 +539,8 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int) -> SectorOperator:
     C_2p is diagonal; it is formed on shift amplitudes (_casimir_diagonals).
     Supported for the undeformed algebra only (gens.q = 1).
     """
-    if p < 1 or int(p) != p:
-        raise ValueError(f"p must be a positive integer, got {p}")
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+        raise ValueError(f"p must be a positive integer, got {p!r}")
     if abs(gens.q - 1.0) >= Q_ONE_THRESHOLD:
         raise ValueError("casimir_matrix supports only the undeformed algebra (q = 1)")
     return SectorOperator.diagonal(gens.basis, _casimir_diagonals(gens, int(p))[-1])
@@ -578,13 +585,14 @@ def _casimir_diagonals(gens, p):
     return [d.amp for d in diagonals]
 
 
-def suq2_casimir(gens: ChevalleyGenerators, q: float) -> SectorOperator:
-    """Quadratic su_q(2) invariant [J0][J0 - 1] + J+ J-, eigenvalue [j][j+1];
-    at q = 1 it is the su(2) invariant J0 (J0 - 1) + J+ J-, eigenvalue j(j+1)."""
+def suq2_casimir(gens: ChevalleyGenerators) -> SectorOperator:
+    """Quadratic su_q(2) invariant [J0][J0 - 1] + J+ J-, eigenvalue [j][j+1],
+    at the generators' q; at q = 1 it is the su(2) invariant J0 (J0 - 1) +
+    J+ J-, eigenvalue j(j+1)."""
     if gens.rank != 1:
         raise ValueError("suq2_casimir needs rank-1 generators (two sites)")
     m = gens.h[0].amp
-    values = _qnum_map(m, q) * _qnum_map(m - 1.0, q)
+    values = _qnum_map(m, gens.q) * _qnum_map(m - 1.0, gens.q)
     return SectorOperator.diagonal(gens.basis, values) + gens.e[0] @ gens.f[0]
 
 

@@ -130,7 +130,7 @@ def conservation_suite(n_sites: int, total_quanta: int, gamma: float, epsilon: f
     Hq = _qal_terms(basis, gamma)
     qgens = suq_n_generators(basis, q)
     if n_sites == 2:
-        report.add("al_cq", _commutator_norm(Hq, suq2_casimir(qgens, q).amp), 1e-10 * dim)
+        report.add("al_cq", _commutator_norm(Hq, suq2_casimir(qgens).amp), 1e-10 * dim)
     else:
         chev = verify_chevalley(qgens)
         report.add("al_chevalley", chev.max_residual, 1e-12 * dim)

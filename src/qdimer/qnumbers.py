@@ -46,6 +46,18 @@ def _scalar(x):
     return x.item() if isinstance(x, np.generic) else x
 
 
+def _text(x) -> str:
+    """x as an error message shows it: an integer past the float range, which
+    may have more digits than str() converts, in e-notation to 17 digits."""
+    try:
+        float(x)
+    except OverflowError:
+        from decimal import Decimal
+
+        return f"{Decimal(x):.16e}"
+    return str(x)
+
+
 def sym_qnum(x: float, q: float) -> float:
     """Symmetric q-number [x] = (q^x - q^-x) / (q - q^-1); [x] -> x as q -> 1.
 
@@ -63,7 +75,7 @@ def sym_qnum(x: float, q: float) -> float:
     try:
         finite = math.isfinite(x)
     except OverflowError:  # an integer past double range, and |[x]| >= |x| for |x| >= 1
-        raise ValueError(f"q-number [{x}] at q={float(q):.17g} overflows double precision") from None
+        raise ValueError(f"q-number [{_text(x)}] at q={float(q):.17g} overflows double precision") from None
     if not finite:
         raise ValueError(f"x must be finite, got {x}")
     if abs(q - 1.0) < Q_ONE_THRESHOLD:
@@ -78,7 +90,7 @@ def sym_qnum(x: float, q: float) -> float:
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"q-number [{x}] at q={q:.17g} overflows double precision")
+        raise ValueError(f"q-number [{_text(x)}] at q={q:.17g} overflows double precision")
     return value
 
 
@@ -95,7 +107,7 @@ def basic_qnum(n: int, gamma: float) -> float:
     """
     n, gamma = _scalar(n), _scalar(gamma)
     if not 0 <= n < math.inf or int(n) != n:
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
+        raise ValueError(f"n must be a nonnegative integer, got {_text(n)}")
     if not gamma >= 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     if gamma == math.inf:
@@ -114,7 +126,7 @@ def basic_qnum(n: int, gamma: float) -> float:
         value = math.inf
     if value == math.inf:  # float overflow; an mpf value stays finite
         q = q_from_gamma(gamma).q
-        raise ValueError(f"q-number {{{n}}} at q={q:.17g} (gamma={gamma}) overflows double precision")
+        raise ValueError(f"q-number {{{_text(n)}}} at q={q:.17g} (gamma={gamma}) overflows double precision")
     return value
 
 
@@ -124,11 +136,12 @@ def q_binomial(m: int, n: int, q: float) -> float:
     Raises ValueError where it overflows double precision.
     """
     if not 0 <= n <= m < math.inf or int(m) != m or int(n) != n:
-        raise ValueError(f"need 0 <= n <= m, got m={m}, n={n}")
+        raise ValueError(f"need 0 <= n <= m, got m={_text(m)}, n={_text(n)}")
     k = min(int(n), int(m) - int(n))
     out = 1.0
     for i in range(1, k + 1):
         out *= sym_qnum(m - k + i, q) / sym_qnum(i, q)
     if out == math.inf:
-        raise ValueError(f"q-binomial [{m} over {n}] at q={float(q):.17g} overflows double precision")
+        raise ValueError(f"q-binomial [{_text(m)} over {_text(n)}] at q={float(q):.17g} "
+                         "overflows double precision")
     return out

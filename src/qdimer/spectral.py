@@ -81,7 +81,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimer import TridiagonalHamiltonian
+from .dimer import TridiagonalHamiltonian, _gershgorin
 
 _EPS = float(np.finfo(float).eps)
 # Smallest pivot magnitude of the recurrence kernel; with entries scaled
@@ -124,12 +124,15 @@ class Spectrum:
     hamiltonian: TridiagonalHamiltonian
     eigenvalues: np.ndarray
     vectors: np.ndarray
-    norm_constants: np.ndarray
     vector_method: list = field(default_factory=list)
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
+
+    @property
+    def norm_constants(self) -> np.ndarray:
+        return np.abs(self.vectors[0, :])
 
 
 def _pivots(d, seg, o2, lam, clamp=False):
@@ -312,9 +315,7 @@ def _reduce(Hs) -> _Reduction:
         raise ValueError("Hamiltonian entries must be finite")
     exp = np.frexp(top)[1]
     d, o = np.ldexp(d, -exp[owner]), np.ldexp(o, -exp[owner])
-    r = np.abs(o)
-    r[1:] += r[:-1].copy()
-    glo, ghi = np.minimum.reduceat(d - r, base[:-1]), np.maximum.reduceat(d + r, base[:-1])
+    glo, ghi = _gershgorin(d, o, base[:-1])
     radius = np.where(ghi > -glo, ghi, -glo)
     chiral = ~np.logical_or.reduceat(d != 0.0, base[:-1])[owner]
     rev = 2 * base[owner] + n - 1 - i  # the mirror image of row i
@@ -772,7 +773,6 @@ def solve_spectrum(H: TridiagonalHamiltonian, tol: float = 1e-12) -> Spectrum:
         hamiltonian=H,
         eigenvalues=eigenvalues,
         vectors=vectors,
-        norm_constants=np.abs(vectors[0, :]),
         vector_method=list(methods[order]),
     )
 
@@ -797,7 +797,6 @@ def dense_oracle(H: TridiagonalHamiltonian) -> Spectrum:
         hamiltonian=H,
         eigenvalues=w,
         vectors=v,
-        norm_constants=np.abs(v[0, :]),
         vector_method=["dense"] * H.dim,
     )
 

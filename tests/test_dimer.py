@@ -182,13 +182,21 @@ def test_to_dense_symmetric():
 
 
 def test_tridiagonal_validation():
-    s = SpinSector(2)
+    # the sector is read from the diagonal, which must be a non-empty vector
+    H = TridiagonalHamiltonian("dnls", [1.0, 2.0, 3.0], [0.5, 0.5])
+    assert H.dim == 3 and H.sector == SpinSector(2)
+    for diag in ([], np.zeros((2, 2)), 1.0):
+        with pytest.raises(ValueError, match="^diagonal must be a non-empty vector"):
+            TridiagonalHamiltonian("dnls", diag, [])
+    for off in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
+        with pytest.raises(ValueError, match="^off-diagonal length must be dim - 1$"):
+            TridiagonalHamiltonian("dnls", np.zeros(3), off)
     with pytest.raises(ValueError):
-        TridiagonalHamiltonian(s, "dnls", np.zeros(2), np.zeros(2))
-    with pytest.raises(ValueError):
-        TridiagonalHamiltonian(s, "dnls", np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        TridiagonalHamiltonian(s, "bad", np.zeros(3), np.zeros(2))
+        TridiagonalHamiltonian("bad", np.zeros(3), np.zeros(2))
+    # gershgorin_bounds takes the same shapes
+    for diag, off in (([], []), ([1.0], [2.0]), ([1.0, 2.0], [])):
+        with pytest.raises(ValueError, match="^(diagonal|off-diagonal)"):
+            gershgorin_bounds(diag, off)
 
 
 def test_spectrum_scale_grows_with_gamma():

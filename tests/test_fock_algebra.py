@@ -4,6 +4,7 @@ operators on small occupation-number sectors."""
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,7 +34,7 @@ from qdimer import (
     verify_number_reconstruction,
     verify_serre,
 )
-from qdimer.fock_algebra import _hop, _qnum_map, _root_vectors
+from qdimer.fock_algebra import _hop, _qnum_map, _root_vectors, _targets
 
 
 def _q_hop(basis, i, j, q):
@@ -123,6 +124,26 @@ def test_guard_sector_build_peak():
                                                       [total] + [0] * (n_sites - 1)]
         assert np.array_equal(b.positions(b.occupations), np.arange(b.dim))
         del b
+
+
+def test_guard_sector_targets_peak():
+    # a shift's first target rows are formed over runs of states, so near
+    # the guard they peak 4.6-6.5 MiB above the rows they keep; one pass
+    # over the whole occupation table would peak 70-96 MiB above them
+    for n_sites, total in ((2, 999_999), (3, 1412), (4, 178)):
+        b = build_sector_basis(n_sites, total)
+        delta = (1, -1) + (0,) * (n_sites - 2)
+        tracemalloc.start()
+        try:
+            dst = _targets(b, delta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dst.nbytes + 8 * 2**20
+        live = b.occupations[:, 1] > 0
+        assert np.array_equal(dst[~live], np.full(np.count_nonzero(~live), -1))
+        assert np.array_equal(b.occupations[dst[live]], b.occupations[live] + delta)
+        del b, dst
 
 
 def test_sector_operator_shape_check():
@@ -333,7 +354,7 @@ def test_su2_casimir_closed_form():
     # spin-1 sector: at q = 1, J0(J0-1) + J+J- has the single eigenvalue j(j+1) = 2
     basis = build_sector_basis(2, 2)
     gens = su_n_generators(basis)
-    c = suq2_casimir(gens, 1.0).matrix
+    c = suq2_casimir(gens).matrix
     assert np.max(np.abs(c - 2.0 * np.eye(basis.dim))) < 1e-12
     for g in gens.e + gens.f + gens.h:
         m = g.matrix
@@ -344,12 +365,26 @@ def test_suq2_casimir_closed_form():
     q = 1.0 / math.sqrt(2.0)
     basis = build_sector_basis(2, 2)
     gens = suq_n_generators(basis, q)
-    c = suq2_casimir(gens, q).matrix
+    c = suq2_casimir(gens).matrix
     expect = sym_qnum(1, q) * sym_qnum(2, q)
     assert np.max(np.abs(c - expect * np.eye(basis.dim))) < 1e-12
     for g in gens.e + gens.f:
         m = g.matrix
         assert np.max(np.abs(c @ m - m @ c)) < 1e-12
+
+
+def test_suq2_casimir_reads_q_from_generators():
+    # the invariant is taken at the generators' own q, so it is the scalar
+    # [j][j+1] on every spin-j sector, and the su(2) one for su_n_generators
+    for total in range(7):
+        basis = build_sector_basis(2, total)
+        j = 0.5 * total
+        for q in (1.0, 0.5, 0.7, 2.0):
+            c = suq2_casimir(suq_n_generators(basis, q)).amp
+            expect = sym_qnum(j, q) * sym_qnum(j + 1.0, q)
+            assert np.max(np.abs(c - expect)) <= 1e-12 * expect + 1e-15, (total, q)
+        assert np.array_equal(suq2_casimir(su_n_generators(basis)).amp,
+                              suq2_casimir(suq_n_generators(basis, 1.0)).amp)
 
 
 def test_casimir_matrix_su2_scalar():
@@ -409,6 +444,16 @@ def test_casimir_matrix_rejects_deformed():
     gens = suq_n_generators(build_sector_basis(3, 2), 0.5)
     with pytest.raises(ValueError):
         casimir_matrix(gens, p=1)
+
+
+def test_casimir_matrix_refuses_non_integer_degree():
+    # a bool or an integral float is not taken for p (True would give C_2,
+    # 2.0 would give C_4), as SpinSector and FockSectorBasis refuse them
+    gens = su_n_generators(build_sector_basis(3, 2))
+    for p in (True, False, 2.0, 1.5, 0, -1, "2"):
+        with pytest.raises(ValueError, match=f"^p must be a positive integer, got {re.escape(repr(p))}$"):
+            casimir_matrix(gens, p)
+    assert np.array_equal(casimir_matrix(gens, np.int64(2)).amp, casimir_matrix(gens, 2).amp)
 
 
 def test_omega_matrix():

@@ -124,18 +124,23 @@ def test_qnumber_overflow_is_a_value_error():
 
 def test_counts_past_double_range_are_refused():
     # 10^400 is past double range, and so is every q-number of it: each is a
-    # ValueError naming the q-number, not an OverflowError; a q-binomial or
-    # a basic q-number that overflows only in its last division is one too,
-    # not inf
-    big = 10**400
-    cases = ((basic_qnum, (big, 0.0), r"q-number \{10{400}\} at q=1 \(gamma=0.0\)"),
-             (basic_qnum, (big, 2.0), r"q-number \{10{400}\} at q=0.70710678118654746 \(gamma=2.0\)"),
+    # ValueError naming the q-number, not an OverflowError, with the count in
+    # e-notation, so 10^5000, past the 4300 digits str() converts, is named
+    # too; a q-binomial or a basic q-number that overflows only in its last
+    # division is refused too, not inf
+    big, huge = 10**400, 10**5000
+    e400, e5000 = r"1\.0{16}e\+400", r"1\.0{16}e\+5000"
+    cases = ((basic_qnum, (big, 0.0), rf"q-number \{{{e400}\}} at q=1 \(gamma=0.0\)"),
+             (basic_qnum, (big, 2.0), rf"q-number \{{{e400}\}} at q=0.70710678118654746 \(gamma=2.0\)"),
+             (basic_qnum, (huge, 2.0), rf"q-number \{{{e5000}\}} at q=0.70710678118654746 \(gamma=2.0\)"),
              (basic_qnum, (69_300_000_000, 2e-8), r"q-number \{69300000000\} at q=0.99999999500000003 "
                                                    r"\(gamma=2e-08\)"),
-             (sym_qnum, (big, 0.5), r"q-number \[10{400}\] at q=0.5"),
-             (sym_qnum, (-big, 1.0), r"q-number \[-10{400}\] at q=1"),
-             (sym_qnum, (big, mp.mpf(0.5)), r"q-number \[10{400}\] at q=0.5"),
-             (q_binomial, (big, 1, 0.5), r"q-number \[10{400}\] at q=0.5"),
+             (sym_qnum, (big, 0.5), rf"q-number \[{e400}\] at q=0.5"),
+             (sym_qnum, (-big, 1.0), rf"q-number \[-{e400}\] at q=1"),
+             (sym_qnum, (big, mp.mpf(0.5)), rf"q-number \[{e400}\] at q=0.5"),
+             (sym_qnum, (huge, 0.5), rf"q-number \[{e5000}\] at q=0.5"),
+             (q_binomial, (big, 1, 0.5), rf"q-number \[{e400}\] at q=0.5"),
+             (q_binomial, (huge, 1, 0.5), rf"q-number \[{e5000}\] at q=0.5"),
              (q_binomial, (2000, 1000, 1.0), r"q-binomial \[2000 over 1000\] at q=1"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")

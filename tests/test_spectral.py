@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from qdimer import (
     MODELS,
-    SpinSector,
     TridiagonalHamiltonian,
     build_dimer,
     build_qal_dimer,
@@ -95,7 +94,7 @@ def test_sturm_rejects_non_finite():
     for bad in (float("nan"), float("inf")):
         diag = H.diag.copy()
         diag[1] = bad
-        H_bad = TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
+        H_bad = TridiagonalHamiltonian("dnls", diag, H.off)
         with pytest.raises(ValueError, match="must be finite"):
             eigenvalues_bisection(H_bad)
         with pytest.raises(ValueError, match="must be finite"):
@@ -274,7 +273,7 @@ def _float_range_matrices():
         out.append((d, o))
     out += [([0.0] * 4, [1e308] * 3), ([1e308, -1e308], [1e308]),
             ([0.0] * 3, [0.8e300, 0.63e300]), ([1.5e308] * 3, [1e308] * 2)]
-    return [TridiagonalHamiltonian(SpinSector(len(d) - 1), "al", d, o) for d, o in out]
+    return [TridiagonalHamiltonian("al", d, o) for d, o in out]
 
 
 def test_float_range_matches_lapack():
@@ -302,7 +301,7 @@ def test_float_range_matches_lapack():
 def test_overflowing_eigenvalue_refused():
     # LAPACK's top eigenvalue here is inf; the bracket from the unscaled
     # Gershgorin interval once gave [1.5e308, nan, nan]
-    H = TridiagonalHamiltonian(SpinSector(2), "al", [1.5e308] * 3, [1e308] * 2)
+    H = TridiagonalHamiltonian("al", [1.5e308] * 3, [1e308] * 2)
     for solve in (lambda: eigenvalues_batch([H]), lambda: eigenvalues_batch([H], top=1),
                   lambda: solve_spectrum(H)):
         with pytest.raises(ValueError, match="eigenvalue overflows double precision"):
@@ -383,7 +382,7 @@ def test_short_window_takes_one_more_sweep(monkeypatch):
     # counted in one more sweep, which keeps every root bitwise
     diag = np.zeros(40)
     diag[-1] = 1000.0
-    H = TridiagonalHamiltonian(SpinSector(39), "dnls", diag, np.ones(39))
+    H = TridiagonalHamiltonian("dnls", diag, np.ones(39))
     full = eigenvalues_batch([H])[0]
     one, roots = _first_phase_calls(monkeypatch, [H], 1)
     assert roots[0].tobytes() == _top(full, 1).tobytes()
@@ -412,13 +411,12 @@ def _random_stack(rng):
     Hs = []
     for n in (5, 9, 3, 7):
         off = rng.uniform(0.1, 1.0, n - 1)
-        Hs.append(TridiagonalHamiltonian(SpinSector(n - 1), "dnls", rng.uniform(-1, 1, n), off))
+        Hs.append(TridiagonalHamiltonian("dnls", rng.uniform(-1, 1, n), off))
     off = Hs[1].off.copy()
     off[3] = 0.0
-    Hs[1] = TridiagonalHamiltonian(Hs[1].sector, "dnls", Hs[1].diag, off)
+    Hs[1] = TridiagonalHamiltonian("dnls", Hs[1].diag, off)
     d = rng.uniform(-1, 1, 6)
-    Hs.append(TridiagonalHamiltonian(SpinSector(5), "dnls", np.concatenate((d[:3], d[2::-1])),
-                                     [0.3, 0.5, 0.7, 0.5, 0.3]))
+    Hs.append(TridiagonalHamiltonian("dnls", np.concatenate((d[:3], d[2::-1])), [0.3, 0.5, 0.7, 0.5, 0.3]))
     _, seg, _, d, off = _stack(_reduce(Hs))
     lam = rng.uniform(-1.0, 1.0, seg.size)
     lam[0] = d[d[:, 0] != spectral._PAD_DIAG, 0][0]
@@ -475,8 +473,8 @@ def test_kernel_matches_scalar_recurrence():
     # one _ROWS block, at random shifts; column 0's first real pivot is
     # exactly 0, so its first sweep runs into infinities and is redone
     rng = np.random.default_rng(29)
-    Hs = [TridiagonalHamiltonian(SpinSector(n - 1), "dnls", rng.uniform(-1, 1, n),
-                                 rng.uniform(0.1, 1.0, n - 1)) for n in (3, 45, 20, 2, 37)]
+    Hs = [TridiagonalHamiltonian("dnls", rng.uniform(-1, 1, n), rng.uniform(0.1, 1.0, n - 1))
+          for n in (3, 45, 20, 2, 37)]
     _, seg, _, d, off = _stack(_reduce(Hs))
     o2 = off * off
     pad = np.take(d, seg, axis=1) == spectral._PAD_DIAG
@@ -572,7 +570,7 @@ def test_newton_iterates_do_not_swing_between_bracket_ends(monkeypatch):
     H = build_qdnls_dimer(73, 6.79729402773982)
     diag = H.diag.copy()
     diag[12] += 1.0
-    H = TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
+    H = TridiagonalHamiltonian("dnls", diag, H.off)
     assert _sweeps(monkeypatch, eigenvalues_bisection, H, 1e-15)[0] <= 100
     ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
     assert np.max(np.abs(eigenvalues_bisection(H, 1e-15) - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -658,7 +656,7 @@ def _zero_diagonal(n, persymmetric):
     if persymmetric:
         off = np.where(np.arange(n - 1) < (n - 1) / 2, off, off[::-1])
     off[[1, n - 3]] = 0.0
-    return TridiagonalHamiltonian(SpinSector(n - 1), "al", np.zeros(n), off)
+    return TridiagonalHamiltonian("al", np.zeros(n), off)
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
@@ -686,7 +684,7 @@ def test_chiral_fold_of_hand_built_matrices(n, persymmetric):
 def test_chiral_fold_under_the_ritz_guard():
     # level pairs 1e-9 apart inside the even block: the Rayleigh-Ritz guard
     # replaces solved and mirrored columns alike
-    H = TridiagonalHamiltonian(SpinSector(5), "al", np.zeros(6), [1.0, 1e-9, 1.0, 1e-9, 1.0])
+    H = TridiagonalHamiltonian("al", np.zeros(6), [1.0, 1e-9, 1.0, 1e-9, 1.0])
     s = solve_spectrum(H)
     assert {"ritz", "chiral", "recurrence"} == set(s.vector_method)
     assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-14
@@ -733,7 +731,7 @@ def _nudged_dimer():
     H = build_qdnls_dimer(30, 8.0)
     diag = H.diag.copy()
     diag[0] += 1e-9
-    return TridiagonalHamiltonian(H.sector, "dnls", diag, H.off)
+    return TridiagonalHamiltonian("dnls", diag, H.off)
 
 
 def test_non_persymmetric_input_stays_orthonormal(monkeypatch):
@@ -767,7 +765,7 @@ def _mixed_dimers():
     H = build_qdnls_dimer(30, 8.0)
     diag = H.diag.copy()
     diag[0] += 1e-9
-    Hs.append(TridiagonalHamiltonian(H.sector, "dnls", diag, H.off))
+    Hs.append(TridiagonalHamiltonian("dnls", diag, H.off))
     return Hs
 
 
@@ -782,6 +780,19 @@ def test_batch_matches_per_matrix(tol):
     assert len(batch) == len(Hs)
     for H, evs in zip(Hs, batch):
         assert np.array_equal(evs, eigenvalues_bisection(H, tol)), (H.model, H.dim)
+
+
+def test_reduce_brackets_are_gershgorin():
+    # each matrix's search interval is gershgorin_bounds of the scaled H,
+    # widened by 1e-3 of its larger end's magnitude
+    Hs = _mixed_dimers()
+    red = _reduce(Hs)
+    for m, H in enumerate(Hs):
+        d, o, exp = _scaled(H)
+        lo, hi = gershgorin_bounds(d, o)
+        radius = max(-lo, hi)
+        assert (red.exp[m], red.radius[m]) == (exp, radius)
+        assert (red.lo[m], red.hi[m]) == (lo - 1e-3 * radius, hi + 1e-3 * radius), (H.model, H.dim)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-15])
@@ -1093,7 +1104,7 @@ def test_dense_oracle_single_level():
     # the 1 x 1 sector: eigenvalue d0, vector [[1]], norm constant 1
     with pytest.warns(UserWarning, match="1x1 sector"):
         Hs = [build_dimer(model, 0, 2.0) for model in ("dnls", "al")]
-    Hs.append(TridiagonalHamiltonian(SpinSector(0), "dnls", [-3.5], []))
+    Hs.append(TridiagonalHamiltonian("dnls", [-3.5], []))
     for H in Hs:
         o = dense_oracle(H)
         assert np.array_equal(o.eigenvalues, H.diag)

@@ -8,7 +8,9 @@ Run it against two source trees and compare the two listings:
     diff before.txt after.txt
 
 It calls the public API only (the names `qdimer` exports and the command
-line's `qdimer.cli.main`), so it runs on older trees too.  A call that
+line's `qdimer.cli.main`), so it runs on older trees too, except where a
+call form it uses has changed: there, compare the older tree's own copy of
+this tool on that tree with this one on the new tree.  A call that
 raises is hashed as its exception type and message; refusals of invalid
 input have a group of their own, so a changed error text shows there
 alone, and so do the residuals of the spectral checks (`checks`), so the
@@ -127,8 +129,13 @@ def refusals(g):
                     (qdimer.sym_qnum, (nan, 0.5)), (qdimer.q_binomial, (3, 1, inf)),
                     (qdimer.conservation_suite, (2, 3, inf)), (qdimer.basic_qnum, (10**400, 0.0)),
                     (qdimer.basic_qnum, (69_300_000_000, 2e-8)), (qdimer.sym_qnum, (10**400, 0.5)),
-                    (qdimer.q_binomial, (10**400, 1, 0.5)), (qdimer.q_binomial, (2000, 1000, 1.0))):
+                    (qdimer.q_binomial, (10**400, 1, 0.5)), (qdimer.q_binomial, (2000, 1000, 1.0)),
+                    (qdimer.basic_qnum, (10**5000, 2.0)), (qdimer.sym_qnum, (10**5000, 0.5)),
+                    (qdimer.q_binomial, (10**5000, 1, 0.5))):
         g.add(attempt(f, *args))
+    gens = qdimer.su_n_generators(qdimer.build_sector_basis(3, 2))
+    for p in (True, 2.0, 0):
+        g.add(attempt(lambda: qdimer.casimir_matrix(gens, p).amp))
 
 
 def batch(g):
@@ -201,7 +208,7 @@ def algebra(g):
               _report(qdimer.verify_number_reconstruction(b)))
         if n == 2:
             for q in (1.0, 0.7):
-                g.add(qdimer.suq2_casimir(qdimer.suq_n_generators(b, q), q).amp)
+                g.add(qdimer.suq2_casimir(qdimer.suq_n_generators(b, q)).amp)
     for gamma in (0.0, 2.0, 8.0):
         g.add(_report(qdimer.verify_al_relations(*qdimer.al_oscillator_ops(20, gamma), gamma, 20)))
     for n, m, gamma in ((2, 5, 2.0), (2, 21, 8.0), (3, 4, 0.5), (3, 11, 8.0), (4, 3, 2.0)):
