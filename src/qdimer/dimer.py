@@ -17,67 +17,35 @@ from __future__ import annotations
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .qnumbers import Q_ONE_THRESHOLD, q_from_gamma, sym_qnum
+from .qnumbers import Q_ONE_THRESHOLD, _finite, _is_count, q_from_gamma, sym_qnum
 
 MODELS = ("dnls", "al")
-
-
-@dataclass(frozen=True)
-class SpinSector:
-    """Spin sector carrying 2j = total quanta of the two-site problem."""
-
-    two_j: int
-
-    def __post_init__(self):
-        two_j = self.two_j
-        if isinstance(two_j, bool) or not isinstance(two_j, (int, np.integer)) or two_j < 0:
-            raise ValueError(f"two_j must be a nonnegative integer, got {two_j}")
-
-    @property
-    def j(self) -> float:
-        return 0.5 * self.two_j
-
-    @property
-    def dim(self) -> int:
-        return self.two_j + 1
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return -self.j + np.arange(self.dim)
 
 
 @dataclass
 class TridiagonalHamiltonian:
     """Symmetric tridiagonal sector Hamiltonian with chain-energy metadata.
 
-    diag[k] and off[k] couple the m = -j + k ladder; eigenvalues of the
-    physical two-site chain are energy_scale * lambda + energy_shift.
-    The sector, 2j = dim - 1, is read from the length of diag.
+    diag[k] and off[k] couple the m = -j + k ladder, 2j = dim - 1;
+    eigenvalues of the physical two-site chain are energy_scale * lambda +
+    energy_shift.
     """
 
-    model: str
     diag: np.ndarray
     off: np.ndarray
-    params: dict = field(default_factory=dict)
     energy_scale: float = 1.0
     energy_shift: float = 0.0
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         self.diag, self.off = _tridiagonal(self.diag, self.off)
 
     @property
     def dim(self) -> int:
         return self.diag.size
-
-    @property
-    def sector(self) -> SpinSector:
-        return SpinSector(self.dim - 1)
 
     def to_dense(self) -> np.ndarray:
         m = np.diag(self.diag)
@@ -106,7 +74,11 @@ def gershgorin_bounds(diag, off) -> tuple[float, float]:
     tridiagonal matrix with diagonal diag and couplings off; an end past the
     float range is -inf or inf.  Refuses the shapes TridiagonalHamiltonian
     refuses."""
-    diag, off = _tridiagonal(diag, off)
+    return _bounds(*_tridiagonal(diag, off))
+
+
+def _bounds(diag, off) -> tuple[float, float]:
+    """gershgorin_bounds of a diag and off that are already checked."""
     lo, hi = _gershgorin(diag, np.append(off, 0.0), [0])
     return float(lo[0]), float(hi[0])
 
@@ -131,29 +103,29 @@ def _warn(message: str):
     warnings.warn(message, stacklevel=level)
 
 
-def _dimer(model, two_j, entries, levels, **inputs) -> TridiagonalHamiltonian:
-    """The model's sector Hamiltonian at finite inputs (gamma, epsilon).
-    entries(sector, where) gives its diag, off, params, energy_scale and
-    energy_shift, refusing entries that overflow; where() is the "two_j=...,
-    gamma=..." text that ends every refusal.  With [lo, hi] the Gershgorin
-    interval, |energy_scale| max(-lo, hi) + |energy_shift| bounds the physical
-    levels (levels formatted with params): a ValueError where it overflows."""
-    for name, x in inputs.items():
-        if not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x}")
-    sector = SpinSector(two_j)
+def _dimer(model, two_j, entries, **inputs) -> TridiagonalHamiltonian:
+    """The model's sector Hamiltonian at finite inputs (gamma, epsilon) and
+    a sector size two_j, an integer >= 0.  entries(where) gives its diag,
+    off, energy_scale and energy_shift and the text of its physical levels,
+    refusing entries that overflow; where() is the "two_j=..., gamma=..."
+    text that ends every refusal.  With [lo, hi] the Gershgorin interval of
+    H, |energy_scale| max(-lo, hi) + |energy_shift| bounds the physical
+    levels: a ValueError where it overflows."""
+    _finite(**inputs)
+    if not _is_count(two_j):
+        raise ValueError(f"two_j must be a nonnegative integer, got {two_j}")
     if two_j == 0:
         _warn("two_j = 0 gives a degenerate 1x1 sector")
 
     def where():
         return ", ".join(f"{name}={x}" for name, x in dict(two_j=two_j, **inputs).items())
 
-    diag, off, params, scale, shift = entries(sector, where)
-    lo, hi = gershgorin_bounds(diag, off)
+    diag, off, scale, shift, levels = entries(where)
+    H = TridiagonalHamiltonian(diag, off, scale, shift)
+    lo, hi = _bounds(H.diag, H.off)
     if not math.isfinite(abs(scale) * max(-lo, hi) + abs(shift)):
-        levels = levels.format(**params)
         raise ValueError(f"{model} physical levels {levels} overflow double precision ({where()})")
-    return TridiagonalHamiltonian(model, diag, off, params, scale, shift)
+    return H
 
 
 def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:
@@ -165,19 +137,18 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     Raises ValueError where an entry, or a physical level's Gershgorin
     bound, overflows double precision.
     """
-    def entries(sector, where):
+    def entries(where):
         if gamma < 0:
             _warn("negative gamma: attractive convention")
-        k = np.arange(two_j)
+        k, j = np.arange(two_j), 0.5 * two_j
         with np.errstate(over="ignore"):
             off = epsilon * np.sqrt((two_j - k) * (k + 1))
-            diag = 0.5 * gamma * sector.m_values**2
+            diag = 0.5 * gamma * (np.arange(two_j + 1) - j) ** 2  # (gamma/2) m^2
         if not (np.isfinite(diag).all() and np.isfinite(off).all()):
             raise ValueError(f"dnls entries overflow double precision ({where()})")
-        params = {"gamma": float(gamma), "epsilon": float(epsilon), "chain_gamma": 0.5 * gamma}
-        return diag, off, params, -1.0, -0.5 * gamma * sector.j * sector.j
+        return diag, off, -1.0, -0.5 * gamma * j * j, "-lambda - (gamma/2) j^2"
 
-    return _dimer("dnls", two_j, entries, "-lambda - (gamma/2) j^2", gamma=gamma, epsilon=epsilon)
+    return _dimer("dnls", two_j, entries, gamma=gamma, epsilon=epsilon)
 
 
 def _sym_qnums(n_max: int, q: float) -> list[float]:
@@ -208,7 +179,7 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     a coupling, or a physical level's Gershgorin bound, overflows double
     precision.
     """
-    def entries(sector, where):
+    def entries(where):
         q = q_from_gamma(gamma).q
         qn = np.array(_sym_qnums(two_j, q))
         with np.errstate(over="ignore"):
@@ -218,10 +189,11 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
             k = int(bad[0])
             raise ValueError(f"al coupling off[{k}] = sqrt([{two_j - k}] [{k + 1}]) at "
                              f"q={q:.17g} overflows double precision ({where()})")
-        scale = -(q ** (0.5 - sector.j))
-        return np.zeros(sector.dim), off, {"gamma": float(gamma), "q": q}, scale, 2.0 * two_j
+        scale = -(q ** (0.5 - 0.5 * two_j))
+        levels = f"-q^(1/2 - j) lambda + 2 M at q={q:.17g}"
+        return np.zeros(two_j + 1), off, scale, 2.0 * two_j, levels
 
-    return _dimer("al", two_j, entries, "-q^(1/2 - j) lambda + 2 M at q={q:.17g}", gamma=gamma)
+    return _dimer("al", two_j, entries, gamma=gamma)
 
 
 def build_dimer(model: str, two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .qnumbers import Q_ONE_THRESHOLD, basic_qnum, q_binomial, sym_qnum
+from .qnumbers import Q_ONE_THRESHOLD, _is_count, basic_qnum, q_binomial, sym_qnum
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -69,7 +69,7 @@ class FockSectorBasis:
 
     def __init__(self, n_sites: int, total_quanta: int):
         for name, x, least in (("n_sites", n_sites, 1), ("total_quanta", total_quanta, 0)):
-            if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < least:
+            if not _is_count(x, least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {x!r}")
         dim = math.comb(total_quanta + n_sites - 1, n_sites - 1)
         if dim > MAX_SECTOR_DIM:
@@ -216,7 +216,7 @@ def _csr(ops) -> sparse.csr_array:
 
 def _site_range_check(basis, *sites):
     for s in sites:
-        if not 1 <= s <= basis.n_sites:
+        if not (_is_count(s, 1) and s <= basis.n_sites):
             raise ValueError(f"site index {s} outside 1..{basis.n_sites}")
 
 
@@ -278,8 +278,8 @@ def _sum(terms):
 
 def cartan_matrix(n: int) -> np.ndarray:
     """A_{n-1} Cartan matrix: 2 on the diagonal, -1 on adjacent off-diagonals."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if not _is_count(n, 2):
+        raise ValueError(f"need an integer n >= 2, got {n!r}")
     return (2 * np.eye(n - 1, dtype=int) - np.eye(n - 1, k=1, dtype=int)
             - np.eye(n - 1, k=-1, dtype=int))
 
@@ -462,8 +462,8 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
 
 def al_oscillator_ops(n_max: int, gamma: float):
     """Truncated (n_max+1)-dim matrices (b, b', N) with b|n> = sqrt({n}) |n-1>."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if not _is_count(n_max, 1):
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
     amps = np.array([math.sqrt(basic_qnum(n, gamma)) for n in range(1, n_max + 1)])
     b = np.diag(amps, 1)
     bd = b.T.copy()
@@ -539,7 +539,7 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int) -> SectorOperator:
     C_2p is diagonal; it is formed on shift amplitudes (_casimir_diagonals).
     Supported for the undeformed algebra only (gens.q = 1).
     """
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or p < 1:
+    if not _is_count(p, 1):
         raise ValueError(f"p must be a positive integer, got {p!r}")
     if abs(gens.q - 1.0) >= Q_ONE_THRESHOLD:
         raise ValueError("casimir_matrix supports only the undeformed algebra (q = 1)")
@@ -605,8 +605,8 @@ def omega_matrix(n: int) -> np.ndarray:
     """Difference-plus-total matrix: rows i < n carry (1, -1) at (i, i+1),
     the last row is all ones.  Applied to (N_1..N_n) it yields the n - 1
     differences N_i - N_{i+1} and the total number."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+    if not _is_count(n, 2):
+        raise ValueError(f"need an integer n >= 2, got {n!r}")
     om = np.eye(n) - np.eye(n, k=1)
     om[-1] = 1.0
     return om

@@ -41,14 +41,16 @@ from .fock_algebra import (
     verify_chevalley,
     verify_serre,
 )
-from .qnumbers import q_from_gamma
+from .qnumbers import _finite, q_from_gamma
 
 if TYPE_CHECKING:
     from scipy import sparse
 
 
 def _qdnls_terms(basis, gamma, epsilon):
-    """The nonlinear chain as its diagonal and its 2(n-1) scaled hops."""
+    """The nonlinear chain as its diagonal and its 2(n-1) scaled hops, at a
+    finite gamma and epsilon."""
+    _finite(gamma=gamma, epsilon=epsilon)
     well = np.zeros(basis.dim)
     for i in range(1, basis.n_sites + 1):
         num = number_operator(basis, i).amp
@@ -77,7 +79,8 @@ def _chain_csr(terms) -> sparse.csr_array:
 
 def build_qdnls_chain(basis: FockSectorBasis, gamma: float, epsilon: float = 1.0) -> sparse.csr_array:
     """Sparse sector matrix of the nonlinear chain: -eps * sum of neighbour
-    hops minus (gamma/2) * sum n_i^2 (`.toarray()` for the dense matrix)."""
+    hops minus (gamma/2) * sum n_i^2 (`.toarray()` for the dense matrix).
+    Refuses a gamma or epsilon that is not finite, as build_qdnls_dimer does."""
     return _chain_csr(_qdnls_terms(basis, gamma, epsilon))
 
 
@@ -104,7 +107,7 @@ def _commutator_norm(terms, c) -> float:
     return _maxabs(np.concatenate([t.amp * c - c[t.dst] * t.amp for t in terms]))
 
 
-def conservation_suite(n_sites: int, total_quanta: int, gamma: float, epsilon: float = 1.0) -> ConservationReport:
+def conservation_suite(n_sites: int, total_quanta: int, gamma: float) -> ConservationReport:
     """Commutator checks for one sector: nonlinear chain against the
     quadratic and quartic invariants and a Cartan charge; on two sites also
     the deformed chain against the deformed quadratic invariant.
@@ -121,7 +124,7 @@ def conservation_suite(n_sites: int, total_quanta: int, gamma: float, epsilon: f
 
     total_number = basis.occupations.sum(axis=1).astype(float)
 
-    H = _qdnls_terms(basis, gamma, epsilon)
+    H = _qdnls_terms(basis, gamma, 1.0)
     c2, c4 = _casimir_diagonals(su_n_generators(basis), 2)
     report.add("dnls_c2", _commutator_norm(H, c2), 1e-10 * dim)
     report.add("dnls_c4", _commutator_norm(H, c4), 1e-8 * dim)

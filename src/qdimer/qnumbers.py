@@ -39,6 +39,20 @@ def q_from_gamma(gamma: float) -> DeformationParameter:
     return DeformationParameter(gamma=float(gamma), q=q, s=math.log(q))
 
 
+def _is_count(x, least: int = 0) -> bool:
+    """Whether x is a Python or numpy integer, not a bool, and x >= least:
+    the one rule for every integer input, each caller refusing in its own
+    words."""
+    return not isinstance(x, bool) and isinstance(x, (int, np.integer)) and x >= least
+
+
+def _finite(**inputs):
+    """Refuse the first named input that is not finite."""
+    for name, x in inputs.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x}")
+
+
 def _scalar(x):
     """x as a Python number where it is a numpy scalar, whose powers return
     inf with a RuntimeWarning where Python's raise OverflowError; any other

@@ -82,6 +82,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dimer import TridiagonalHamiltonian, _gershgorin
+from .qnumbers import _is_count
 
 _EPS = float(np.finfo(float).eps)
 # Smallest pivot magnitude of the recurrence kernel; with entries scaled
@@ -622,8 +623,7 @@ def eigenvalues_batch(Hs, tol: float = 1e-12, top=None) -> list[np.ndarray]:
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    if top is not None and (isinstance(top, bool)
-                            or not (isinstance(top, (int, np.integer)) and top >= 0)):
+    if top is not None and not _is_count(top):
         raise ValueError(f"top must be a count >= 0, got {top!r}")
     Hs = list(Hs)
     if not Hs:
@@ -930,10 +930,12 @@ class ParityReport:
 
 
 def parity_structure_check(spectrum: Spectrum, tol: float = 1e-10) -> ParityReport:
-    """Check the deformed-dimer spectrum is symmetric under lam -> -lam and
-    that a zero eigenvalue occurs exactly for odd dimension (integer spin)."""
-    if spectrum.hamiltonian.model != "al":
-        raise ValueError("parity structure applies to the 'al' model only")
+    """Check the spectrum of a zero-diagonal H, such as the deformed dimer's,
+    is symmetric under lam -> -lam and that a zero eigenvalue occurs exactly
+    for odd dimension (integer spin): the symmetry the chiral fold builds in
+    (see _reduce).  Refuses an H with a nonzero diagonal entry."""
+    if spectrum.hamiltonian.diag.any():
+        raise ValueError("parity structure applies to a Hamiltonian with a zero diagonal only")
     evs = spectrum.eigenvalues
     dim = evs.size
     pair_res = np.abs(evs + evs[::-1])

@@ -13,7 +13,6 @@ import time
 import numpy as np
 
 from qdimer import (
-    SpinSector,
     al_oscillator_ops,
     build_dimer,
     build_qal_chain,
@@ -68,7 +67,7 @@ def test_criterion_1_oracle_equivalence():
 def test_criterion_2_linear_limit():
     worst = 0.0
     for two_j in (1, 2, 3, 4, 6, 8, 12, 16, 20):
-        m = SpinSector(two_j).m_values
+        m = np.arange(two_j + 1) - 0.5 * two_j
         for model, eps in (("dnls", 1.0), ("dnls", 0.7), ("al", 1.0)):
             H = build_dimer(model, two_j, 0.0, eps)
             evs = solve_spectrum(H).eigenvalues

@@ -8,7 +8,6 @@ import pytest
 from scipy.linalg import eigvalsh_tridiagonal
 
 from qdimer import (
-    SpinSector,
     TridiagonalHamiltonian,
     build_dimer,
     build_qal_dimer,
@@ -23,20 +22,19 @@ from qdimer.dimer import _sym_qnums
 
 
 def test_spin_sector():
-    s = SpinSector(5)
-    assert s.j == 2.5
-    assert s.dim == 6
-    assert np.array_equal(s.m_values, np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]))
-    with pytest.raises(ValueError):
-        SpinSector(-1)
+    # the ladder m = -j .. j of 2j + 1 levels, and a negative 2j refused
+    H = build_qdnls_dimer(5, 2.0)
+    assert H.dim == 6
+    assert np.array_equal(H.diag, np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5]) ** 2)
+    for model in ("dnls", "al"):
+        with pytest.raises(ValueError, match="^two_j must be a nonnegative integer, got -1$"):
+            build_dimer(model, -1, 1.0)
 
 
 @pytest.mark.parametrize("two_j", [2.0, np.float64(3.0), True, np.True_, "3"])
 def test_sector_size_must_be_an_integer(two_j):
     # an integral float or a bool is not a sector size: refused like -1,
     # not taken as 2j or ended in a numpy cast error
-    with pytest.raises(ValueError, match="two_j must be a nonnegative integer"):
-        SpinSector(two_j)
     for model in ("dnls", "al"):
         with pytest.raises(ValueError, match="two_j must be a nonnegative integer"):
             build_dimer(model, two_j, 1.0)
@@ -83,7 +81,7 @@ def test_qdnls_two_level_closed_form():
 def test_linear_limit_spectra():
     # gamma=0 collapses both models onto the equally spaced ladder 2 m eps
     for two_j in (2, 4, 7):
-        m = SpinSector(two_j).m_values
+        m = np.arange(two_j + 1) - 0.5 * two_j
         evs = np.linalg.eigvalsh(build_qdnls_dimer(two_j, 0.0).to_dense())
         assert np.max(np.abs(evs - 2.0 * m)) < 1e-12
         evs = np.linalg.eigvalsh(build_qal_dimer(two_j, 0.0).to_dense())
@@ -113,7 +111,6 @@ def test_energy_metadata():
     H = build_qdnls_dimer(6, 2.0)
     assert H.energy_scale == -1.0
     assert abs(H.energy_shift + 0.5 * 2.0 * 3.0 * 3.0) < 1e-15
-    assert H.params["chain_gamma"] == 1.0
     dp = q_from_gamma(3.0)
     H = build_qal_dimer(5, 3.0)
     assert abs(H.energy_scale + dp.q ** (0.5 - 2.5)) < 1e-15
@@ -182,17 +179,15 @@ def test_to_dense_symmetric():
 
 
 def test_tridiagonal_validation():
-    # the sector is read from the diagonal, which must be a non-empty vector
-    H = TridiagonalHamiltonian("dnls", [1.0, 2.0, 3.0], [0.5, 0.5])
-    assert H.dim == 3 and H.sector == SpinSector(2)
+    # the dimension is read from the diagonal, which must be a non-empty vector
+    H = TridiagonalHamiltonian([1.0, 2.0, 3.0], [0.5, 0.5])
+    assert H.dim == 3
     for diag in ([], np.zeros((2, 2)), 1.0):
         with pytest.raises(ValueError, match="^diagonal must be a non-empty vector"):
-            TridiagonalHamiltonian("dnls", diag, [])
+            TridiagonalHamiltonian(diag, [])
     for off in (np.zeros(3), np.zeros(1), np.zeros((1, 2))):
         with pytest.raises(ValueError, match="^off-diagonal length must be dim - 1$"):
-            TridiagonalHamiltonian("dnls", np.zeros(3), off)
-    with pytest.raises(ValueError):
-        TridiagonalHamiltonian("bad", np.zeros(3), np.zeros(2))
+            TridiagonalHamiltonian(np.zeros(3), off)
     # gershgorin_bounds takes the same shapes
     for diag, off in (([], []), ([1.0], [2.0]), ([1.0, 2.0], [])):
         with pytest.raises(ValueError, match="^(diagonal|off-diagonal)"):

@@ -448,12 +448,37 @@ def test_casimir_matrix_rejects_deformed():
 
 def test_casimir_matrix_refuses_non_integer_degree():
     # a bool or an integral float is not taken for p (True would give C_2,
-    # 2.0 would give C_4), as SpinSector and FockSectorBasis refuse them
+    # 2.0 would give C_4), as build_dimer and FockSectorBasis refuse them
     gens = su_n_generators(build_sector_basis(3, 2))
     for p in (True, False, 2.0, 1.5, 0, -1, "2"):
         with pytest.raises(ValueError, match=f"^p must be a positive integer, got {re.escape(repr(p))}$"):
             casimir_matrix(gens, p)
     assert np.array_equal(casimir_matrix(gens, np.int64(2)).amp, casimir_matrix(gens, 2).amp)
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, True, np.True_, "1"])
+def test_site_indices_must_be_integers(bad):
+    # a float site raised numpy's or Python's indexing error, and True
+    # hopped from site 1
+    basis = build_sector_basis(3, 2)
+    for build in (lambda: hop_operator(basis, bad, 2), lambda: hop_operator(basis, 2, bad),
+                  lambda: al_hop_operator(basis, bad, 2, 1.0), lambda: number_operator(basis, bad)):
+        with pytest.raises(ValueError, match=f"^site index {re.escape(str(bad))} outside 1..3$"):
+            build()
+    assert hop_operator(basis, np.int64(1), np.int32(2)).delta == (1, -1, 0)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, np.float64(3.0), "3"])
+def test_algebra_sizes_must_be_integers(bad):
+    # each raised a TypeError from numpy or range() at a float, and True
+    # built a 1-level oscillator
+    with pytest.raises(ValueError, match=f"^n_max must be an integer >= 1, got {re.escape(repr(bad))}$"):
+        al_oscillator_ops(bad, 1.0)
+    for f in (cartan_matrix, omega_matrix):
+        with pytest.raises(ValueError, match=f"^need an integer n >= 2, got {re.escape(repr(bad))}$"):
+            f(bad)
+    assert np.array_equal(cartan_matrix(np.int64(3)), cartan_matrix(3))
+    assert np.array_equal(al_oscillator_ops(np.int64(4), 1.0)[0], al_oscillator_ops(4, 1.0)[0])
 
 
 def test_omega_matrix():

@@ -117,6 +117,19 @@ def test_total_number_commutes_exactly():
                 assert np.all(comm.data == 0.0)
 
 
+@pytest.mark.parametrize("gamma, epsilon, name", [
+    (float("nan"), 1.0, "gamma"), (float("inf"), 1.0, "gamma"), (-float("inf"), 1.0, "gamma"),
+    (2.0, float("nan"), "epsilon"), (2.0, float("inf"), "epsilon"),
+])
+def test_qdnls_chain_refuses_non_finite_inputs(gamma, epsilon, name):
+    # a nan gamma gave a nan diagonal; the texts are build_qdnls_dimer's
+    value = gamma if name == "gamma" else epsilon
+    for build in (lambda: build_qdnls_chain(build_sector_basis(2, 3), gamma, epsilon),
+                  lambda: build_qdnls_dimer(3, gamma, epsilon)):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            build()
+
+
 @pytest.mark.parametrize("build", [
     lambda: conservation_suite(2, 445, 8.0),
     lambda: al_hop_operator(build_sector_basis(2, 445), 1, 2, 8.0),

@@ -94,7 +94,7 @@ def test_sturm_rejects_non_finite():
     for bad in (float("nan"), float("inf")):
         diag = H.diag.copy()
         diag[1] = bad
-        H_bad = TridiagonalHamiltonian("dnls", diag, H.off)
+        H_bad = TridiagonalHamiltonian(diag, H.off)
         with pytest.raises(ValueError, match="must be finite"):
             eigenvalues_bisection(H_bad)
         with pytest.raises(ValueError, match="must be finite"):
@@ -273,7 +273,7 @@ def _float_range_matrices():
         out.append((d, o))
     out += [([0.0] * 4, [1e308] * 3), ([1e308, -1e308], [1e308]),
             ([0.0] * 3, [0.8e300, 0.63e300]), ([1.5e308] * 3, [1e308] * 2)]
-    return [TridiagonalHamiltonian("al", d, o) for d, o in out]
+    return [TridiagonalHamiltonian(d, o) for d, o in out]
 
 
 def test_float_range_matches_lapack():
@@ -301,7 +301,7 @@ def test_float_range_matches_lapack():
 def test_overflowing_eigenvalue_refused():
     # LAPACK's top eigenvalue here is inf; the bracket from the unscaled
     # Gershgorin interval once gave [1.5e308, nan, nan]
-    H = TridiagonalHamiltonian("al", [1.5e308] * 3, [1e308] * 2)
+    H = TridiagonalHamiltonian([1.5e308] * 3, [1e308] * 2)
     for solve in (lambda: eigenvalues_batch([H]), lambda: eigenvalues_batch([H], top=1),
                   lambda: solve_spectrum(H)):
         with pytest.raises(ValueError, match="eigenvalue overflows double precision"):
@@ -382,7 +382,7 @@ def test_short_window_takes_one_more_sweep(monkeypatch):
     # counted in one more sweep, which keeps every root bitwise
     diag = np.zeros(40)
     diag[-1] = 1000.0
-    H = TridiagonalHamiltonian("dnls", diag, np.ones(39))
+    H = TridiagonalHamiltonian(diag, np.ones(39))
     full = eigenvalues_batch([H])[0]
     one, roots = _first_phase_calls(monkeypatch, [H], 1)
     assert roots[0].tobytes() == _top(full, 1).tobytes()
@@ -411,12 +411,12 @@ def _random_stack(rng):
     Hs = []
     for n in (5, 9, 3, 7):
         off = rng.uniform(0.1, 1.0, n - 1)
-        Hs.append(TridiagonalHamiltonian("dnls", rng.uniform(-1, 1, n), off))
+        Hs.append(TridiagonalHamiltonian(rng.uniform(-1, 1, n), off))
     off = Hs[1].off.copy()
     off[3] = 0.0
-    Hs[1] = TridiagonalHamiltonian("dnls", Hs[1].diag, off)
+    Hs[1] = TridiagonalHamiltonian(Hs[1].diag, off)
     d = rng.uniform(-1, 1, 6)
-    Hs.append(TridiagonalHamiltonian("dnls", np.concatenate((d[:3], d[2::-1])), [0.3, 0.5, 0.7, 0.5, 0.3]))
+    Hs.append(TridiagonalHamiltonian(np.concatenate((d[:3], d[2::-1])), [0.3, 0.5, 0.7, 0.5, 0.3]))
     _, seg, _, d, off = _stack(_reduce(Hs))
     lam = rng.uniform(-1.0, 1.0, seg.size)
     lam[0] = d[d[:, 0] != spectral._PAD_DIAG, 0][0]
@@ -473,7 +473,7 @@ def test_kernel_matches_scalar_recurrence():
     # one _ROWS block, at random shifts; column 0's first real pivot is
     # exactly 0, so its first sweep runs into infinities and is redone
     rng = np.random.default_rng(29)
-    Hs = [TridiagonalHamiltonian("dnls", rng.uniform(-1, 1, n), rng.uniform(0.1, 1.0, n - 1))
+    Hs = [TridiagonalHamiltonian(rng.uniform(-1, 1, n), rng.uniform(0.1, 1.0, n - 1))
           for n in (3, 45, 20, 2, 37)]
     _, seg, _, d, off = _stack(_reduce(Hs))
     o2 = off * off
@@ -570,7 +570,7 @@ def test_newton_iterates_do_not_swing_between_bracket_ends(monkeypatch):
     H = build_qdnls_dimer(73, 6.79729402773982)
     diag = H.diag.copy()
     diag[12] += 1.0
-    H = TridiagonalHamiltonian("dnls", diag, H.off)
+    H = TridiagonalHamiltonian(diag, H.off)
     assert _sweeps(monkeypatch, eigenvalues_bisection, H, 1e-15)[0] <= 100
     ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
     assert np.max(np.abs(eigenvalues_bisection(H, 1e-15) - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -656,7 +656,7 @@ def _zero_diagonal(n, persymmetric):
     if persymmetric:
         off = np.where(np.arange(n - 1) < (n - 1) / 2, off, off[::-1])
     off[[1, n - 3]] = 0.0
-    return TridiagonalHamiltonian("al", np.zeros(n), off)
+    return TridiagonalHamiltonian(np.zeros(n), off)
 
 
 @pytest.mark.parametrize("n", [10, 11, 12])
@@ -684,7 +684,7 @@ def test_chiral_fold_of_hand_built_matrices(n, persymmetric):
 def test_chiral_fold_under_the_ritz_guard():
     # level pairs 1e-9 apart inside the even block: the Rayleigh-Ritz guard
     # replaces solved and mirrored columns alike
-    H = TridiagonalHamiltonian("al", np.zeros(6), [1.0, 1e-9, 1.0, 1e-9, 1.0])
+    H = TridiagonalHamiltonian(np.zeros(6), [1.0, 1e-9, 1.0, 1e-9, 1.0])
     s = solve_spectrum(H)
     assert {"ritz", "chiral", "recurrence"} == set(s.vector_method)
     assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-14
@@ -731,7 +731,7 @@ def _nudged_dimer():
     H = build_qdnls_dimer(30, 8.0)
     diag = H.diag.copy()
     diag[0] += 1e-9
-    return TridiagonalHamiltonian("dnls", diag, H.off)
+    return TridiagonalHamiltonian(diag, H.off)
 
 
 def test_non_persymmetric_input_stays_orthonormal(monkeypatch):
@@ -765,7 +765,7 @@ def _mixed_dimers():
     H = build_qdnls_dimer(30, 8.0)
     diag = H.diag.copy()
     diag[0] += 1e-9
-    Hs.append(TridiagonalHamiltonian("dnls", diag, H.off))
+    Hs.append(TridiagonalHamiltonian(diag, H.off))
     return Hs
 
 
@@ -778,8 +778,8 @@ def test_batch_matches_per_matrix(tol):
     assert seg.size * d.shape[0] > spectral._STACK_CELLS  # the first sweep is split
     batch = eigenvalues_batch(Hs, tol)
     assert len(batch) == len(Hs)
-    for H, evs in zip(Hs, batch):
-        assert np.array_equal(evs, eigenvalues_bisection(H, tol)), (H.model, H.dim)
+    for m, (H, evs) in enumerate(zip(Hs, batch)):
+        assert np.array_equal(evs, eigenvalues_bisection(H, tol)), (m, H.dim)
 
 
 def test_reduce_brackets_are_gershgorin():
@@ -792,7 +792,7 @@ def test_reduce_brackets_are_gershgorin():
         lo, hi = gershgorin_bounds(d, o)
         radius = max(-lo, hi)
         assert (red.exp[m], red.radius[m]) == (exp, radius)
-        assert (red.lo[m], red.hi[m]) == (lo - 1e-3 * radius, hi + 1e-3 * radius), (H.model, H.dim)
+        assert (red.lo[m], red.hi[m]) == (lo - 1e-3 * radius, hi + 1e-3 * radius), (m, H.dim)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-15])
@@ -1085,9 +1085,34 @@ def test_parity_structure():
 
 
 def test_parity_rejects_dnls():
+    # a nonzero diagonal entry, as in every dnls dimer at gamma != 0
     s = solve_spectrum(build_qdnls_dimer(4, 2.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^parity structure applies to a Hamiltonian with a zero diagonal only$"):
         parity_structure_check(s)
+
+
+@pytest.mark.parametrize("two_j", [4, 5, 12, 13])
+def test_parity_of_zero_diagonal_dnls(two_j):
+    # at gamma = 0 the dnls diagonal is zero: its spectrum 2 m is read by the
+    # same rule as the deformed dimer's, a zero mode at even two_j
+    H = build_dimer("dnls", two_j, 0.0)
+    assert not H.diag.any()
+    for s in (solve_spectrum(H), dense_oracle(H)):
+        rep = parity_structure_check(s)
+        assert rep.passed and rep.offending_pairs == ()
+        assert rep.zero_count == rep.expected_zero_count == 1 - two_j % 2
+
+
+def test_unlabelled_tridiagonal_solves():
+    # a raw tridiagonal is its diagonal and couplings, with nothing to name
+    H = TridiagonalHamiltonian([0.5, -1.0, 2.0, 0.25], [1.0, 0.3, 0.7])
+    ref = scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off)
+    evs = eigenvalues_batch([H])[0]
+    assert np.max(np.abs(evs - ref)) < 1e-14
+    s = solve_spectrum(H)
+    assert np.array_equal(s.eigenvalues, evs)
+    assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-13
+    assert (H.energy_scale, H.energy_shift) == (1.0, 0.0)
 
 
 def test_characteristic_coefficients_structure():
@@ -1104,7 +1129,7 @@ def test_dense_oracle_single_level():
     # the 1 x 1 sector: eigenvalue d0, vector [[1]], norm constant 1
     with pytest.warns(UserWarning, match="1x1 sector"):
         Hs = [build_dimer(model, 0, 2.0) for model in ("dnls", "al")]
-    Hs.append(TridiagonalHamiltonian("dnls", [-3.5], []))
+    Hs.append(TridiagonalHamiltonian([-3.5], []))
     for H in Hs:
         o = dense_oracle(H)
         assert np.array_equal(o.eigenvalues, H.diag)

@@ -100,11 +100,11 @@ def builders(g):
                 if isinstance(H, str):
                     g.add(H)
                     continue
-                g.add(H.diag, H.off, H.params, H.energy_scale, H.energy_shift,
+                g.add(H.diag, H.off, H.energy_scale, H.energy_shift,
                       H.to_physical(np.linspace(-1.0, 1.0, 5)))
     for two_j, gamma, epsilon in ((5, 2.0, 0.5), (40, -1.0, 1.0), (60, 4.0, 3.0)):
         H = qdimer.build_qdnls_dimer(two_j, gamma, epsilon)
-        g.add(H.diag, H.off, H.params, H.energy_scale, H.energy_shift)
+        g.add(H.diag, H.off, H.energy_scale, H.energy_shift)
     g.add([qdimer.gershgorin_bounds(H.diag, H.off) for H in
            (qdimer.build_dimer(m, 20, 3.0) for m in qdimer.MODELS)])
 
@@ -136,6 +136,19 @@ def refusals(g):
     gens = qdimer.su_n_generators(qdimer.build_sector_basis(3, 2))
     for p in (True, 2.0, 0):
         g.add(attempt(lambda: qdimer.casimir_matrix(gens, p).amp))
+    b = qdimer.build_sector_basis(3, 2)
+    for i, j in ((1.0, 2), (2, 1.5), (True, 2), (0, 2), (1, 4), (1, 1)):
+        g.add(attempt(lambda: qdimer.hop_operator(b, i, j).amp))
+    for i in (1.5, True, 0):
+        g.add(attempt(lambda: qdimer.number_operator(b, i).amp))
+    for n in (2.5, 2.0, True, 0):
+        g.add(attempt(qdimer.al_oscillator_ops, n, 1.0), attempt(qdimer.cartan_matrix, n),
+              attempt(qdimer.omega_matrix, n))
+    for gamma, epsilon in ((nan, 1.0), (inf, 1.0), (2.0, nan), (2.0, -inf)):
+        g.add(attempt(lambda: qdimer.build_qdnls_chain(b, gamma, epsilon).toarray()))
+    for gamma in (0.0, 1.0):  # a zero and a nonzero dnls diagonal
+        s = qdimer.solve_spectrum(qdimer.build_dimer("dnls", 4, gamma))
+        g.add(attempt(lambda: vars(qdimer.parity_structure_check(s))))
 
 
 def batch(g):
