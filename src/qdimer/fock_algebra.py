@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .qnumbers import Q_ONE_THRESHOLD, _is_count, basic_qnum, q_binomial, sym_qnum
+from .qnumbers import Q_ONE_THRESHOLD, _deformation, _is_count, basic_qnum, q_binomial, sym_qnum
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -344,14 +344,20 @@ class ResidualReport:
     """Labelled max-norm residuals from an identity check."""
 
     entries: list = field(default_factory=list)
-    vacuous: bool = False
 
     def add(self, label, value):
         self.entries.append((label, float(value)))
 
     @property
+    def vacuous(self) -> bool:
+        """Whether no relation was checked, as for the Serre relations at rank 1."""
+        return not self.entries
+
+    @property
     def max_residual(self) -> float:
-        return max((v for _, v in self.entries), default=0.0)
+        """The largest residual, NaN where any is NaN, 0.0 where none was checked."""
+        values = [v for _, v in self.entries]
+        return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def _maxabs(m):
@@ -432,7 +438,6 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
     rep = ResidualReport()
     r = gens.rank
     if r < 2:
-        rep.vacuous = True
         return rep
     a = cartan_matrix(gens.n)
     identity = SectorOperator.diagonal(gens.basis, np.ones(gens.basis.dim))
@@ -477,7 +482,16 @@ def verify_al_relations(b, bd, n_op, gamma: float, n_max: int) -> ResidualReport
     The number map is N = ln(1 + (gamma/2) b'b) / ln(1 + gamma/2) for
     gamma > 0 and N = b'b in the linear limit.  Rows and columns at the
     truncation edge n = n_max are excluded, where b' leaks out of the space.
+    Refuses a gamma that is not finite or is negative, an n_max that is not
+    an integer >= 1, and matrices that are not all (n_max+1) x (n_max+1).
     """
+    _deformation(gamma)
+    if not _is_count(n_max, 1):
+        raise ValueError(f"n_max must be an integer >= 1, got {n_max!r}")
+    shapes = [np.shape(m) for m in (b, bd, n_op)]
+    if any(shape != (n_max + 1, n_max + 1) for shape in shapes):
+        raise ValueError(f"b, bd and n_op must be {n_max + 1} x {n_max + 1} at n_max {n_max}, "
+                         f"got shapes {', '.join(map(str, shapes))}")
     rep = ResidualReport()
     sub = slice(0, n_max)
     eye = np.eye(n_max + 1)

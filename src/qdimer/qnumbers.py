@@ -31,10 +31,7 @@ class DeformationParameter:
 
 def q_from_gamma(gamma: float) -> DeformationParameter:
     """Map the finite nonlinearity strength gamma >= 0 to q = 1/sqrt(1 + gamma/2)."""
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma == math.inf:
-        raise ValueError(f"gamma must be finite, got {gamma}")
+    _deformation(gamma)
     q = 1.0 / math.sqrt(1.0 + 0.5 * gamma)
     return DeformationParameter(gamma=float(gamma), q=q, s=math.log(q))
 
@@ -51,6 +48,14 @@ def _finite(**inputs):
     for name, x in inputs.items():
         if not math.isfinite(x):
             raise ValueError(f"{name} must be finite, got {x}")
+
+
+def _deformation(gamma):
+    """Refuse a gamma that is not finite, then one below 0: the one rule for
+    a deformation strength."""
+    _finite(gamma=gamma)
+    if gamma < 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
 
 
 def _scalar(x):
@@ -122,10 +127,7 @@ def basic_qnum(n: int, gamma: float) -> float:
     n, gamma = _scalar(n), _scalar(gamma)
     if not 0 <= n < math.inf or int(n) != n:
         raise ValueError(f"n must be a nonnegative integer, got {_text(n)}")
-    if not gamma >= 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if gamma == math.inf:
-        raise ValueError(f"gamma must be finite, got {gamma}")
+    _deformation(gamma)
     half = 0.5 * gamma
     try:
         if half < Q_ONE_THRESHOLD:

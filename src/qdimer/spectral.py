@@ -104,6 +104,9 @@ _ROWS = 16
 # read 0.63, 1.7e-5 and 7.3e-10 at tol 1e-3, 1e-6 and 1e-8, and 3.4e-11
 # at 1e-10, as at the default 1e-12.
 SOLVE_TOL_MAX = 1e-10
+# Absolute bound of parity_structure_check on |lam + lam'| for the pair of
+# mirrored levels, and on |lam| for a zero mode.
+_PARITY_TOL = 1e-10
 
 
 @dataclass
@@ -806,8 +809,8 @@ def dense_oracle(H: TridiagonalHamiltonian) -> Spectrum:
 # ---------------------------------------------------------------------------
 
 
-def df_orthonormality_check(spectrum: Spectrum) -> float:
-    """Max residual of the discrete orthogonality of the recurrence columns.
+def df_orthonormality_check(H: TridiagonalHamiltonian) -> float:
+    """Max residual of the discrete orthogonality of H's recurrence columns.
 
     The kernel identity for the minor polynomials states that the weighted
     columns (p_k(lam)/eps_k), normalized per root, form an orthonormal
@@ -828,7 +831,6 @@ def df_orthonormality_check(spectrum: Spectrum) -> float:
     independent of the float roots, and builds the columns from the minor
     polynomials there.
     """
-    H = spectrum.hamiltonian
     red = _reduce([H])
     lam = _roots(red, 1e-12)
     worst = 0.0
@@ -926,27 +928,27 @@ class ParityReport:
     zero_count: int
     expected_zero_count: int
     offending_pairs: tuple
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return not self.offending_pairs and self.zero_count == self.expected_zero_count
 
 
-def parity_structure_check(spectrum: Spectrum, tol: float = 1e-10) -> ParityReport:
+def parity_structure_check(spectrum: Spectrum) -> ParityReport:
     """Check the spectrum of a zero-diagonal H, such as the deformed dimer's,
     is symmetric under lam -> -lam and that a zero eigenvalue occurs exactly
     for odd dimension (integer spin): the symmetry the chiral fold builds in
-    (see _reduce).  Refuses an H with a nonzero diagonal entry."""
+    (see _reduce).  Pairs and zero modes are read to the absolute bound
+    _PARITY_TOL, and a NaN pair residual offends.  Refuses an H with a
+    nonzero diagonal entry."""
     if spectrum.hamiltonian.diag.any():
         raise ValueError("parity structure applies to a Hamiltonian with a zero diagonal only")
     evs = spectrum.eigenvalues
     dim = evs.size
     pair_res = np.abs(evs + evs[::-1])
-    offending = tuple(int(i) for i in np.nonzero(pair_res > tol)[0])
-    zero_count = int(np.count_nonzero(np.abs(evs) <= tol))
-    expected = 1 if dim % 2 == 1 else 0
-    passed = not offending and zero_count == expected
     return ParityReport(
         max_pair_residual=float(np.max(pair_res)) if dim else 0.0,
-        zero_count=zero_count,
-        expected_zero_count=expected,
-        offending_pairs=offending,
-        passed=passed,
+        zero_count=int(np.count_nonzero(np.abs(evs) <= _PARITY_TOL)),
+        expected_zero_count=1 if dim % 2 == 1 else 0,
+        offending_pairs=tuple(int(i) for i in np.flatnonzero(~(pair_res <= _PARITY_TOL))),
     )

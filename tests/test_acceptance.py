@@ -86,7 +86,7 @@ def test_criterion_3_parity_structure():
         for gamma in (0.5, 2.0, 8.0):
             H = build_qal_dimer(two_j, gamma)
             for spec in (solve_spectrum(H), dense_oracle(H)):
-                rep = parity_structure_check(spec, tol=1e-10)
+                rep = parity_structure_check(spec)
                 worst = max(worst, rep.max_pair_residual)
                 want_zero = 1 if two_j % 2 == 0 else 0
                 if not rep.passed or rep.zero_count != want_zero:
@@ -104,8 +104,9 @@ def test_criterion_4_orthonormality_completeness_gaps():
     for model in ("dnls", "al"):
         for gamma in (0.0, 2.0, 8.0):
             for two_j in range(1, 31):
-                s = solve_spectrum(build_dimer(model, two_j, gamma))
-                worst_df = max(worst_df, df_orthonormality_check(s) / s.dim)
+                H = build_dimer(model, two_j, gamma)
+                s = solve_spectrum(H)
+                worst_df = max(worst_df, df_orthonormality_check(H) / s.dim)
                 worst_comp = max(worst_comp, completeness_check(s) / s.dim)
                 if s.dim > 1:
                     g = float(np.min(np.diff(s.eigenvalues)))

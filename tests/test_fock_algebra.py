@@ -13,6 +13,7 @@ from scipy import sparse
 
 from qdimer import (
     MAX_SECTOR_DIM,
+    ResidualReport,
     SectorOperator,
     al_hop_operator,
     al_oscillator_ops,
@@ -325,6 +326,7 @@ def test_q_serre_suq3():
 def test_serre_vacuous_for_rank_one():
     rep = verify_serre(su_n_generators(build_sector_basis(2, 3)))
     assert rep.vacuous
+    assert rep.vacuous == (not rep.entries)
 
 
 def test_q_one_degeneration_entrywise():
@@ -348,6 +350,41 @@ def test_al_oscillator_relations():
     b, _, _ = al_oscillator_ops(6, 2.0)
     for n in range(1, 6):
         assert abs(b[n - 1, n] - math.sqrt(basic_qnum(n, 2.0))) < 1e-14
+
+
+@pytest.mark.parametrize("gamma, n_max, rows, text", [
+    (2.0, 3, 7, "b, bd and n_op must be 4 x 4 at n_max 3, got shapes (7, 7), (7, 7), (7, 7)"),
+    (2.0, 7, 7, "b, bd and n_op must be 8 x 8 at n_max 7, got shapes (7, 7), (7, 7), (7, 7)"),
+    (2.0, 6, 6, "b, bd and n_op must be 7 x 7 at n_max 6, got shapes (7, 7), (6, 6), (7, 7)"),
+    (2.0, 2.5, 7, "n_max must be an integer >= 1, got 2.5"),
+    (2.0, 6.0, 7, "n_max must be an integer >= 1, got 6.0"),
+    (2.0, True, 7, "n_max must be an integer >= 1, got True"),
+    (2.0, 0, 7, "n_max must be an integer >= 1, got 0"),
+    (math.nan, 6, 7, "gamma must be finite, got nan"),
+    (math.inf, 6, 7, "gamma must be finite, got inf"),
+    (-math.inf, 6, 7, "gamma must be finite, got -inf"),
+    (-1.0, 6, 7, "gamma must be >= 0, got -1.0"),
+])
+def test_al_relations_refuse_what_they_cannot_check(gamma, n_max, rows, text):
+    # an n_max off the matrices' size ended in numpy's broadcast error, 2.5 in
+    # a TypeError, and a nan, infinite or negative gamma returned a residual;
+    # bd is cut to its leading rows x rows block
+    b, bd, n_op = al_oscillator_ops(6, 2.0)
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        verify_al_relations(b, bd[:rows, :rows], n_op, gamma, n_max)
+
+
+def test_max_residual_reads_nan():
+    # Python's max keeps a finite entry over a NaN that follows it
+    rep = ResidualReport()
+    rep.add("a", 0.0)
+    rep.add("b", math.nan)
+    assert math.isnan(rep.max_residual)
+    rep = ResidualReport()
+    rep.add("b", math.nan)
+    rep.add("a", 0.0)
+    assert math.isnan(rep.max_residual)
+    assert ResidualReport().max_residual == 0.0
 
 
 def test_su2_casimir_closed_form():

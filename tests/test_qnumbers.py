@@ -157,20 +157,22 @@ def test_non_finite_deformation_is_refused():
     # math.log (a "math domain error") or returned as inf or nan
     inf, nan = math.inf, math.nan
     b = build_sector_basis(2, 3)
-    cases = ((q_from_gamma, (inf,), "gamma must be finite"),
-             (basic_qnum, (2, inf), "gamma must be finite"),
-             (basic_qnum, (inf, 2.0), "n must be a nonnegative integer"),
+    cases = ((basic_qnum, (inf, 2.0), "n must be a nonnegative integer"),
              (sym_qnum, (2, inf), "q must be finite"),
              (sym_qnum, (inf, 0.5), "x must be finite"),
              (sym_qnum, (nan, 0.5), "x must be finite"),
              (sym_qnum, (np.float64(2.0), np.float64(inf)), "q must be finite"),
              (q_binomial, (3, 1, inf), "q must be finite"),
              (q_binomial, (inf, 1, 0.5), "need 0 <= n <= m"),
-             (conservation_suite, (2, 3, inf), "gamma must be finite"),
-             (al_hop_operator, (b, 1, 2, inf), "gamma must be finite"),
-             (al_oscillator_ops, (5, inf), "gamma must be finite"),
-             (suq_n_generators, (b, inf), "q must be finite"),
-             (build_qal_chain, (b, inf), "gamma must be finite"))
+             (suq_n_generators, (b, inf), "q must be finite"))
+    # a gamma that is not finite is named so before its sign is read
+    for gamma in (inf, nan, -inf):
+        cases += ((q_from_gamma, (gamma,), f"gamma must be finite, got {gamma}$"),
+                  (basic_qnum, (2, gamma), f"gamma must be finite, got {gamma}$"),
+                  (conservation_suite, (2, 3, gamma), f"gamma must be finite, got {gamma}$"),
+                  (al_hop_operator, (b, 1, 2, gamma), f"gamma must be finite, got {gamma}$"),
+                  (al_oscillator_ops, (5, gamma), f"gamma must be finite, got {gamma}$"),
+                  (build_qal_chain, (b, gamma), f"gamma must be finite, got {gamma}$"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for f, args, text in cases:

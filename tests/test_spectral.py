@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from qdimer import (
     MODELS,
+    ParityReport,
+    Spectrum,
     TridiagonalHamiltonian,
     build_dimer,
     build_qal_dimer,
@@ -646,7 +648,7 @@ def test_chiral_vectors_are_checkerboard_images(two_j, gamma):
     assert np.max(np.abs(dense @ s.vectors - s.vectors * s.eigenvalues)) < 1e-10 * scale
     assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(n))) <= 1e-9 * n
     assert completeness_check(s) <= 1e-9 * n
-    assert df_orthonormality_check(s) <= 1e-9 * n
+    assert df_orthonormality_check(s.hamiltonian) <= 1e-9 * n
 
 
 def _zero_diagonal(n, persymmetric):
@@ -676,7 +678,7 @@ def test_chiral_fold_of_hand_built_matrices(n, persymmetric):
     assert np.max(np.abs(H.to_dense() @ s.vectors - s.vectors * s.eigenvalues)) < 1e-14
     assert np.max(np.abs(s.vectors.T @ s.vectors - np.eye(n))) <= 1e-14
     assert completeness_check(s) <= 1e-14
-    assert df_orthonormality_check(s) <= 1e-12 * n
+    assert df_orthonormality_check(H) <= 1e-12 * n
     for k in (0, 1, 2, 4, 7, n + 3):
         assert eigenvalues_batch([H], top=k)[0].tobytes() == _top(evs, k).tobytes()
 
@@ -745,7 +747,7 @@ def test_non_persymmetric_input_stays_orthonormal(monkeypatch):
     calls = []
     minors = spectral._mp_minors
     monkeypatch.setattr(spectral, "_mp_minors", lambda *args: calls.append(1) or minors(*args))
-    assert df_orthonormality_check(s) <= 1e-9 * s.dim
+    assert df_orthonormality_check(H) <= 1e-9 * s.dim
     assert len(calls) == s.dim
     scale = max(1.0, float(np.max(np.abs(s.eigenvalues))))
     assert completeness_check(s) < 1e-9 * s.dim
@@ -945,30 +947,27 @@ def test_solve_spectrum_property(model, two_j, gamma, epsilon):
 
 
 def test_df_orthonormality_small():
-    s = solve_spectrum(build_qal_dimer(1, 2.0))
-    assert df_orthonormality_check(s) < 1e-12
-    s = solve_spectrum(build_qdnls_dimer(6, 2.0))
-    assert df_orthonormality_check(s) < 1e-10
+    assert df_orthonormality_check(build_qal_dimer(1, 2.0)) < 1e-12
+    assert df_orthonormality_check(build_qdnls_dimer(6, 2.0)) < 1e-10
     # on the linear dimer a forward recurrence over all of H runs past the
     # decay region of the eigenvectors (5.8e-6/dim at two_j 80); the check
     # takes each ratio of its columns in the stable direction
     for two_j in (60, 80, 120):
-        s = solve_spectrum(build_qdnls_dimer(two_j, 0.0))
-        assert df_orthonormality_check(s) <= 1e-9 * s.dim, two_j
+        H = build_qdnls_dimer(two_j, 0.0)
+        assert df_orthonormality_check(H) <= 1e-9 * H.dim, two_j
 
 
 def test_df_orthonormality_forced_precision():
     # the mp Gram of the whole scaled H at fixed digits is an oracle for the
     # block path, which stays in double precision here
-    s = solve_spectrum(build_qdnls_dimer(6, 2.0))
-    H = s.hamiltonian
+    H = build_qdnls_dimer(6, 2.0)
     d, o, _ = _scaled(H)
     assert _df_gram_mp(d, o, 40) < 1e-10
     red = _reduce([H])
     blocks = [np.max(np.abs(c.T @ c - np.eye(c.shape[1])))
               for c in _twisted_vectors(red, _roots(red, 1e-12))]
-    auto = df_orthonormality_check(s)
-    assert max(blocks) <= 1e-12 * s.dim
+    auto = df_orthonormality_check(H)
+    assert max(blocks) <= 1e-12 * H.dim
     assert auto == max(blocks)
     assert auto < 1e-10
 
@@ -981,15 +980,14 @@ def test_df_orthonormality_stays_in_float(monkeypatch, model, two_j, gamma):
         raise AssertionError("a block reached the mp referee")
 
     monkeypatch.setattr(spectral, "_df_gram_mp", refuse)
-    s = solve_spectrum(build_dimer(model, two_j, gamma))
-    assert df_orthonormality_check(s) <= 1e-12 * s.dim
+    H = build_dimer(model, two_j, gamma)
+    assert df_orthonormality_check(H) <= 1e-12 * H.dim
 
 
 def test_df_orthonormality_zero_couplings():
     # the decoupled dimer has exactly equal level pairs across its 1 x 1
     # blocks; each block is checked on its own
-    s = solve_spectrum(build_dimer("dnls", 4, 1.0, epsilon=0.0))
-    assert df_orthonormality_check(s) == 0.0
+    assert df_orthonormality_check(build_dimer("dnls", 4, 1.0, epsilon=0.0)) == 0.0
 
 
 def test_df_orthonormality_collapsed_cluster():
@@ -997,7 +995,7 @@ def test_df_orthonormality_collapsed_cluster():
     # partners, so each parity block checks well separated roots
     H = build_qdnls_dimer(12, 8.0)
     s = solve_spectrum(H)
-    assert df_orthonormality_check(s) < 1e-9 * s.dim
+    assert df_orthonormality_check(H) < 1e-9 * s.dim
     # the block roots the check uses are the solver's eigenvalues
     red = _reduce([H])
     assert np.array_equal(np.sort(np.ldexp(_roots(red, 1e-12), red.exp[0])), s.eigenvalues)
@@ -1015,7 +1013,7 @@ def test_mp_eigenvalues_resolve_collapsed_cluster():
     gaps = [roots[i + 1] - roots[i] for i in range(len(roots) - 1)]
     assert min(gaps) > 0
     assert _df_gram_mp(d, o, 60) < 1e-9 * H.dim
-    assert df_orthonormality_check(solve_spectrum(H)) < 1e-9 * H.dim
+    assert df_orthonormality_check(H) < 1e-9 * H.dim
 
 
 def _mp_blocks(H):
@@ -1082,6 +1080,13 @@ def test_parity_structure():
     assert rep.passed
     assert rep.max_pair_residual < 1e-10
     assert rep.offending_pairs == ()
+    # the verdict is read from the offending pairs and the zero modes
+    assert not ParityReport(1.0, 1, 1, (0, 8)).passed
+    assert not ParityReport(0.0, 0, 1, ()).passed
+    # a NaN pair residual offends: an even spectrum of NaNs read as passing
+    s = solve_spectrum(build_qal_dimer(5, 2.0))
+    rep = parity_structure_check(Spectrum(s.hamiltonian, np.full(6, np.nan), s.vectors))
+    assert rep.offending_pairs == tuple(range(6)) and not rep.passed
 
 
 def test_parity_rejects_dnls():

@@ -148,7 +148,16 @@ def refusals(g):
         g.add(attempt(lambda: qdimer.build_qdnls_chain(b, gamma, epsilon).toarray()))
     for gamma in (0.0, 1.0):  # a zero and a nonzero dnls diagonal
         s = qdimer.solve_spectrum(qdimer.build_dimer("dnls", 4, gamma))
-        g.add(attempt(lambda: vars(qdimer.parity_structure_check(s))))
+        g.add(attempt(_parity, s))
+    for gamma in (nan, -inf):
+        for f, args in ((qdimer.q_from_gamma, ()), (qdimer.basic_qnum, (2,)),
+                        (qdimer.al_hop_operator, (b, 1, 2)), (qdimer.al_oscillator_ops, (5,)),
+                        (qdimer.build_qal_chain, (b,)), (qdimer.conservation_suite, (2, 3))):
+            g.add(attempt(f, *args, gamma))
+    ops = qdimer.al_oscillator_ops(6, 2.0)
+    for gamma, n_max in ((2.0, 3), (2.0, 7), (2.0, 2.5), (2.0, True), (2.0, 0),
+                         (nan, 6), (inf, 6), (-1.0, 6)):
+        g.add(attempt(lambda: _report(qdimer.verify_al_relations(*ops, gamma, n_max))))
 
 
 def batch(g):
@@ -176,10 +185,10 @@ def spectra(g):
 
 def checks(g):
     s = qdimer.solve_spectrum(qdimer.build_dimer("dnls", 12, 3.0))
-    g.add(qdimer.completeness_check(s), qdimer.df_orthonormality_check(s))
+    g.add(qdimer.completeness_check(s), qdimer.df_orthonormality_check(s.hamiltonian))
     for two_j in (11, 12):
         s = qdimer.solve_spectrum(qdimer.build_dimer("al", two_j, 3.0))
-        g.add(vars(qdimer.parity_structure_check(s)))
+        g.add(_parity(s))
 
 
 def fock(g):
@@ -204,6 +213,12 @@ def fock(g):
         g.add(qdimer.cartan_matrix(n), qdimer.omega_matrix(n))
     for n_max, gamma in ((6, 0.0), (20, 2.0)):
         g.add(*qdimer.al_oscillator_ops(n_max, gamma))
+
+
+def _parity(s):
+    """The parity report's fields, with its derived verdict."""
+    rep = qdimer.parity_structure_check(s)
+    return {**vars(rep), "passed": rep.passed}
 
 
 def _report(rep):
