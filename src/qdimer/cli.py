@@ -27,7 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .dimer import MODELS, build_dimer
+from .dimer import MODELS, build_dimer, build_dimer_grid
 from .fock_algebra import (
     al_oscillator_ops,
     build_sector_basis,
@@ -129,7 +129,7 @@ def _gamma_grid(args):
 
 def cmd_sweep(args) -> int:
     grid = _gamma_grid(args)
-    Hs = [build_dimer(args.model, args.two_j, float(g), args.epsilon) for g in grid]
+    Hs = build_dimer_grid(args.model, args.two_j, grid.tolist(), args.epsilon)
     rows = [[g, H.energy_scale, H.energy_shift, *evs]
             for g, H, evs in zip(grid, Hs, eigenvalues_batch(Hs, args.tol))]
     header = ["gamma", "energy_scale", "energy_shift"]
@@ -144,7 +144,7 @@ def cmd_gaps(args) -> int:
     if 2 * args.pairs > dim:
         raise ValueError(f"--pairs {args.pairs} out of range for dimension {dim}")
 
-    Hs = [build_dimer(args.model, args.two_j, float(g), args.epsilon) for g in grid]
+    Hs = build_dimer_grid(args.model, args.two_j, grid.tolist(), args.epsilon)
     levels = np.array(_lowest_levels(Hs, 2 * args.pairs, args.tol))
     gaps = levels[:, 1::2] - levels[:, ::2]
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -74,11 +74,7 @@ def gershgorin_bounds(diag, off) -> tuple[float, float]:
     tridiagonal matrix with diagonal diag and couplings off; an end past the
     float range is -inf or inf.  Refuses the shapes TridiagonalHamiltonian
     refuses."""
-    return _bounds(*_tridiagonal(diag, off))
-
-
-def _bounds(diag, off) -> tuple[float, float]:
-    """gershgorin_bounds of a diag and off that are already checked."""
+    diag, off = _tridiagonal(diag, off)
     lo, hi = _gershgorin(diag, np.append(off, 0.0), [0])
     return float(lo[0]), float(hi[0])
 
@@ -103,29 +99,81 @@ def _warn(message: str):
     warnings.warn(message, stacklevel=level)
 
 
-def _dimer(model, two_j, entries, **inputs) -> TridiagonalHamiltonian:
-    """The model's sector Hamiltonian at finite inputs (gamma, epsilon) and
-    a sector size two_j, an integer >= 0.  entries(where) gives its diag,
-    off, energy_scale and energy_shift and the text of its physical levels,
-    refusing entries that overflow; where() is the "two_j=..., gamma=..."
-    text that ends every refusal.  With [lo, hi] the Gershgorin interval of
-    H, |energy_scale| max(-lo, hi) + |energy_shift| bounds the physical
-    levels: a ValueError where it overflows."""
-    _finite(**inputs)
+def _refusal(check, *args, **inputs):
+    """The text of the ValueError that check raises at these inputs, or None."""
+    try:
+        check(*args, **inputs)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _dimers(model, two_j, gammas, entries, **inputs) -> list[TridiagonalHamiltonian]:
+    """The model's sector Hamiltonians at each gamma of a grid, built
+    together, at finite inputs (each gamma; epsilon) and a sector size two_j,
+    an integer >= 0.
+
+    entries(gammas, errors, where) gives the grid's diag and off, one row per
+    gamma, its energy scales and shifts, and levels(i), the text of the
+    physical levels at gamma i; it writes into errors[i] the text of the
+    first refusal of gamma i, unless one is there already, and where(i) is
+    the "two_j=..., gamma=..." text that ends every refusal.  With [lo, hi]
+    the Gershgorin interval of an H, |energy_scale| max(-lo, hi) +
+    |energy_shift| bounds its physical levels, refused where that overflows;
+    one _gershgorin call over the stacked grid gives every interval.  A grid
+    with a refused gamma raises ValueError with the text of the first, the
+    one that building that gamma alone raises.
+    """
+    gammas = list(gammas)
+    errors = [_refusal(_finite, gamma=x, **inputs) for x in gammas]
+    if errors and errors[0]:
+        raise ValueError(errors[0])
     if not _is_count(two_j):
         raise ValueError(f"two_j must be a nonnegative integer, got {two_j}")
     if two_j == 0:
         _warn("two_j = 0 gives a degenerate 1x1 sector")
+    if not gammas:
+        return []
 
-    def where():
-        return ", ".join(f"{name}={x}" for name, x in dict(two_j=two_j, **inputs).items())
+    def where(i):
+        named = dict(two_j=two_j, gamma=gammas[i], **inputs)
+        return ", ".join(f"{name}={x}" for name, x in named.items())
 
-    diag, off, scale, shift, levels = entries(where)
-    H = TridiagonalHamiltonian(diag, off, scale, shift)
-    lo, hi = _bounds(H.diag, H.off)
-    if not math.isfinite(abs(scale) * max(-lo, hi) + abs(shift)):
-        raise ValueError(f"{model} physical levels {levels} overflow double precision ({where()})")
-    return H
+    diag, off, scale, shift, levels = entries(gammas, errors, where)
+    n, dim = diag.shape
+    padded = np.zeros((n, dim))  # off with a zero after each matrix's last row
+    padded[:, :-1] = off
+    with np.errstate(over="ignore", invalid="ignore"):  # invalid: in rows refused already
+        lo, hi = _gershgorin(diag.ravel(), padded.ravel(), np.arange(0, n * dim, dim))
+        bound = np.abs(scale) * np.maximum(-lo, hi) + np.abs(shift)
+    for i in np.flatnonzero(~np.isfinite(bound)):
+        errors[i] = errors[i] or (f"{model} physical levels {levels(i)} overflow double "
+                                  f"precision ({where(i)})")
+    refused = next((text for text in errors if text), None)
+    if refused:
+        raise ValueError(refused)
+    return [TridiagonalHamiltonian(d, o, float(a), float(b))
+            for d, o, a, b in zip(diag, off, scale, shift)]
+
+
+def _qdnls_dimers(two_j, gammas, epsilon) -> list[TridiagonalHamiltonian]:
+    """build_qdnls_dimer at each gamma of a grid: off once, and the diagonals
+    one outer product of gamma/2 and m^2."""
+    def entries(gammas, errors, where):
+        g = np.array([math.nan if e else x for x, e in zip(gammas, errors)], dtype=float)
+        if (g < 0).any():
+            _warn("negative gamma: attractive convention")
+        k, j = np.arange(two_j), 0.5 * two_j
+        with np.errstate(over="ignore"):
+            off = epsilon * np.sqrt((two_j - k) * (k + 1))
+            diag = np.multiply.outer(0.5 * g, (np.arange(two_j + 1) - j) ** 2)  # (gamma/2) m^2
+            shift = -0.5 * g * j * j
+        for i in np.flatnonzero(~np.isfinite(diag).all(axis=1) | ~np.isfinite(off).all()):
+            errors[i] = errors[i] or f"dnls entries overflow double precision ({where(i)})"
+        return (diag, np.tile(off, (g.size, 1)), np.full(g.size, -1.0), shift,
+                lambda i: "-lambda - (gamma/2) j^2")
+
+    return _dimers("dnls", two_j, gammas, entries, epsilon=epsilon)
 
 
 def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:
@@ -137,25 +185,15 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     Raises ValueError where an entry, or a physical level's Gershgorin
     bound, overflows double precision.
     """
-    def entries(where):
-        if gamma < 0:
-            _warn("negative gamma: attractive convention")
-        k, j = np.arange(two_j), 0.5 * two_j
-        with np.errstate(over="ignore"):
-            off = epsilon * np.sqrt((two_j - k) * (k + 1))
-            diag = 0.5 * gamma * (np.arange(two_j + 1) - j) ** 2  # (gamma/2) m^2
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
-            raise ValueError(f"dnls entries overflow double precision ({where()})")
-        return diag, off, -1.0, -0.5 * gamma * j * j, "-lambda - (gamma/2) j^2"
-
-    return _dimer("dnls", two_j, entries, gamma=gamma, epsilon=epsilon)
+    return _qdnls_dimers(two_j, [gamma], epsilon)[0]
 
 
 def _sym_qnums(n_max: int, q: float) -> list[float]:
     """[0], [1], ..., [n_max] at q, each bitwise sym_qnum(n, q), with inf
     where [n] overflows double precision: sym_qnum's power ratio in one
     comprehension over the n whose powers q^-+n stay below e^700, and
-    sym_qnum itself past them and near q = 1."""
+    sym_qnum itself past them and near q = 1.  Python's float powers, not
+    np.power, whose results differ from them in the last bit for some q and x."""
     safe = 0 if abs(q - 1.0) < Q_ONE_THRESHOLD else int(700.0 / abs(math.log(q))) + 1
     c = q - 1.0 / q
     table = [(q**x - q**-x) / c for x in map(float, range(min(safe, n_max + 1)))]
@@ -165,6 +203,28 @@ def _sym_qnums(n_max: int, q: float) -> list[float]:
         except ValueError:  # [n] overflows
             table.append(math.inf)
     return table
+
+
+def _qal_dimers(two_j, gammas) -> list[TridiagonalHamiltonian]:
+    """build_qal_dimer at each gamma of a grid: one q-number table per gamma,
+    and the couplings of all of them in one step."""
+    def entries(gammas, errors, where):
+        for i, x in enumerate(gammas):
+            errors[i] = errors[i] or _refusal(q_from_gamma, x)
+        qs = [math.nan if e else q_from_gamma(x).q for x, e in zip(gammas, errors)]
+        qn = np.array([[0.0] * (two_j + 1) if e else _sym_qnums(two_j, q)
+                       for q, e in zip(qs, errors)])
+        with np.errstate(over="ignore"):
+            off = np.sqrt(qn[:, two_j:0:-1] * qn[:, 1:])
+        for i in np.flatnonzero(~np.isfinite(off).all(axis=1)):
+            k = int(np.argmin(np.isfinite(off[i])))
+            errors[i] = errors[i] or (f"al coupling off[{k}] = sqrt([{two_j - k}] [{k + 1}]) at "
+                                      f"q={qs[i]:.17g} overflows double precision ({where(i)})")
+        scale = [math.nan if e else -(q ** (0.5 - 0.5 * two_j)) for q, e in zip(qs, errors)]
+        return (np.zeros_like(qn), off, np.array(scale), np.full(len(qs), 2.0 * two_j),
+                lambda i: f"-q^(1/2 - j) lambda + 2 M at q={qs[i]:.17g}")
+
+    return _dimers("al", two_j, gammas, entries)
 
 
 def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
@@ -179,29 +239,25 @@ def build_qal_dimer(two_j: int, gamma: float) -> TridiagonalHamiltonian:
     a coupling, or a physical level's Gershgorin bound, overflows double
     precision.
     """
-    def entries(where):
-        q = q_from_gamma(gamma).q
-        qn = np.array(_sym_qnums(two_j, q))
-        with np.errstate(over="ignore"):
-            off = np.sqrt(qn[two_j:0:-1] * qn[1:])
-        bad = np.flatnonzero(~np.isfinite(off))
-        if bad.size:
-            k = int(bad[0])
-            raise ValueError(f"al coupling off[{k}] = sqrt([{two_j - k}] [{k + 1}]) at "
-                             f"q={q:.17g} overflows double precision ({where()})")
-        scale = -(q ** (0.5 - 0.5 * two_j))
-        levels = f"-q^(1/2 - j) lambda + 2 M at q={q:.17g}"
-        return np.zeros(two_j + 1), off, scale, 2.0 * two_j, levels
-
-    return _dimer("al", two_j, entries, gamma=gamma)
+    return _qal_dimers(two_j, [gamma])[0]
 
 
-def build_dimer(model: str, two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:
-    """Dispatch on the model name ("dnls" or "al")."""
+def build_dimer_grid(model: str, two_j: int, gammas, epsilon: float = 1.0) -> list[TridiagonalHamiltonian]:
+    """build_dimer at each gamma of gammas, in their order, built together:
+    a grid's gamma-independent parts once, its entries in whole-array steps
+    and its physical-level check over the stacked grid.  Each H is bitwise
+    the one build_dimer gives; a refused grid raises the ValueError that
+    build_dimer raises at the first gamma it refuses, and a warning fires
+    once per grid."""
     if model == "dnls":
-        return build_qdnls_dimer(two_j, gamma, epsilon)
+        return _qdnls_dimers(two_j, gammas, epsilon)
     if model == "al":
         if epsilon != 1.0:
             raise ValueError("epsilon applies to the dnls model only")
-        return build_qal_dimer(two_j, gamma)
+        return _qal_dimers(two_j, gammas)
     raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+
+
+def build_dimer(model: str, two_j: int, gamma: float, epsilon: float = 1.0) -> TridiagonalHamiltonian:
+    """Dispatch on the model name ("dnls" or "al"): build_dimer_grid at one gamma."""
+    return build_dimer_grid(model, two_j, [gamma], epsilon)[0]

@@ -50,8 +50,13 @@ are bitwise those of the unfolded solve; the mirrored ones make an AL
 spectrum of even dimension antisymmetric bitwise.
 
 A caller that needs only the top roots of each spectrum (the command
-line's lowest physical levels are the top of H) passes their number as
-top, and pays for those roots only.  A block's wanted roots form a run at
+line's lowest physical levels are the top of H) passes their number k as
+top, and pays for those roots only.  The parity of a persymmetric H's
+eigenvectors alternates down its spectrum, so the roots of its even and odd
+blocks interlace and its top k hold ceil(k/2) roots of one block and
+floor(k/2) of the other: where H folds into exactly its two blocks, each
+block solves its top ceil(k/2) roots, and every other segment its top k
+(_kept).  A block's wanted roots form a run at
 its top, and at the bottom of the even block whose odd partner mirrors it;
 the first sweep counts only a window of 2c multisection points next to a
 run of c roots, at the full sweep's shifts, and a block whose window falls
@@ -417,16 +422,39 @@ def _narrow(lo, hi, tol):
     return hi - lo <= np.maximum(tol, 4.0 * _EPS * np.maximum(np.abs(lo), np.abs(hi)))
 
 
+def _kept(red: _Reduction, top) -> np.ndarray:
+    """How many top roots of each segment of red can be among the top k = top
+    roots of its H: all of them where top is None.
+
+    An H that red folds into exactly its two parity blocks, one segment
+    each, is persymmetric with couplings that are not zero.  A +-1 diagonal
+    similarity makes them positive and keeps every eigenvector's parity or
+    flips them all; then the j-th eigenvector from the top changes sign
+    j - 1 times, and a persymmetric vector's parity is that of its sign
+    changes.  So parity alternates down the spectrum and the blocks' roots
+    interlace (Cantoni & Butler, Linear Algebra Appl. 13 (1976) 275; where
+    the central coupling of an even dimension is zero, the two blocks are
+    equal and interlace with ties): the top k of H are ceil(k/2) roots of one
+    block and floor(k/2) of the other, and each block keeps its top
+    ceil(k/2).  Every other segment, of an H that is not persymmetric, of
+    dim 1, or whose blocks are cut at a zero or underflowing coupling, keeps
+    its top k, among which the top k of H lie.
+    """
+    if top is None:
+        return red.sizes
+    top = min(top, red.diag.size)
+    halves = (red.mirror != 0) & (np.bincount(red.matrix)[red.matrix] == 2)
+    return np.minimum(red.sizes, np.where(halves, (top + 1) // 2, top))
+
+
 def _candidates(red: _Reduction, top) -> np.ndarray:
     """Which of red's rows hold a root that can be among the top roots of
-    its H (all rows where top is None): the top c roots of H lie among each
-    segment's top c.  A mirrored candidate needs its
-    twin solved: the twins of a chiral segment's top c are among its top c,
-    and the odd block of an even dimension takes its top c from the even
-    block's bottom c."""
-    n = red.diag.size - 1
-    idx = np.arange(n) - np.repeat(red.starts, red.sizes)
-    return idx >= np.repeat(red.sizes, red.sizes) - (n if top is None else top)
+    its H (all rows where top is None): each segment's top _kept.  A
+    mirrored candidate needs its twin solved: the twins of a chiral
+    segment's top c are among its top c, and the odd block of an even
+    dimension takes its top c from the even block's bottom c."""
+    idx = np.arange(red.diag.size - 1) - np.repeat(red.starts, red.sizes)
+    return idx >= np.repeat(red.sizes - _kept(red, top), red.sizes)
 
 
 def _roots(red: _Reduction, tol: float, top=None) -> np.ndarray:
@@ -616,13 +644,18 @@ def eigenvalues_batch(Hs, tol: float = 1e-12, top=None) -> list[np.ndarray]:
     stack is computed on its own, so its array is bitwise what
     eigenvalues_bisection(H, tol) returns.  top, a count k >= 0, keeps the
     highest k roots of each H, ascending, the whole spectrum when k >= dim
-    and none at k = 0: the first sweep counts a window of 2c multisection
-    points next to each block's c wanted roots, once more over the block's
-    other points where the window falls short, and only the roots that can
-    be among the top k are bisected and finished.  Each is bitwise the full
-    solve's, unless a block's Sturm counts fall with the shift outside its
-    windows, which no dimer tried has shown (see _roots).  Raises
-    ValueError where a returned eigenvalue overflows double precision.
+    and none at k = 0.  Only the roots that can be among the top k are
+    bisected and finished (_kept): the top ceil(k/2) of each parity block of
+    an H that folds into exactly its two blocks, whose roots interlace, and
+    the top k of every other segment.  The first sweep counts a window of 2c
+    multisection points next to each block's c wanted roots, once more over
+    the block's other points where the window falls short.  Each root is
+    bitwise the full solve's, unless a block's Sturm counts fall with the
+    shift outside its windows, which no dimer tried has shown (see _roots).
+    So are the top k, unless two roots of different blocks on either side of
+    the k-th place lie within tol of each other, where the full solve may
+    order them the other way.  Raises ValueError where a returned eigenvalue
+    overflows double precision.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
@@ -632,8 +665,7 @@ def eigenvalues_batch(Hs, tol: float = 1e-12, top=None) -> list[np.ndarray]:
     if not Hs:
         return []
     red = _reduce(Hs)
-    kept = np.minimum(red.sizes, red.diag.size if top is None else top)
-    ends = np.cumsum(np.bincount(red.matrix, kept)).astype(int)  # of each H's roots
+    ends = np.cumsum(np.bincount(red.matrix, _kept(red, top))).astype(int)  # of each H's roots
     out = []
     for lam, exp in zip(np.split(_roots(red, tol, top), ends[:-1]), red.exp):
         lam = np.sort(lam)

@@ -1,6 +1,7 @@
 """Dimer builders: matrix elements, closed-form spectra, chain metadata."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from qdimer import (
     TridiagonalHamiltonian,
     build_dimer,
+    build_dimer_grid,
     build_qal_dimer,
     build_qdnls_dimer,
     dense_oracle,
@@ -365,3 +367,100 @@ def test_builders_build_finite_levels_or_refuse():
         seen.add("built")
     assert seen >= {"built", "dnls entries overflow", "al coupling off[", "dnls physical levels",
                     "al physical levels", "gamma must be >= 0", "epsilon applies"}
+
+
+def _per_gamma(model, two_j, gamma, epsilon):
+    """diag, off, energy_scale and energy_shift of one dimer by the scalar
+    formulas: numpy's per-gamma entries, Python floats for the constants and
+    the AL q-numbers."""
+    j = 0.5 * two_j
+    if model == "dnls":
+        k = np.arange(two_j)
+        return (0.5 * gamma * (np.arange(two_j + 1) - j) ** 2,
+                epsilon * np.sqrt((two_j - k) * (k + 1)), -1.0, -0.5 * gamma * j * j)
+    q = q_from_gamma(gamma).q
+    qn = _sym_qnums(two_j, q)
+    return (np.zeros(two_j + 1), np.sqrt(np.array(qn[two_j:0:-1]) * qn[1:]),
+            -(q ** (0.5 - 0.5 * two_j)), 2.0 * two_j)
+
+
+def test_grid_builds_are_the_per_gamma_builds():
+    # each H of a grid is bitwise build_dimer at its gamma and the scalar
+    # formulas, on log and linear grids from gamma 0 and, for dnls, through
+    # negative gamma
+    grids = [np.geomspace(0.05, 12.0, 16), np.linspace(0.0, 10.0, 11)]
+    for model, epsilons in (("dnls", (1.0, -1.0, 0.3)), ("al", (1.0,))):
+        for two_j in (*range(42), 100, 131, 200, 255, 300):
+            for grid in grids + [np.linspace(-6.0, 6.0, 13)] * (model == "dnls"):
+                gammas = grid.tolist()
+                for epsilon in epsilons:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # two_j = 0, negative gamma
+                        Hs = build_dimer_grid(model, two_j, gammas, epsilon)
+                        ones = [build_dimer(model, two_j, g, epsilon) for g in gammas]
+                    assert len(Hs) == len(gammas)
+                    for g, H, one in zip(gammas, Hs, ones):
+                        diag, off, scale, shift = _per_gamma(model, two_j, g, epsilon)
+                        for built in (H, one):
+                            assert built.diag.tobytes() == diag.tobytes(), (model, two_j, g)
+                            assert built.off.tobytes() == off.tobytes(), (model, two_j, g)
+                            assert type(built.energy_scale) is type(built.energy_shift) is float
+                            assert (built.energy_scale, built.energy_shift) == (scale, shift)
+
+
+def _refusal_text(build):
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("model, two_j, gammas, refused", [
+    ("al", 512, [30.0, 30.1, 29.0], "al physical levels"),
+    ("al", 512, [29.0, 30.1, -1.0, math.nan], "al physical levels"),
+    ("al", 512, [30.0, math.nan, 30.1], "gamma must be finite"),
+    ("al", 512, [2.0, -1.0, 30.1], "gamma must be >= 0"),
+    ("al", 513, [0.5, 30.0, -1.0], "al coupling off["),
+    ("dnls", 4, [1.0, 8e307, 1e308], "dnls physical levels"),
+    ("dnls", 4, [1.0, 1e308, 8e307], "dnls entries overflow"),
+    ("dnls", 4, [2.0, -8e307, math.inf], "dnls physical levels"),
+    ("dnls", 4, [math.inf, 2.0], "gamma must be finite"),
+])
+def test_grid_refuses_at_its_first_refused_gamma(model, two_j, gammas, refused):
+    # a grid raises the text that building its first refused gamma alone
+    # raises, whichever check refuses the later gammas
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # negative gamma
+        first = next(filter(None, (_refusal_text(lambda: build_dimer(model, two_j, g))
+                                   for g in gammas)))
+        assert first.startswith(refused)
+        with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
+            build_dimer_grid(model, two_j, gammas)
+
+
+@pytest.mark.parametrize("model, two_j, epsilon", [("al", 3, 2.0), ("xxz", 3, 1.0),
+                                                  ("dnls", 2.5, 1.0), ("dnls", 3, math.nan)])
+def test_grid_refuses_as_build_dimer(model, two_j, epsilon):
+    # the model, sector size and epsilon refusals of the one-gamma build
+    text = _refusal_text(lambda: build_dimer(model, two_j, 1.0, epsilon))
+    assert text
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        build_dimer_grid(model, two_j, [1.0, 2.0], epsilon)
+
+
+def test_empty_grid_builds_nothing():
+    assert build_dimer_grid("al", 3, []) == []
+
+
+def test_grid_warns_once_at_the_caller():
+    # the two_j = 0 and negative-gamma warnings fire once per grid, naming
+    # the calling line here
+    for call, count in ((lambda: build_dimer_grid("dnls", 2, [-1.0, 0.5, -2.0]), 1),
+                        (lambda: build_dimer_grid("dnls", 0, [-1.0, -2.0]), 2),
+                        (lambda: build_dimer_grid("al", 0, [1.0, 2.0, 3.0]), 1),
+                        (lambda: build_dimer_grid("dnls", 3, np.linspace(0.0, 2.0, 5)), 0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        assert len(caught) == count and all(w.filename == __file__ for w in caught)

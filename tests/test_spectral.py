@@ -347,20 +347,22 @@ def test_batch_kernel_sweeps(monkeypatch):
     Hs = [build_dimer("dnls", 100, g) for g in np.geomspace(0.5, 10.0, 16)]
     calls, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs)
     assert calls <= 15 and swept <= 21235
-    # the four levels of gaps' two pairs: the first sweep counts the eight
-    # highest points of each parity block, then the top four roots of each
-    # block only, 2014 columns where a full-width first sweep made 3374
+    # the four levels of gaps' two pairs: the parity blocks interlace, so
+    # the first sweep counts the four highest points of each block, then the
+    # top two roots of each block only, 974 columns, where four roots per
+    # block made 2014 and a full-width first sweep 3374
     _, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, 4)
     assert swept <= 21235 // 5
-    assert swept <= 2100
-    # at two_j 200 the windowed first sweep takes one call, and the 128
-    # selected columns one call per step: 9 calls over 2002 columns, where
-    # a full-width first sweep took three calls under the cell budget (11
-    # calls, 4962 columns) and consecutive stacks of whole solves took 26
+    assert swept <= 1000
+    # at two_j 200 the windowed first sweep takes one call, and the 64
+    # selected columns one call per step: 9 calls over 974 columns, where
+    # four roots per block took 2002, a full-width first sweep took three
+    # calls under the cell budget (11 calls, 4962 columns) and consecutive
+    # stacks of whole solves took 26
     Hs = [build_dimer("dnls", 200, g) for g in np.geomspace(0.5, 10.0, 16)]
     calls, swept = _sweeps(monkeypatch, eigenvalues_batch, Hs, 1e-12, 4)
     assert calls <= 11
-    assert calls <= 9 and swept <= 2100
+    assert calls <= 9 and swept <= 1000
 
 
 def _first_phase_calls(monkeypatch, Hs, top):
@@ -827,6 +829,99 @@ def test_selected_roots_on_random_grids():
             assert part.tobytes() == _top(evs, k).tobytes(), (model, two_j, k)
             compared += 1
     assert compared == 1024
+
+
+def _persymmetric(rng, dim, zero_diag):
+    """A random persymmetric tridiagonal of dim rows: a zero or random
+    diagonal and couplings of mixed sign, both mirror-symmetric."""
+    d = np.zeros(dim) if zero_diag else rng.normal(size=dim)
+    o = rng.uniform(0.1, 2.0, max(dim - 1, 0)) * rng.choice([-1.0, 1.0], max(dim - 1, 0))
+    return TridiagonalHamiltonian(np.where(np.arange(dim) < dim // 2, d, d[::-1]),
+                                  np.where(np.arange(dim - 1) < (dim - 1) // 2, o, o[::-1]))
+
+
+def test_top_roots_of_persymmetric_matrices_match_lapack():
+    # each parity block solves its top ceil(k/2) roots, which hold the top k
+    # of H where the blocks interlace; 1000 random persymmetric tridiagonals
+    # of dim 1-40, zero and random diagonals, couplings of mixed sign
+    rng = np.random.default_rng(32)
+    Hs = [_persymmetric(rng, int(rng.integers(1, 41)), t % 2 == 0) for t in range(1000)]
+    assert all(np.array_equal(H.diag, H.diag[::-1]) and np.array_equal(H.off, H.off[::-1])
+               for H in Hs)
+    refs = [scipy.linalg.eigvalsh_tridiagonal(H.diag, H.off) for H in Hs]
+    for k in range(1, 9):
+        for t, (H, ref, top) in enumerate(zip(Hs, refs, eigenvalues_batch(Hs, top=k))):
+            assert top.size == min(k, H.dim)
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(top - _top(ref, k))) <= 1e-10 * scale, (t, H.dim, k)
+
+
+@pytest.mark.parametrize("two_j", [40, 41, 100, 101])
+def test_top_roots_at_negative_epsilon(two_j):
+    # at epsilon < 0 the checkerboard signature maps the top eigenvector of
+    # epsilon > 0, which is even, to the top one here, of parity
+    # (-1)^(dim - 1): the odd block holds the top root at even dim (read at
+    # a gamma small enough that the top root is not half of a doublet)
+    v = solve_spectrum(build_qdnls_dimer(two_j, 1e-3, -1.0)).vectors[:, -1]
+    assert np.array_equal(v[::-1], v if two_j % 2 == 0 else -v)
+    grid = np.geomspace(0.05, 12.0, 16)
+    Hs = [build_qdnls_dimer(two_j, float(g), -1.0) for g in grid]
+    full = eigenvalues_batch(Hs)
+    for k in range(1, 9):
+        for evs, part in zip(full, eigenvalues_batch(Hs, top=k)):
+            assert part.tobytes() == _top(evs, k).tobytes(), k
+
+
+def _cut_dnls():
+    """dnls two_j 10 at gamma 1e200: scaled, every coupling squares to 0."""
+    return build_qdnls_dimer(10, 1e200)
+
+
+def _nudged():
+    """A persymmetric dnls dimer with one diagonal entry moved: not persymmetric."""
+    H = build_qdnls_dimer(20, 3.0)
+    H.diag[3] += 1e-9
+    return H
+
+
+@pytest.mark.parametrize("make, folded", [
+    (lambda: build_qdnls_dimer(20, 3.0), True),
+    (lambda: build_qal_dimer(21, 3.0), True),
+    (lambda: build_dimer("dnls", 20, 3.0, epsilon=0.0), False),
+    (_nudged, False),
+    (_cut_dnls, False),
+])
+def test_interlacing_rule_and_its_fallback(make, folded):
+    # a matrix folded into exactly two parity blocks keeps ceil(k/2) roots
+    # per block; at epsilon 0 (every coupling zero), off persymmetry or with
+    # blocks cut by an underflowing coupling, each segment keeps its top k
+    H = make()
+    red = _reduce([H])
+    assert (red.sizes.size == 2 and (red.mirror != 0).all()) == folded
+    full = eigenvalues_batch([H])[0]
+    for k in range(1, 9):
+        per = (k + 1) // 2 if folded else k
+        assert np.array_equal(spectral._kept(red, k), np.minimum(red.sizes, per)), k
+        assert eigenvalues_batch([H], top=k)[0].tobytes() == _top(full, k).tobytes(), k
+
+
+@pytest.mark.parametrize("model, two_j", [("dnls", 100), ("al", 101), ("al", 105),
+                                          ("dnls", 200), ("al", 131)])
+def test_top_roots_on_the_command_line_grids(model, two_j):
+    # the grid shapes of the sweep and gaps commands that the benchmark
+    # runs: the top k are bitwise the full solve's top k
+    Hs = [build_dimer(model, two_j, float(g)) for g in np.geomspace(0.5, 10.0, 16)]
+    full = eigenvalues_batch(Hs)
+    for k in (1, 2, 3, 4, 6, 8):
+        for evs, part in zip(full, eigenvalues_batch(Hs, top=k)):
+            assert part.tobytes() == _top(evs, k).tobytes(), k
+
+
+def test_top_past_every_dimension():
+    # a count above any index keeps each whole spectrum
+    Hs = [build_qdnls_dimer(6, 2.0), build_qal_dimer(7, 1.0)]
+    for full, part in zip(eigenvalues_batch(Hs), eigenvalues_batch(Hs, top=10**30)):
+        assert part.tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("top", [-1, 2.5, slice(-2, None), "2", True, np.True_])

@@ -169,6 +169,16 @@ def batch(g):
     H = qdimer.build_dimer("al", 61, 4.0)
     g.add(qdimer.eigenvalues_bisection(H), qdimer.eigenvalues_bisection(H, 1e-8),
           qdimer.eigenvalues_batch([H] * 3, 1e-10, top=1))
+    # top-k where the top root's parity block depends on the dimension
+    # (epsilon < 0), where every coupling is zero (epsilon 0), and off
+    # persymmetry (one diagonal entry moved)
+    for epsilon in (-1.0, 0.0, 0.3):
+        for two_j in (7, 40, 100, 101):
+            Hs = [qdimer.build_dimer("dnls", two_j, float(x), epsilon) for x in GRIDS[0]]
+            g.add(*(qdimer.eigenvalues_batch(Hs, top=k) for k in (1, 3, 4)))
+    H = qdimer.build_dimer("dnls", 40, 3.0)
+    H.diag[5] += 1e-9
+    g.add(*(qdimer.eigenvalues_batch([H], top=k) for k in (1, 3, 4)))
 
 
 def spectra(g):
