@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qnumbers import Q_ONE_THRESHOLD, _finite, _is_count, q_from_gamma, sym_qnum
+from .qnumbers import (
+    _finite,
+    _is_count,
+    _sym_qnums,
+    q_from_gamma,
+    # perfbench/tracing.py wraps sym_qnum on this module
+    sym_qnum,  # noqa: F401
+)
 
 MODELS = ("dnls", "al")
 
@@ -186,23 +193,6 @@ def build_qdnls_dimer(two_j: int, gamma: float, epsilon: float = 1.0) -> Tridiag
     bound, overflows double precision.
     """
     return _qdnls_dimers(two_j, [gamma], epsilon)[0]
-
-
-def _sym_qnums(n_max: int, q: float) -> list[float]:
-    """[0], [1], ..., [n_max] at q, each bitwise sym_qnum(n, q), with inf
-    where [n] overflows double precision: sym_qnum's power ratio in one
-    comprehension over the n whose powers q^-+n stay below e^700, and
-    sym_qnum itself past them and near q = 1.  Python's float powers, not
-    np.power, whose results differ from them in the last bit for some q and x."""
-    safe = 0 if abs(q - 1.0) < Q_ONE_THRESHOLD else int(700.0 / abs(math.log(q))) + 1
-    c = q - 1.0 / q
-    table = [(q**x - q**-x) / c for x in map(float, range(min(safe, n_max + 1)))]
-    for n in range(len(table), n_max + 1):
-        try:
-            table.append(sym_qnum(n, q))
-        except ValueError:  # [n] overflows
-            table.append(math.inf)
-    return table
 
 
 def _qal_dimers(two_j, gammas) -> list[TridiagonalHamiltonian]:

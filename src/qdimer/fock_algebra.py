@@ -22,6 +22,17 @@ and a commutator with a diagonal is read on the other operand's entries.
 Every entry has one term, and each product keeps its operand order and
 each sum its term order, so the Chevalley, Serre and Casimir residuals are
 the same numbers the dense products give.
+
+The checks run these products as stacked passes: verify_chevalley forms
+each relation for all generator pairs (i, j) at once, verify_serre each
+sum for all pairs and both ladders, and the Casimir diagonals every block
+of G G from (n, n, dim) tables.  A product is a take of the left factor's
+amplitudes at the right factor's targets and one multiply, a residual the
+largest |entry|, and every pass runs over runs of _CHECK_RUN states, so no
+temporary spans the sector.  [2 h_i] and the su_q(n) ladders are read from
+one table of q-numbers ([0], [1], ..., qnumbers._sym_qnums).  The
+arithmetic is the amplitudes' own, so object arrays of mpmath values run
+through it too.
 """
 
 from __future__ import annotations
@@ -34,7 +45,15 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .qnumbers import Q_ONE_THRESHOLD, _deformation, _is_count, basic_qnum, q_binomial, sym_qnum
+from .qnumbers import (
+    Q_ONE_THRESHOLD,
+    _deformation,
+    _is_count,
+    _sym_qnums,
+    basic_qnum,
+    q_binomial,
+    sym_qnum,
+)
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -163,6 +182,14 @@ class SectorOperator:
         self.amp = amp
 
     @classmethod
+    def _of(cls, basis, delta, amp):
+        """The shift of a product, sum, multiple or adjoint, whose delta
+        tuple and amplitude array fit the basis by construction."""
+        op = cls.__new__(cls)
+        op.basis, op.delta, op.amp = basis, delta, amp
+        return op
+
+    @classmethod
     def diagonal(cls, basis, values):
         """diag(values), the shift by 0."""
         return cls(basis, (0,) * basis.n_sites, np.asarray(values, dtype=float))
@@ -177,16 +204,16 @@ class SectorOperator:
 
     def __matmul__(self, other):
         delta = tuple(a + b for a, b in zip(self.delta, other.delta))
-        return SectorOperator(self.basis, delta, self.amp[other.dst] * other.amp)
+        return SectorOperator._of(self.basis, delta, self.amp[other.dst] * other.amp)
 
     def __add__(self, other):
-        return SectorOperator(self.basis, self._same_delta(other), self.amp + other.amp)
+        return SectorOperator._of(self.basis, self._same_delta(other), self.amp + other.amp)
 
     def __sub__(self, other):
-        return SectorOperator(self.basis, self._same_delta(other), self.amp - other.amp)
+        return SectorOperator._of(self.basis, self._same_delta(other), self.amp - other.amp)
 
     def __rmul__(self, scalar):
-        return SectorOperator(self.basis, self.delta, self.amp * scalar)
+        return SectorOperator._of(self.basis, self.delta, self.amp * scalar)
 
     def _same_delta(self, other):
         if other.delta != self.delta:
@@ -195,11 +222,12 @@ class SectorOperator:
 
     @property
     def T(self):
-        """The adjoint, a shift by -delta."""
-        live = self.dst >= 0
-        amp = np.zeros_like(self.amp)
-        amp[self.dst[live]] = self.amp[live]
-        return SectorOperator(self.basis, tuple(-x for x in self.delta), amp)
+        """The adjoint, a shift by -delta: its entry at state t is this
+        shift's entry at t - delta, and 0 where t - delta leaves the sector."""
+        delta = tuple(-x for x in self.delta)
+        src = _targets(self.basis, delta)
+        amp = np.where(src >= 0, self.amp[src], 0)
+        return SectorOperator._of(self.basis, delta, amp)
 
 
 def _csr(ops) -> sparse.csr_array:
@@ -237,8 +265,12 @@ def hop_operator(basis: FockSectorBasis, i: int, j: int) -> SectorOperator:
 
 def al_hop_operator(basis: FockSectorBasis, i: int, j: int, gamma: float) -> SectorOperator:
     """Deformed-lattice-oscillator hop b_i' b_j with elements sqrt({n_i+1} {n_j})."""
-    qnums = [basic_qnum(n, gamma) for n in range(basis.total_quanta + 2)]
-    return _hop(basis, i, j, np.array(qnums))
+    return _hop(basis, i, j, _basic_qnums(basis, gamma))
+
+
+def _basic_qnums(basis, gamma):
+    """{0}, {1}, ..., {M + 1} at gamma: every {n} a hop on the sector reads."""
+    return np.array([basic_qnum(n, gamma) for n in range(basis.total_quanta + 2)])
 
 
 def _hop(basis, i, j, qnums):
@@ -258,21 +290,25 @@ def _hop(basis, i, j, qnums):
 
 def _targets(basis, delta):
     """Basis index of state s + delta for every state s, -1 where it leaves
-    the sector; computed once per delta and basis."""
+    the sector; computed once per delta and basis, and the identity for the
+    zero shift."""
     dst = basis._targets.get(delta)
     if dst is None:
-        shift = np.array(delta, dtype=np.int64)
-        dst = np.full(basis.dim, -1, dtype=np.int64)
-        for run in range(0, basis.dim, _RUN):
-            moved = basis.occupations[run:run + _RUN] + shift
-            inside = np.all(moved >= 0, axis=1)
-            dst[run:run + _RUN][inside] = basis.positions(moved[inside])
+        if any(delta):
+            shift = np.array(delta, dtype=np.int64)
+            dst = np.full(basis.dim, -1, dtype=np.int64)
+            for run in range(0, basis.dim, _RUN):
+                moved = basis.occupations[run:run + _RUN] + shift
+                inside = np.all(moved >= 0, axis=1)
+                dst[run:run + _RUN][inside] = basis.positions(moved[inside])
+        else:
+            dst = np.arange(basis.dim, dtype=np.int64)
         basis._targets[delta] = dst
     return dst
 
 
 def _sum(terms):
-    """Left-to-right sum of shifts of one delta."""
+    """Left-to-right sum, of arrays or of shifts of one delta."""
     return functools.reduce(operator.add, terms)
 
 
@@ -334,7 +370,7 @@ def _boson_numbers(basis):
 
 def suq_n_generators(basis: FockSectorBasis, q: float) -> ChevalleyGenerators:
     """q-boson realization of su_q(n) with symmetric q-number matrix elements."""
-    e, f, h = _chevalley(basis, _qnum_map(np.arange(basis.total_quanta + 2), q))
+    e, f, h = _chevalley(basis, _qnum_table(basis.total_quanta + 1, q))
     k = tuple(SectorOperator.diagonal(basis, q**x.amp) for x in h)
     return ChevalleyGenerators(q=float(q), basis=basis, e=e, f=f, h=h, k=k)
 
@@ -375,6 +411,60 @@ def _qnum_map(x, q):
     return np.array([sym_qnum(v, q) for v in values.tolist()])[where]
 
 
+def _qnum_table(n_max, q):
+    """[0], [1], ..., [n_max] at q as an array, each bitwise sym_qnum(n, q);
+    raises sym_qnum's ValueError at the first [n] that overflows."""
+    table = np.array(_sym_qnums(n_max, q))
+    if not np.isfinite(table[-1]):  # |[n]| grows with n
+        sym_qnum(int(np.argmin(np.isfinite(table))), q)  # raises
+    return table
+
+
+def _twice_qnums(h, q, table):
+    """[2h] at q for each entry of h, bitwise sym_qnum(2h, q): read from
+    table = [0], [1], ... where every 2h is an integer whose finite [|2h|]
+    it holds, as [-n] = -[n] exactly and [0] keeps its sign; by _qnum_map
+    elsewhere."""
+    x = 2.0 * h
+    n = np.abs(x)
+    with np.errstate(invalid="ignore"):  # a nan or huge x casts to any integer
+        k = n.astype(np.int64)
+    if (k == n).all() and k.max() < len(table):
+        v = table[k]
+        if np.isfinite(v).all():
+            return np.where(x < 0, -v, v)
+    return _qnum_map(x, q)
+
+
+# States per pass of verify_chevalley, verify_serre and the Casimir
+# diagonals, whose temporaries are a few (rank, rank, run), (pairs, run) or
+# (n, run) arrays.  On a 2-core host (min of 5 runs) 8192-state runs took
+# the checks at 3 sites, M 600 and 4 sites, M 100 below their whole-sector
+# times and peaks; 4096 left the Casimir at 4 sites 14% slower, from the
+# Python work per run, and 65536 doubled the Chevalley check's time.
+_CHECK_RUN = 2**13
+
+
+def _runs(dim):
+    """The runs of _CHECK_RUN states that cover a sector, as slices."""
+    return [slice(lo, lo + _CHECK_RUN) for lo in range(0, dim, _CHECK_RUN)]
+
+
+def _gather(rows, at):
+    """rows[k][at] for a run slice at, or rows[k][at[k]] for index arrays
+    at[k] of targets in -1..dim-1, stacked along a new first axis.
+
+    Each row is read by one take into the stacked array; mode "wrap" reads
+    the target -1 as the last state, as indexing does, and lets the take
+    write there unbuffered."""
+    if isinstance(at, slice):
+        return np.array([row[at] for row in rows])
+    out = np.empty((len(rows), *np.shape(at[0])), dtype=rows[0].dtype)
+    for row, i, o in zip(rows, at, out):
+        row.take(i, out=o, mode="wrap")
+    return out
+
+
 def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
     """Residuals of the defining relations on the sector.
 
@@ -385,45 +475,51 @@ def verify_chevalley(gens: ChevalleyGenerators) -> ResidualReport:
 
     Relations with a diagonal factor (h_i, k_i) are evaluated on the
     amplitudes: entry (dst[c], c) of d x - x d is d_dst[c] x_c - x_c d_c.
-    [e_i, f_j] is the shift product.
+    [e_i, f_j] is the shift product, and [2 h_i] is read from one table of
+    q-numbers.  Each relation is formed for all pairs (i, j) at once, as
+    (rank, rank, run) arrays over runs of states, and its residual is the
+    largest |entry| over the runs.
     """
-    rep = ResidualReport()
     a = cartan_matrix(gens.n)
-    r = gens.rank
-    deformed = abs(gens.q - 1.0) >= Q_ONE_THRESHOLD
-    hd = [g.amp for g in gens.h]
+    r, q = gens.rank, gens.q
+    deformed = abs(q - 1.0) >= Q_ONE_THRESHOLD
+    e, f, h = ([x.amp for x in ops] for ops in (gens.e, gens.f, gens.h))
+    e_dst, f_dst = [x.dst for x in gens.e], [x.dst for x in gens.f]
     if deformed:
-        kd = [g.amp for g in gens.k]
-        targets = [_qnum_map(2.0 * d, gens.q) for d in hd]
+        d = [x.amp for x in gens.k]
+        table = np.array(_sym_qnums(gens.basis.total_quanta, q))
+        scale_e = np.array([[q ** (0.5 * a[i, j]) for j in range(r)] for i in range(r)])[..., None]
+        scale_f = np.array([[q ** (-0.5 * a[i, j]) for j in range(r)] for i in range(r)])[..., None]
+        labels = ("k{i}k{j}", "k{i}e{j}k{i}^-1", "k{i}f{j}k{i}^-1", "[e{i},f{j}]")
     else:
-        targets = [2.0 * d for d in hd]
-    e, f = gens.e, gens.f
+        d = h
+        half = (0.5 * a)[..., None]
+        labels = ("[h{i},h{j}]", "[h{i},e{j}]", "[h{i},f{j}]", "[e{i},f{j}]")
+    diagonal = np.arange(r)
+    maxima = []
+    for s in _runs(gens.basis.dim):
+        es, fs, ds = _gather(e, s), _gather(f, s), _gather(d, s)
+        e_at, f_at = _gather(e_dst, s), _gather(f_dst, s)
+        # [i, j]: d_i at the targets of e_j (f_j), and d_i itself
+        de, df, di = _gather(d, [e_at] * r), _gather(d, [f_at] * r), ds[:, None]
+        if deformed:
+            relations = [di * ds - ds * di, (de * es) / di - scale_e * es,
+                         (df * fs) / di - scale_f * fs]
+            target = _twice_qnums(_gather(h, s), q, table)
+        else:
+            relations = [di * ds - ds * di, de * es - es * di - half * es,
+                         df * fs - fs * di + half * fs]
+            target = 2.0 * ds
+        # [i, j]: e_i f_j - f_j e_i, less the target where i = j
+        comm = _gather(e, [f_at] * r) * fs - (_gather(f, [e_at] * r) * es).transpose(1, 0, 2)
+        comm[diagonal, diagonal] = comm[diagonal, diagonal] - target
+        maxima.append([np.abs(x).max(axis=-1) for x in relations + [comm]])
+    worst = np.max(maxima, axis=0)  # NaN where a run's is
+    rep = ResidualReport()
     for i in range(r):
         for j in range(r):
-            er, ex = e[j].dst, e[j].amp
-            fr, fx = f[j].dst, f[j].amp
-            if not deformed:
-                hi = hd[i]
-                rep.add(f"[h{i+1},h{j+1}]", _maxabs(hi * hd[j] - hd[j] * hi))
-                rep.add(f"[h{i+1},e{j+1}]", _maxabs(hi[er] * ex - ex * hi - 0.5 * a[i, j] * ex))
-                rep.add(f"[h{i+1},f{j+1}]", _maxabs(hi[fr] * fx - fx * hi + 0.5 * a[i, j] * fx))
-            else:
-                ki = kd[i]
-                rep.add(f"k{i+1}k{j+1}", _maxabs(ki * kd[j] - kd[j] * ki))
-                conj_e = (ki[er] * ex) / ki
-                rep.add(
-                    f"k{i+1}e{j+1}k{i+1}^-1",
-                    _maxabs(conj_e - gens.q ** (0.5 * a[i, j]) * ex),
-                )
-                conj_f = (ki[fr] * fx) / ki
-                rep.add(
-                    f"k{i+1}f{j+1}k{i+1}^-1",
-                    _maxabs(conj_f - gens.q ** (-0.5 * a[i, j]) * fx),
-                )
-            comm = _comm(e[i], f[j])
-            if i == j:
-                comm = comm - SectorOperator.diagonal(gens.basis, targets[i])
-            rep.add(f"[e{i+1},f{j+1}]", _maxabs(comm.amp))
+            for label, values in zip(labels, worst):
+                rep.add(label.format(i=i + 1, j=j + 1), values[i, j])
     return rep
 
 
@@ -432,32 +528,66 @@ def verify_serre(gens: ChevalleyGenerators) -> ResidualReport:
 
     sum_{r+s=1-a_ij} (-1)^r C_q(1-a_ij, r) x_i^r x_j x_i^s = 0 for x = e and
     x = f, with q-binomials (ordinary binomials at q = 1).  Vacuous for rank 1.
-    Each term is formed as ((coeff x_i^r) x_j) x_i^s on the generators'
-    shifts, and the terms are summed in order of r.
+    Each term is the product ((coeff x_i^r) x_j) x_i^s of the generators'
+    shifts, with identity factors skipped (c 1 = c and x 1 = x exactly),
+    and the terms are summed in order of r; the sums of one order are
+    formed for all pairs and both ladders at once (_serre_residuals).
     """
     rep = ResidualReport()
     r = gens.rank
     if r < 2:
         return rep
     a = cartan_matrix(gens.n)
-    identity = SectorOperator.diagonal(gens.basis, np.ones(gens.basis.dim))
-    ladders = (("e", gens.e), ("f", gens.f))
-    for i in range(r):
-        for j in range(r):
-            if i == j:
-                continue
-            order = 1 - a[i, j]
-            for name, ops in ladders:
-                xi, xj = ops[i], ops[j]
-                powers = [identity, xi]
-                while len(powers) <= order:
-                    powers.append(powers[-1] @ xi)
-                acc = _sum(
-                    (-1.0) ** rr * q_binomial(order, rr, gens.q) * powers[rr] @ xj @ powers[order - rr]
-                    for rr in range(order + 1)
-                )
-                rep.add(f"serre_{name}{i+1}{name}{j+1}", _maxabs(acc.amp))
+    relations = [(name, i, j) for i in range(r) for j in range(r) if i != j for name in "ef"]
+    ladders = {"e": gens.e, "f": gens.f}
+    worst = {}
+    for order in {1 - a[i, j] for _, i, j in relations}:
+        group = [(name, i, j) for name, i, j in relations if 1 - a[i, j] == order]
+        pairs = [(ladders[name][i], ladders[name][j]) for name, i, j in group]
+        worst.update(zip(group, _serre_residuals(pairs, order, gens.q)))
+    for name, i, j in relations:
+        rep.add(f"serre_{name}{i+1}{name}{j+1}", worst[name, i, j])
     return rep
+
+
+def _serre_residuals(pairs, order, q):
+    """Largest |entry| of sum_r c_r x_i^r x_j x_i^(order-r) for each pair
+    (x_i, x_j) of shifts, c_r = (-1)^r C_q(order, r).
+
+    The pairs are stacked, and the sums formed over runs of states.  Entry
+    c of a product A B is A's entry at B's target of c times B's, so each
+    term is read from the right through a chain of gathers: x_i^k = x_i^(k-1)
+    x_i is x_i at the far end of the chain c, d_i[c], ... times x_i back
+    along it, and x_i^k's target is d_i applied k times, none once a step
+    leaves the sector.  Every gather reads the factor a product would read,
+    -1 targets included, so each entry is that of the shift products."""
+    xi, di = [x.amp for x, _ in pairs], [x.dst for x, _ in pairs]
+    xj, dj = [y.amp for _, y in pairs], [y.dst for _, y in pairs]
+    coeffs = [(-1.0) ** rr * q_binomial(order, rr, q) for rr in range(order + 1)]
+
+    def power(k, at):  # x_i^k at the run s or at targets
+        chain = [at]
+        for _ in range(k - 1):
+            chain.append(_gather(di, chain[-1]))
+        amp = _gather(xi, chain[-1])
+        for u in chain[-2::-1]:
+            amp = amp * _gather(xi, u)
+        return amp
+
+    def term(rr, c, s):  # ((c x_i^r) x_j) x_i^(order-r) on the run s
+        k = order - rr
+        at = s
+        if k:  # x_i^k's targets
+            at = _gather(di, s)
+            for _ in range(k - 1):
+                at = np.where(at >= 0, _gather(di, at), -1)
+        left = _gather(xj, at)  # (c x_i^r) x_j there
+        left = (power(rr, _gather(dj, at)) * c) * left if rr else c * left
+        return left * power(k, s) if k else left
+
+    maxima = [np.abs(_sum(term(rr, c, s) for rr, c in enumerate(coeffs))).max(axis=-1)
+              for s in _runs(len(xi[0]))]
+    return np.max(maxima, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +660,10 @@ def _root_vectors(e):
 
 
 def _cartan_weights(h):
-    """Diagonals of the traceless weights eps_a: eps_a - eps_{a+1} = 2 h_a, sum eps_a = 0."""
+    """Diagonals of the traceless weights eps_a from the Cartan diagonals
+    h_a: eps_a - eps_{a+1} = 2 h_a, sum eps_a = 0."""
     n = len(h) + 1
-    g = [2.0 * x.amp for x in h]
+    g = [2.0 * x for x in h]
     tail = np.zeros(len(g[0]))
     eps = [None] * n
     mean = sum((k + 1) * g[k] for k in range(n - 1)) / n
@@ -560,19 +691,41 @@ def casimir_matrix(gens: ChevalleyGenerators, p: int) -> SectorOperator:
     return SectorOperator.diagonal(gens.basis, _casimir_diagonals(gens, int(p))[-1])
 
 
-def _generator_matrix(gens):
-    """The n x n shift matrix G of casimir_matrix: E_ab above the diagonal,
-    E_ab' below it, diag(eps_a) on it."""
+def _generator_table(gens):
+    """casimir_matrix's G as an (n, n, dim) table of shift amplitudes:
+    G_ab, the shift by e_a - e_b, is E_ab above the diagonal, E_ab' below
+    it and diag(eps_a) on it."""
     n = gens.n
     E = _root_vectors(gens.e)
-    eps = _cartan_weights(gens.h)
-    G = [[None] * n for _ in range(n)]
+    eps = _cartan_weights([x.amp for x in gens.h])
+    G = np.empty((n, n, gens.basis.dim), dtype=np.result_type(eps[0], gens.e[0].amp))
     for a in range(n):
-        G[a][a] = SectorOperator.diagonal(gens.basis, eps[a])
+        G[a, a] = eps[a]
         for b in range(a + 1, n):
-            G[a][b] = E[a][b]
-            G[b][a] = E[a][b].T
+            G[a, b], G[b, a] = E[a][b].amp, E[a][b].T.amp
     return G
+
+
+def _blocks(A, B, dst):
+    """(A B)_ab = sum_c A_ac B_cb for every block (a, b), summed in order of
+    c, from (n, n, dim) tables of shifts by e_a - e_b whose targets are
+    dst[a][b]; formed over runs of states."""
+    out = np.empty_like(B)
+    for s in _runs(B.shape[-1]):
+        at = [np.array([x[s] for x in row]) for row in dst]  # [c][b]: B_cb's targets
+        for a, row in enumerate(A):  # A_ac at them times B_cb, summed over c
+            out[a, :, s] = _sum(x.take(i) * y for x, i, y in zip(row, at, B[:, :, s]))
+    return out
+
+
+def _diagonal_blocks(A, B, dst):
+    """sum_a (A B)_aa as one diagonal, each block summed in order of c as
+    in _blocks and the blocks in order of a; formed over runs of states."""
+    out = np.empty_like(B[0, 0])
+    for s in _runs(len(out)):
+        out[s] = _sum(_sum(x.take(dst[c][a][s]) * B[c, a, s] for c, x in enumerate(row))
+                      for a, row in enumerate(A))
+    return out
 
 
 def _casimir_diagonals(gens, p):
@@ -581,22 +734,21 @@ def _casimir_diagonals(gens, p):
     One G and one M = G G serve every degree.  Block (a, b) of a product
     A B is sum_c A_ac B_cb, summed in order of c, and each C_2k sums the
     diagonal blocks in order of a; for k > 1 only the diagonal blocks of
-    the last product are formed.
+    the last product are formed.  Every block of a product is formed at
+    once, as gathers from (n, n, dim) tables over runs of states.
     """
     n = gens.n
-    G = _generator_matrix(gens)
-
-    def block(A, B, a, b):
-        return _sum(A[a][c] @ B[c][b] for c in range(n))
-
-    M = [[block(G, G, a, b) for b in range(n)] for a in range(n)]
-    diagonals = [_sum(M[a][a] for a in range(n))]
+    dst = [[_targets(gens.basis, tuple(int(k == a) - int(k == b) for k in range(n)))
+            for b in range(n)] for a in range(n)]
+    G = _generator_table(gens)
+    M = _blocks(G, G, dst)
+    diagonals = [_sum(M[a, a] for a in range(n))]
     left = M
     for k in range(2, p + 1):
         if k > 2:
-            left = [[block(left, M, a, b) for b in range(n)] for a in range(n)]
-        diagonals.append(_sum(block(left, M, a, a) for a in range(n)))
-    return [d.amp for d in diagonals]
+            left = _blocks(left, M, dst)
+        diagonals.append(_diagonal_blocks(left, M, dst))
+    return diagonals
 
 
 def suq2_casimir(gens: ChevalleyGenerators) -> SectorOperator:

@@ -26,10 +26,11 @@ import numpy as np
 from .fock_algebra import (
     FockSectorBasis,
     SectorOperator,
+    _basic_qnums,
     _casimir_diagonals,
     _csr,
+    _hop,
     _maxabs,
-    al_hop_operator,
     build_sector_basis,
     # perfbench/tracing.py wraps casimir_matrix on this module
     casimir_matrix,  # noqa: F401
@@ -47,26 +48,29 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 
-def _qdnls_terms(basis, gamma, epsilon):
-    """The nonlinear chain as its diagonal and its 2(n-1) scaled hops, at a
-    finite gamma and epsilon."""
+def _qdnls_terms(basis, gamma, epsilon, e, f):
+    """The nonlinear chain as its diagonal and its 2(n-1) scaled hops, from
+    the hops e_i = a_i' a_{i+1} and f_i = a_{i+1}' a_i, at a finite gamma
+    and epsilon."""
     _finite(gamma=gamma, epsilon=epsilon)
     well = np.zeros(basis.dim)
     for i in range(1, basis.n_sites + 1):
         num = number_operator(basis, i).amp
         well -= 0.5 * gamma * (num * num)
     terms = [SectorOperator.diagonal(basis, well)]
-    for i in range(1, basis.n_sites):
-        terms += [-epsilon * hop_operator(basis, i, i + 1), -epsilon * hop_operator(basis, i + 1, i)]
+    for x, y in zip(e, f):
+        terms += [-epsilon * x, -epsilon * y]
     return terms
 
 
 def _qal_terms(basis, gamma):
-    """The deformed chain as its diagonal and its 2(n-1) negated hops."""
+    """The deformed chain as its diagonal and its 2(n-1) negated hops, all
+    from one table of basic q-numbers {n}."""
     terms = [SectorOperator.diagonal(basis, np.full(basis.dim, 2.0 * basis.total_quanta))]
-    for i in range(1, basis.n_sites):
-        terms += [-1.0 * al_hop_operator(basis, i, i + 1, gamma),
-                  -1.0 * al_hop_operator(basis, i + 1, i, gamma)]
+    if basis.n_sites > 1:  # a one-site chain has no hop, and no {n} to refuse
+        qnums = _basic_qnums(basis, gamma)
+        for i in range(1, basis.n_sites):
+            terms += [-1.0 * _hop(basis, i, i + 1, qnums), -1.0 * _hop(basis, i + 1, i, qnums)]
     return terms
 
 
@@ -81,7 +85,10 @@ def build_qdnls_chain(basis: FockSectorBasis, gamma: float, epsilon: float = 1.0
     """Sparse sector matrix of the nonlinear chain: -eps * sum of neighbour
     hops minus (gamma/2) * sum n_i^2 (`.toarray()` for the dense matrix).
     Refuses a gamma or epsilon that is not finite, as build_qdnls_dimer does."""
-    return _chain_csr(_qdnls_terms(basis, gamma, epsilon))
+    sites = range(1, basis.n_sites)
+    e = [hop_operator(basis, i, i + 1) for i in sites]
+    f = [hop_operator(basis, i + 1, i) for i in sites]
+    return _chain_csr(_qdnls_terms(basis, gamma, epsilon, e, f))
 
 
 def build_qal_chain(basis: FockSectorBasis, gamma: float) -> sparse.csr_array:
@@ -124,8 +131,9 @@ def conservation_suite(n_sites: int, total_quanta: int, gamma: float) -> Conserv
 
     total_number = basis.occupations.sum(axis=1).astype(float)
 
-    H = _qdnls_terms(basis, gamma, 1.0)
-    c2, c4 = _casimir_diagonals(su_n_generators(basis), 2)
+    gens = su_n_generators(basis)
+    H = _qdnls_terms(basis, gamma, 1.0, gens.e, gens.f)
+    c2, c4 = _casimir_diagonals(gens, 2)
     report.add("dnls_c2", _commutator_norm(H, c2), 1e-10 * dim)
     report.add("dnls_c4", _commutator_norm(H, c4), 1e-8 * dim)
     report.add("dnls_total_number", _commutator_norm(H, total_number), 0.0)

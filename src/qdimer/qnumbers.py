@@ -77,6 +77,17 @@ def _text(x) -> str:
     return str(x)
 
 
+def _base(q):
+    """q as _scalar gives it, refused where it is not finite and > 0: the
+    one rule for a base q."""
+    q = _scalar(q)
+    if not q > 0.0:
+        raise ValueError(f"q must be > 0, got {q}")
+    if q == math.inf:
+        raise ValueError(f"q must be finite, got {q}")
+    return q
+
+
 def sym_qnum(x: float, q: float) -> float:
     """Symmetric q-number [x] = (q^x - q^-x) / (q - q^-1); [x] -> x as q -> 1.
 
@@ -86,11 +97,7 @@ def sym_qnum(x: float, q: float) -> float:
     Raises ValueError where x or q is not finite, or where [x] itself
     overflows double precision, as it does wherever x does.
     """
-    q = _scalar(q)  # x enters the powers as float(x)
-    if not q > 0.0:
-        raise ValueError(f"q must be > 0, got {q}")
-    if q == math.inf:
-        raise ValueError(f"q must be finite, got {q}")
+    q = _base(q)  # x enters the powers as float(x)
     try:
         finite = math.isfinite(x)
     except OverflowError:  # an integer past double range, and |[x]| >= |x| for |x| >= 1
@@ -111,6 +118,27 @@ def sym_qnum(x: float, q: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"q-number [{_text(x)}] at q={q:.17g} overflows double precision")
     return value
+
+
+def _sym_qnums(n_max: int, q: float) -> list[float]:
+    """[0], [1], ..., [n_max] at q, each bitwise sym_qnum(n, q), with inf
+    where [n] overflows double precision: n itself near q = 1, sym_qnum's
+    power ratio in one comprehension over the n whose powers q^-+n stay
+    below e^700, and sym_qnum itself past them.  Python's float powers, not
+    np.power, whose results differ from them in the last bit for some q and
+    x.  Refuses a q as sym_qnum does."""
+    q = _base(q)
+    if abs(q - 1.0) < Q_ONE_THRESHOLD:
+        return [float(n) for n in range(n_max + 1)]
+    safe = int(700.0 / abs(math.log(q))) + 1
+    c = q - 1.0 / q
+    table = [(q**x - q**-x) / c for x in map(float, range(min(safe, n_max + 1)))]
+    for n in range(len(table), n_max + 1):
+        try:
+            table.append(sym_qnum(n, q))
+        except ValueError:  # [n] overflows
+            table.append(math.inf)
+    return table
 
 
 def basic_qnum(n: int, gamma: float) -> float:

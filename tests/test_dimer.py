@@ -20,7 +20,7 @@ from qdimer import (
     q_from_gamma,
     sym_qnum,
 )
-from qdimer.dimer import _sym_qnums
+from qdimer.qnumbers import _sym_qnums
 
 
 def test_spin_sector():

@@ -2,13 +2,16 @@
 operators on small occupation-number sectors."""
 
 import dataclasses
+import functools
 import itertools
 import math
+import operator
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from mpmath import mp
 from scipy import sparse
 
 from qdimer import (
@@ -35,7 +38,7 @@ from qdimer import (
     verify_number_reconstruction,
     verify_serre,
 )
-from qdimer.fock_algebra import _hop, _qnum_map, _root_vectors, _targets
+from qdimer.fock_algebra import _CHECK_RUN, _hop, _qnum_map, _root_vectors, _targets
 
 
 def _q_hop(basis, i, j, q):
@@ -604,7 +607,9 @@ def test_residuals_match_dense_products():
     # every product of hops and diagonals has one term per entry, so the
     # sparse residuals are the dense ones bit for bit
     nonzero = 0
-    for n_sites, total, gamma in ((3, 6, 8.0), (3, 12, 2.0), (2, 12, 8.0)):
+    # (4, 5) and (5, 3) hold rank 3 and 4, Serre pairs of order 1 and the
+    # n = 4, 5 Casimir blocks
+    for n_sites, total, gamma in ((3, 6, 8.0), (3, 12, 2.0), (2, 12, 8.0), (4, 5, 2.0), (5, 3, 8.0)):
         basis = build_sector_basis(n_sites, total)
         for gens in (su_n_generators(basis), suq_n_generators(basis, q_from_gamma(gamma).q)):
             chev = [v for _, v in verify_chevalley(gens).entries]
@@ -612,4 +617,91 @@ def test_residuals_match_dense_products():
             serre = [v for _, v in verify_serre(gens).entries]
             assert serre == _dense_serre(gens)
             nonzero += sum(v > 0.0 for v in chev + serre)
+        c2, c4 = (casimir_matrix(su_n_generators(basis), p).amp for p in (1, 2))
+        assert np.array_equal(c2, _dense_casimir(su_n_generators(basis), 1))
+        assert np.array_equal(c4, _dense_casimir(su_n_generators(basis), 2))
     assert nonzero > 0
+
+
+def _dense_casimir(gens, p):
+    """diag(C_2p) by dense products of the G blocks: root vectors nested
+    from the lower end, their transposes, and the traceless weights."""
+    n = gens.n
+    E = {(a, a + 1): gens.e[a].matrix.toarray() for a in range(n - 1)}
+    for span in range(2, n):
+        for a in range(n - span):
+            b = a + span
+            E[a, b] = E[a, a + 1] @ E[a + 1, b] - E[a + 1, b] @ E[a, a + 1]
+    g = [2.0 * np.diag(h.matrix.toarray()) for h in gens.h]
+    mean = sum((k + 1) * g[k] for k in range(n - 1)) / n
+    eps, tail = [None] * n, np.zeros(gens.basis.dim)
+    for a in range(n - 1, -1, -1):
+        eps[a] = tail - mean
+        if a > 0:
+            tail = tail + g[a - 1]
+    G = [[E[a, b] if a < b else E[b, a].T if a > b else np.diag(eps[a]) for b in range(n)]
+         for a in range(n)]
+    block = lambda A, B, a, b: functools.reduce(operator.add, (A[a][c] @ B[c][b] for c in range(n)))
+    M = [[block(G, G, a, b) for b in range(n)] for a in range(n)]
+    left = M
+    for _ in range(2, p + 1):
+        left = [[block(left, M, a, b) for b in range(n)] for a in range(n)]
+    return np.diag(functools.reduce(operator.add, (left[a][a] for a in range(n))))
+
+
+def test_chevalley_targets_off_the_q_number_table():
+    # an h whose 2h is no integer reads [2h] by sym_qnum per value, as the
+    # dense reference does
+    basis = build_sector_basis(3, 5)
+    gens = suq_n_generators(basis, q_from_gamma(2.0).q)
+    shifted = dataclasses.replace(gens, h=tuple(SectorOperator.diagonal(basis, x.amp + 0.25)
+                                                for x in gens.h))
+    assert [v for _, v in verify_chevalley(shifted).entries] == _dense_chevalley(shifted)
+    assert verify_chevalley(shifted).max_residual > 0.1
+
+
+def test_serre_nan_survives_the_runs():
+    # the deformed Serre sums overflow to inf - inf = NaN in the first runs
+    # of states only, and the residual stays NaN over the later finite ones
+    basis = build_sector_basis(3, 600)
+    assert basis.dim > 20 * _CHECK_RUN
+    gens = suq_n_generators(basis, q_from_gamma(8.0).q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_serre(gens)
+    assert math.isnan(rep.max_residual)
+
+
+def _as_mpf(gens):
+    """gens with every amplitude an object array of mpmath mpf values."""
+    def convert(ops):
+        return tuple(SectorOperator(gens.basis, x.delta,
+                                    np.array([mp.mpf(v) for v in x.amp.tolist()], dtype=object))
+                     for x in ops)
+
+    return dataclasses.replace(gens, e=convert(gens.e), f=convert(gens.f), h=convert(gens.h),
+                               k=gens.k and convert(gens.k))
+
+
+def test_checks_run_on_mpf_amplitudes():
+    # the checks use only the amplitudes' own arithmetic, which mpf at 53
+    # bits rounds as float64 does, so they return the float entries
+    with mp.workprec(53):
+        for n_sites, total, gamma in ((3, 6, 2.0), (4, 4, 8.0)):
+            basis = build_sector_basis(n_sites, total)
+            for gens in (su_n_generators(basis), suq_n_generators(basis, q_from_gamma(gamma).q)):
+                mpf = _as_mpf(gens)
+                assert mpf.e[0].amp.dtype == object
+                for check in (verify_chevalley, verify_serre):
+                    assert check(mpf).entries == check(gens).entries
+
+
+def test_zero_shift_targets_are_the_states(monkeypatch):
+    # a diagonal's targets are the identity, read without a rank pass
+    basis = build_sector_basis(3, 4)
+
+    def refuse(occupations):
+        raise AssertionError("rank pass")
+
+    monkeypatch.setattr(basis, "positions", refuse)
+    dst = SectorOperator.diagonal(basis, np.ones(basis.dim)).dst
+    assert np.array_equal(dst, np.arange(basis.dim)) and dst.dtype == np.int64

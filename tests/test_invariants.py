@@ -27,6 +27,7 @@ from qdimer import (
     verify_chevalley,
     verify_serre,
 )
+from qdimer.fock_algebra import _CHECK_RUN
 
 
 def test_one_quantum_two_sites():
@@ -274,8 +275,10 @@ def _csr_conservation(n_sites, M, gamma):
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 8.0])
 def test_conservation_suite_matches_csr_products(gamma):
     # the suite's shift-amplitude products have one term per entry, so every
-    # value is the sparse-product value bit for bit
-    sectors = [(3, M) for M in range(6, 13)] + [(2, M) for M in range(8, 21)] + [(4, 5)]
+    # value is the sparse-product value bit for bit; 3 sites at M 130 span
+    # two runs of the checks' passes
+    sectors = [(3, M) for M in range(6, 13)] + [(2, M) for M in range(8, 21)] + [(4, 5), (3, 130)]
+    assert _CHECK_RUN < build_sector_basis(3, 130).dim < 2 * _CHECK_RUN
     nonzero = 0
     for n_sites, M in sectors:
         rep = conservation_suite(n_sites, M, gamma)

@@ -236,7 +236,8 @@ def _report(rep):
 
 
 def algebra(g):
-    for n, m in ((2, 0), (2, 5), (2, 12), (3, 1), (3, 6), (3, 16), (4, 4), (5, 2)):
+    # 3 sites at M 130 span two runs of the checks' passes
+    for n, m in ((2, 0), (2, 5), (2, 12), (3, 1), (3, 6), (3, 16), (4, 4), (5, 2), (3, 130)):
         b = qdimer.build_sector_basis(n, m)
         for gens in (qdimer.su_n_generators(b), qdimer.suq_n_generators(b, 0.7)):
             g.add(_report(qdimer.verify_chevalley(gens)), _report(qdimer.verify_serre(gens)))
@@ -249,7 +250,8 @@ def algebra(g):
                 g.add(qdimer.suq2_casimir(qdimer.suq_n_generators(b, q)).amp)
     for gamma in (0.0, 2.0, 8.0):
         g.add(_report(qdimer.verify_al_relations(*qdimer.al_oscillator_ops(20, gamma), gamma, 20)))
-    for n, m, gamma in ((2, 5, 2.0), (2, 21, 8.0), (3, 4, 0.5), (3, 11, 8.0), (4, 3, 2.0)):
+    for n, m, gamma in ((2, 5, 2.0), (2, 21, 8.0), (3, 4, 0.5), (3, 11, 8.0), (4, 3, 2.0),
+                        (4, 7, 8.0)):
         rep = qdimer.conservation_suite(n, m, gamma)
         g.add(rep.context, rep.pairs)
         b = qdimer.build_sector_basis(n, m)
