@@ -204,16 +204,22 @@ class _Checks:
         self.lines.append(f"{word} {name} value={value:.3e} tol={tol:.3e}")
 
 
+# the couplings of the su_q(n) relation checks and the conservation checks
+_COUPLINGS = (0.5, 2.0, 8.0)
+
+
 def _verify_algebra(checks, m_max):
-    q = q_from_gamma(2.0).q
     for n_sites in (2, 3):
         basis = build_sector_basis(n_sites, m_max)
         gens, tol = su_n_generators(basis), 1e-12 * basis.dim
-        for name, g in (("su", gens), ("suq", suq_n_generators(basis, q))):
-            checks.add(f"algebra.chevalley.{name}{n_sites}.M{m_max}", verify_chevalley(g).max_residual, tol)
+        packs = [(f"su{n_sites}.M{m_max}", gens)] + [
+            (f"suq{n_sites}.M{m_max}.g{gamma:g}", suq_n_generators(basis, q_from_gamma(gamma).q))
+            for gamma in _COUPLINGS]
+        for name, g in packs:
+            checks.add(f"algebra.chevalley.{name}", verify_chevalley(g).max_residual, tol)
             rep = verify_serre(g)
             if not rep.vacuous:
-                checks.add(f"algebra.serre.{name}{n_sites}.M{m_max}", rep.max_residual, tol)
+                checks.add(f"algebra.serre.{name}", rep.max_residual, tol)
         qone = suq_n_generators(basis, 1.0)
         worst = 0.0
         for a, b in zip(gens.e + gens.f + gens.h, qone.e + qone.f + qone.h):
@@ -264,7 +270,7 @@ def _verify_spectral(checks, two_j_max, cases):
 
 
 def _verify_conservation(checks, m_max):
-    for gamma in (0.5, 2.0, 8.0):
+    for gamma in _COUPLINGS:
         for n_sites, quanta in ((3, m_max), (2, 8)):
             rep = conservation_suite(n_sites, quanta, gamma)
             for label, norm, tol, _ in rep.pairs:

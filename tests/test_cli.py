@@ -222,6 +222,34 @@ def test_verify_algebra_suite(capsys):
     assert all(ln.startswith("PASS") for ln in out.splitlines())
 
 
+def test_verify_runs_each_suq_relation_once(capsys):
+    # the su_q(n) Chevalley and Serre relations are printed once, by the
+    # algebra suite at the conservation suite's couplings, with the
+    # residual the check returns; the conservation suite prints none
+    rc, out = run(capsys, ["verify", "--suite", "all", "--m-max", "3", "--cases", "5"])
+    assert rc == 0
+    values = {}
+    for ln in out.splitlines():
+        word, name, value, tol = ln.split()
+        assert name not in values, name
+        values[name] = value
+    relations = sorted(name for name in values if ".suq" in name)
+    expect = []
+    for gamma in (0.5, 2.0, 8.0):
+        for n_sites in (2, 3):
+            gens = qdimer.suq_n_generators(qdimer.build_sector_basis(n_sites, 3),
+                                           qdimer.q_from_gamma(gamma).q)
+            reports = [("chevalley", qdimer.verify_chevalley(gens))]
+            reports += [("serre", qdimer.verify_serre(gens))] if n_sites == 3 else []
+            for kind, rep in reports:
+                name = f"algebra.{kind}.suq{n_sites}.M3.g{gamma:g}"
+                expect.append(name)
+                assert values[name] == f"value={rep.max_residual:.3e}", name
+    assert relations == sorted(expect)
+    labels = {name.rsplit(".", 1)[1] for name in values if name.startswith("conservation.")}
+    assert labels == {"dnls_c2", "dnls_c4", "dnls_total_number", "al_cq", "al_total_number"}
+
+
 def test_verify_suite_wall_times_on_stderr(capsys, tmp_path):
     argv = ["verify", "--suite", "all", "--m-max", "2", "--cases", "5"]
     assert main(argv) == 0

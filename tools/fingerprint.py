@@ -266,8 +266,9 @@ def cli(g):
                 code = cli_main(command.split())
             except SystemExit as exc:
                 code = exc.code
-        # stderr holds verify's wall times, so only a refusal's text is kept
-        g.add(command, code, out.getvalue(), err.getvalue() if code else "")
+        # stderr holds verify's wall times, also when a check fails (exit 1),
+        # so only a refusal's text (exit 2) is kept
+        g.add(command, code, out.getvalue(), err.getvalue() if code == 2 else "")
 
 
 def main():
